@@ -3,8 +3,9 @@
 Three commands share one YAML config: `scenario` materializes the deployment
 geometry, `dataset` writes fingerprint datasets per feature layout, and `run`
 executes the experiment matrix. Exit codes: 0 on success, 1 when every
-experiment failed (or a dataset came up empty), 2 for config errors. All
-files are written atomically and land under the configured output directory.
+experiment failed (or a dataset came up empty), 2 for config errors and for
+`--jobs` below 1. All files are written atomically and land under the
+configured output directory.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ def _build_samples(config: RunConfig):
     """Scenario -> LoS-annotated samples, reporting the LoS fraction."""
     scenario = build_scenario(config.scenario)
     samples = generate_samples(scenario, config.propagation)
-    los = [s for s in samples if s.los_to_serving]
+    los = filter_los(samples)
     fraction = len(los) / len(samples) if samples else 0.0
     print(f"samples: {len(samples)}  LoS fraction: {fraction:.4f}")
     return scenario, (los if config.los_only else samples)
@@ -171,6 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    if args.jobs < 1:
+        print(f"usage error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     try:
         config = load_run_config(args.config, seed_override=args.seed, out_override=args.out)
     except ConfigError as err:

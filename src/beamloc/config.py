@@ -45,12 +45,19 @@ def _require_map(doc, section: str):
     return doc
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (YAML `true` is an int to isinstance)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build_dataclass(cls, values: dict, section: str, *, coerce_tuples=(), defaults=None):
-    """Construct a config dataclass, rejecting unknown keys by name."""
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    for key in values:
-        if key not in allowed:
+    """Construct a config dataclass, rejecting unknown keys and bool ints by name."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key, value in values.items():
+        if key not in fields:
             raise ConfigError(f"{section}: unknown key '{key}'")
+        if fields[key].type == "int" and isinstance(value, bool):
+            raise ConfigError(f"{section}: {key} must be an int, got a bool")
     merged = dict(defaults or {})
     merged.update(values)
     for key in coerce_tuples:
@@ -86,12 +93,14 @@ def _parse_experiment(entry, index: int, global_seed: int) -> ExperimentDescript
     tree = _build_dataclass(TreeConfig, _require_map(entry.get("tree"), f"{section}.tree"), f"{section}.tree")
 
     hidden = entry.get("hidden_layers", [64])
-    if not isinstance(hidden, (list, tuple)) or not all(isinstance(w, int) for w in hidden):
+    if not isinstance(hidden, (list, tuple)) or not all(_is_int(w) for w in hidden):
         raise ConfigError(f"{section}: hidden_layers must be a list of ints")
 
     seed = entry.get("seed")
     if seed is None:
         seed = derive_seed(global_seed, "experiment", exp_id)
+    elif not _is_int(seed):
+        raise ConfigError(f"{section}: seed must be an int")
     try:
         return ExperimentDescriptor(
             experiment_id=exp_id,
@@ -101,7 +110,7 @@ def _parse_experiment(entry, index: int, global_seed: int) -> ExperimentDescript
             hidden_layers=tuple(hidden),
             train_config=train,
             tree_config=tree,
-            seed=int(seed),
+            seed=seed,
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{section}: {err}") from err
@@ -128,7 +137,7 @@ def load_run_config(path: str, seed_override: int | None = None, out_override: s
             raise ConfigError(f"top level: unknown key '{key}'")
 
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("top level: seed must be an int")
     output_dir = out_override if out_override is not None else doc.get("output_dir", "out")
 
@@ -150,7 +159,7 @@ def load_run_config(path: str, seed_override: int | None = None, out_override: s
     if not isinstance(split_fraction, (int, float)) or not 0 < split_fraction < 1:
         raise ConfigError("dataset: split_fraction must be a number in (0, 1)")
     min_cell_size = dataset_map.get("min_cell_size", 50)
-    if not isinstance(min_cell_size, int) or min_cell_size < 1:
+    if not _is_int(min_cell_size) or min_cell_size < 1:
         raise ConfigError("dataset: min_cell_size must be a positive int")
     los_only = dataset_map.get("los_only", True)
     if not isinstance(los_only, bool):

@@ -294,6 +294,8 @@ def run_matrix(
     Returns (reports, failures) with failures as {experiment_id, error}
     entries. Results do not depend on `jobs`.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     ids = [d.experiment_id for d in descriptors]
     if len(ids) != len(set(ids)):
         raise ValueError("experiment ids are not unique")

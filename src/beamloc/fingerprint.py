@@ -5,6 +5,10 @@ above the noise floor as the location's fingerprint, pick the serving cell as
 the owner of the globally strongest beam, keep LoS locations, and flatten
 each fingerprint into a fixed-layout feature vector (serving beam IDs and
 RSRPs, optional serving cell ID, then one strongest beam per neighbor cell).
+
+All locations live in one columnar `FingerprintTable`, and every feature
+matrix is built from it in one vectorized pass. `FingerprintSample` plus
+`extract_features` are the single-row view of the same layout.
 """
 from __future__ import annotations
 
@@ -15,12 +19,12 @@ import json
 import logging
 import os
 import tempfile
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagation import PropagationConfig, rsrp_grid
+from .propagation import PropagationConfig, RsrpGrid, rsrp_grid
 from .scenario import Scenario, enumerate_locations
 from .seeds import derive_seed
 
@@ -94,8 +98,117 @@ def select_serving(sample_rsrp: dict) -> int:
     return min(key for key, value in sample_rsrp.items() if value == best)[0]
 
 
-def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None = None) -> list[FingerprintSample]:
-    """One sample per street-grid location.
+@dataclass(frozen=True, eq=False)
+class FingerprintTable(Sequence):
+    """Every location's fingerprint as columns, one row per location.
+
+    `rsrp` is dense, (n_rows, n_beams), with columns in (cell_id, beam_id)
+    order and -inf where a beam is inaudible. `serving_col` is each row's
+    strongest serving-cell column: for generated tables the row-wise argmax,
+    whose first maximum is the lowest (cell, beam) as in `select_serving`.
+    The table is a sequence of `FingerprintSample` rows built on demand.
+    """
+
+    locations: np.ndarray  # (n_rows, 2)
+    rsrp: np.ndarray  # (n_rows, n_beams)
+    cell_ids: np.ndarray  # (n_beams,)
+    beam_ids: np.ndarray  # (n_beams,)
+    serving_col: np.ndarray  # (n_rows,)
+    los: np.ndarray  # (n_rows,) line of sight to the serving cell's site
+
+    def __post_init__(self):
+        cell_step, beam_step = np.diff(self.cell_ids), np.diff(self.beam_ids)
+        if not np.all((cell_step > 0) | ((cell_step == 0) & (beam_step > 0))):
+            raise ValueError("table columns must be in strictly increasing (cell_id, beam_id) order")
+
+    @property
+    def serving_cell(self) -> np.ndarray:
+        return self.cell_ids[self.serving_col]
+
+    def __len__(self) -> int:
+        return len(self.locations)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        row = range(len(self))[index]
+        cols = np.flatnonzero(self.rsrp[row] > -np.inf)
+        keys = zip(self.cell_ids[cols].tolist(), self.beam_ids[cols].tolist())
+        return FingerprintSample(
+            location=tuple(self.locations[row].tolist()),
+            rsrp=dict(zip(keys, self.rsrp[row, cols].tolist())),
+            serving_cell=int(self.cell_ids[self.serving_col[row]]),
+            los_to_serving=bool(self.los[row]),
+        )
+
+    def take(self, rows) -> FingerprintTable:
+        """The table restricted to `rows` (indices or a boolean mask), in that order."""
+        return dataclasses.replace(
+            self,
+            locations=self.locations[rows],
+            rsrp=self.rsrp[rows],
+            serving_col=self.serving_col[rows],
+            los=self.los[rows],
+        )
+
+    @classmethod
+    def from_grid(cls, locations, grid: RsrpGrid, site_ids, noise_floor: float) -> FingerprintTable:
+        """Rows of the beams strictly above `noise_floor`; rows hearing none are left out.
+
+        `site_ids` names the columns of `grid.site_los`, in order.
+        """
+        site_index = {site_id: i for i, site_id in enumerate(site_ids)}
+        cell_ids = np.array([ref.cell_id for ref in grid.beams], dtype=np.int64)
+        beam_ids = np.array([ref.beam_id for ref in grid.beams], dtype=np.int64)
+        order = np.lexsort((beam_ids, cell_ids))
+        col_site = np.array([site_index[ref.site_id] for ref in grid.beams])[order]
+
+        rsrp = grid.rsrp[:, order]
+        rsrp[~(rsrp > noise_floor)] = -np.inf
+        rows = np.arange(len(rsrp))
+        serving_col = rsrp.argmax(axis=1)
+        table = cls(
+            locations=np.asarray(locations, dtype=float),
+            rsrp=rsrp,
+            cell_ids=cell_ids[order],
+            beam_ids=beam_ids[order],
+            serving_col=serving_col,
+            los=grid.site_los[rows, col_site[serving_col]].astype(bool),
+        )
+        heard = rsrp[rows, serving_col] > -np.inf
+        return table if heard.all() else table.take(heard)
+
+    @classmethod
+    def from_samples(cls, samples) -> FingerprintTable:
+        """Stack per-location samples; each keeps its own serving cell."""
+        samples = list(samples)
+        keys = sorted({key for sample in samples for key in sample.rsrp})
+        column = {key: k for k, key in enumerate(keys)}
+        rsrp = np.full((len(samples), len(keys)), -np.inf)
+        for row, sample in enumerate(samples):
+            values = np.array(list(sample.rsrp.values()), dtype=float)
+            if not np.isfinite(values).all():
+                raise ValueError(f"sample at {sample.location} has a non-finite rsrp value")
+            rsrp[row, [column[key] for key in sample.rsrp]] = values
+        cell_ids = np.array([cell for cell, _ in keys], dtype=np.int64)
+        serving = np.array([sample.serving_cell for sample in samples], dtype=np.int64)
+        in_serving_cell = np.where(cell_ids == serving[:, None], rsrp, -np.inf)
+        return cls(
+            locations=np.array([sample.location for sample in samples], dtype=float).reshape(-1, 2),
+            rsrp=rsrp,
+            cell_ids=cell_ids,
+            beam_ids=np.array([beam for _, beam in keys], dtype=np.int64),
+            serving_col=in_serving_cell.argmax(axis=1) if samples else np.zeros(0, dtype=np.int64),
+            los=np.array([sample.los_to_serving for sample in samples], dtype=bool),
+        )
+
+
+def _as_table(samples) -> FingerprintTable:
+    return samples if isinstance(samples, FingerprintTable) else FingerprintTable.from_samples(samples)
+
+
+def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None = None) -> FingerprintTable:
+    """One fingerprint row per street-grid location.
 
     The fingerprint keeps every beam strictly above the noise floor. Rare
     locations hearing no beam at all (possible with an aggressive floor) are
@@ -106,47 +219,81 @@ def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None =
     if len(locations) == 0:
         raise ValueError("scenario has no street locations to sample")
     grid = rsrp_grid(scenario, locations, prop_config)
-    site_index = {site.id: i for i, site in enumerate(scenario.sites)}
-    keys = [(ref.cell_id, ref.beam_id) for ref in grid.beams]
-    cell_to_site = {ref.cell_id: ref.site_id for ref in grid.beams}
-
-    audible = grid.rsrp > prop_config.noise_floor
-    samples: list[FingerprintSample] = []
-    silent = 0
-    for row in range(len(locations)):
-        cols = np.flatnonzero(audible[row])
-        if len(cols) == 0:
-            silent += 1
-            continue
-        rsrp = {keys[c]: float(grid.rsrp[row, c]) for c in cols}
-        serving = select_serving(rsrp)
-        los = bool(grid.site_los[row, site_index[cell_to_site[serving]]])
-        samples.append(
-            FingerprintSample(
-                location=(float(locations[row, 0]), float(locations[row, 1])),
-                rsrp=rsrp,
-                serving_cell=serving,
-                los_to_serving=los,
-            )
-        )
-    if silent:
-        log.warning("dropped %d locations with no beam above the noise floor", silent)
-    return samples
+    table = FingerprintTable.from_grid(
+        locations, grid, [site.id for site in scenario.sites], prop_config.noise_floor
+    )
+    if len(table) < len(locations):
+        log.warning("dropped %d locations with no beam above the noise floor", len(locations) - len(table))
+    return table
 
 
-def filter_los(samples: list[FingerprintSample]) -> list[FingerprintSample]:
-    """Keep exactly the samples with line of sight to their serving cell."""
+def filter_los(samples):
+    """Keep exactly the samples (table rows) with line of sight to their serving cell."""
+    if isinstance(samples, FingerprintTable):
+        return samples.take(samples.los)
     return [s for s in samples if s.los_to_serving]
 
 
-def _encode_id(value: int, dim: int, tag: str, config: FeatureConfig):
-    if config.id_encoding == "numeric":
-        return [float(value)], [tag]
-    if value >= dim:
-        raise ValueError(f"{tag}={value} exceeds one-hot cardinality {dim}")
-    one_hot = [0.0] * dim
-    one_hot[value] = 1.0
-    return one_hot, [f"{tag}[{k}]" for k in range(dim)]
+def _layout_fields(config: FeatureConfig) -> list[tuple[str, str | None, str, int]]:
+    """(name, id kind, ranked source, rank) of every feature field, in column order.
+
+    The id kind is "beam" or "cell" for an ID field, which one-hot encoding
+    expands, and None for an RSRP. Each field reads column `rank` of the
+    ranked array named `source`.
+    """
+    fields = [(f"serving_beam_id_{r + 1}", "beam", "serving_beam", r) for r in range(config.n_serving_beams)]
+    fields += [(f"serving_rsrp_{r + 1}", None, "serving_rsrp", r) for r in range(config.n_serving_beams)]
+    if config.include_serving_cell_id:
+        fields.append(("serving_cell_id", "cell", "serving_cell", 0))
+    for r in range(config.n_neighbor_cells):
+        fields += [
+            (f"neighbor{r + 1}_cell_id", "cell", "neighbor_cell", r),
+            (f"neighbor{r + 1}_beam_id", "beam", "neighbor_beam", r),
+            (f"neighbor{r + 1}_rsrp", None, "neighbor_rsrp", r),
+        ]
+    return fields
+
+
+def _one_hot_dim(kind: str | None, config: FeatureConfig) -> int | None:
+    """Width of a one-hot ID field; None for fields kept as one numeric column."""
+    if kind is None or config.id_encoding == "numeric":
+        return None
+    return config.one_hot_beams if kind == "beam" else config.one_hot_cells
+
+
+def extract_features_layout(config: FeatureConfig) -> tuple[str, ...]:
+    """Column names for the configured layout, without needing a sample."""
+    layout: list[str] = []
+    for name, kind, _, _ in _layout_fields(config):
+        dim = _one_hot_dim(kind, config)
+        layout += [name] if dim is None else [f"{name}[{k}]" for k in range(dim)]
+    return tuple(layout)
+
+
+def _encode(ranked: dict[str, np.ndarray], config: FeatureConfig) -> np.ndarray:
+    """Feature matrix, one row per row of the ranked (n_rows, rank) arrays."""
+    if config.id_encoding == "one_hot":
+        _check_one_hot(ranked, config)
+    columns = []
+    for _, kind, source, rank in _layout_fields(config):
+        values = ranked[source][:, rank]
+        dim = _one_hot_dim(kind, config)
+        if dim is None:
+            columns.append(values.astype(float)[:, None])
+        else:
+            columns.append((values[:, None] == np.arange(dim)).astype(float))
+    return np.hstack(columns)
+
+
+def _check_one_hot(ranked: dict[str, np.ndarray], config: FeatureConfig) -> None:
+    """Raise for the first ID (row-major, in layout order) outside its one-hot width."""
+    ids = [(name, ranked[source][:, rank], _one_hot_dim(kind, config))
+           for name, kind, source, rank in _layout_fields(config) if kind is not None]
+    bad = np.column_stack([(values < 0) | (values >= dim) for _, values, dim in ids])
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        name, values, dim = ids[int(np.argmax(bad[row]))]
+        raise ValueError(f"{name}={values[row]} outside one-hot cardinality {dim}")
 
 
 def extract_features(sample: FingerprintSample, config: FeatureConfig) -> FeatureVector:
@@ -180,29 +327,75 @@ def extract_features(sample: FingerprintSample, config: FeatureConfig) -> Featur
             f"need {config.n_neighbor_cells}, sample has {len(neighbors)}",
         )
 
-    values: list[float] = []
-    layout: list[str] = []
-    for rank, (beam, _) in enumerate(serving[: config.n_serving_beams], start=1):
-        v, names = _encode_id(beam, config.one_hot_beams, f"serving_beam_id_{rank}", config)
-        values += v
-        layout += names
-    for rank, (_, value) in enumerate(serving[: config.n_serving_beams], start=1):
-        values.append(value)
-        layout.append(f"serving_rsrp_{rank}")
-    if config.include_serving_cell_id:
-        v, names = _encode_id(sample.serving_cell, config.one_hot_cells, "serving_cell_id", config)
-        values += v
-        layout += names
-    for rank, (cell, (beam, value)) in enumerate(neighbors[: config.n_neighbor_cells], start=1):
-        v, names = _encode_id(cell, config.one_hot_cells, f"neighbor{rank}_cell_id", config)
-        values += v
-        layout += names
-        v, names = _encode_id(beam, config.one_hot_beams, f"neighbor{rank}_beam_id", config)
-        values += v
-        layout += names
-        values.append(value)
-        layout.append(f"neighbor{rank}_rsrp")
-    return FeatureVector(values=np.array(values, dtype=float), layout=tuple(layout))
+    serving = serving[: config.n_serving_beams]
+    neighbors = neighbors[: config.n_neighbor_cells]
+    ranked = {
+        "serving_beam": [beam for beam, _ in serving],
+        "serving_rsrp": [value for _, value in serving],
+        "serving_cell": [sample.serving_cell],
+        "neighbor_cell": [cell for cell, _ in neighbors],
+        "neighbor_beam": [beam for _, (beam, _) in neighbors],
+        "neighbor_rsrp": [value for _, (_, value) in neighbors],
+    }
+    values = _encode({key: np.array([row]) for key, row in ranked.items()}, config)[0]
+    return FeatureVector(values=values, layout=extract_features_layout(config))
+
+
+def _table_features(table: FingerprintTable, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(features, kept row indices, dropped-row counts by reason) in one pass.
+
+    Ranks as `extract_features` does: serving beams by a stable descending
+    sort (ties to the lower beam), each neighbor cell by its strongest beam
+    (argmax, ties to the lower beam) and the cells by a stable descending
+    sort (ties to the lower cell).
+    """
+    n = len(table)
+    if n == 0:
+        return np.zeros((0, len(extract_features_layout(config)))), np.zeros(0, dtype=np.int64), {}
+    cells, starts, counts = np.unique(table.cell_ids, return_index=True, return_counts=True)
+    width = int(counts.max())
+    # (row, cell, slot) view of the matrix; slots follow ascending beam_id
+    slot = np.arange(len(table.cell_ids)) - np.repeat(starts, counts)
+    cell_pos = np.repeat(np.arange(len(cells)), counts)
+    if (counts == width).all():
+        cube = table.rsrp.reshape(n, len(cells), width)
+    else:
+        cube = np.full((n, len(cells), width), -np.inf)
+        cube[:, cell_pos, slot] = table.rsrp
+    slot_beam = np.zeros((len(cells), width), dtype=np.int64)
+    slot_beam[cell_pos, slot] = table.beam_ids
+
+    rows = np.arange(n)
+    serving_pos = cell_pos[table.serving_col]
+    serving_block = cube[rows, serving_pos]
+    serving_order = np.argsort(-serving_block, axis=1, kind="stable")[:, : config.n_serving_beams]
+    best_slot = cube.argmax(axis=2)
+    best = cube.max(axis=2)
+    best[rows, serving_pos] = -np.inf
+    neighbor_order = np.argsort(-best, axis=1, kind="stable")[:, : config.n_neighbor_cells]
+
+    short_serving = (serving_block > -np.inf).sum(axis=1) < config.n_serving_beams
+    short_neighbors = ~short_serving & ((best > -np.inf).sum(axis=1) < config.n_neighbor_cells)
+    reasons = [(reason, mask) for reason, mask in (
+        ("insufficient_serving_beams", short_serving),
+        ("insufficient_neighbors", short_neighbors),
+    ) if mask.any()]
+    dropped = {reason: int(mask.sum()) for reason, mask in sorted(reasons, key=lambda item: np.argmax(item[1]))}
+    kept = np.flatnonzero(~(short_serving | short_neighbors))
+    if len(kept) == 0:
+        return np.zeros((0, len(extract_features_layout(config)))), kept, dropped
+
+    serving_order, neighbor_order = serving_order[kept], neighbor_order[kept]
+    serving_pos, best_slot = serving_pos[kept], best_slot[kept]
+    ranked = {
+        "serving_beam": slot_beam[serving_pos[:, None], serving_order],
+        "serving_rsrp": np.take_along_axis(serving_block[kept], serving_order, axis=1),
+        "serving_cell": cells[serving_pos][:, None],
+        "neighbor_cell": cells[neighbor_order],
+        "neighbor_beam": slot_beam[neighbor_order, np.take_along_axis(best_slot, neighbor_order, axis=1)],
+        "neighbor_rsrp": np.take_along_axis(best[kept], neighbor_order, axis=1),
+    }
+    return _encode(ranked, config), kept, dropped
 
 
 @dataclass
@@ -224,7 +417,7 @@ class Dataset:
 
 
 def build_dataset(
-    samples: list[FingerprintSample],
+    samples: FingerprintTable | list[FingerprintSample],
     config: FeatureConfig,
     split_fraction: float = 0.9,
     seed: int = 0,
@@ -237,23 +430,14 @@ def build_dataset(
     """
     if not 0.0 < split_fraction < 1.0:
         raise ValueError("split_fraction must be in (0, 1)")
-    rows, labels = [], []
-    dropped: Counter = Counter()
-    for sample in samples:
-        try:
-            fv = extract_features(sample, config)
-        except FeatureExtractionError as err:
-            dropped[err.reason] += 1
-            continue
-        rows.append(fv.values)
-        labels.append(sample.location)
+    table = _as_table(samples)
+    features, kept, dropped = _table_features(table, config)
     if dropped:
-        log.warning("dropped samples during feature extraction: %s", dict(dropped))
-    if len(rows) < 10:
-        raise ValueError(f"need at least 10 usable samples, got {len(rows)}")
+        log.warning("dropped samples during feature extraction: %s", dropped)
+    if len(features) < 10:
+        raise ValueError(f"need at least 10 usable samples, got {len(features)}")
 
-    features = np.vstack(rows)
-    labels_arr = np.asarray(labels, dtype=float)
+    labels_arr = table.locations[kept]
     layout = extract_features_layout(config)
 
     n = len(features)
@@ -277,31 +461,9 @@ def build_dataset(
             "feature_config": dataclasses.asdict(config),
             "split_fraction": split_fraction,
             "seed": seed,
-            "dropped": dict(dropped),
+            "dropped": dropped,
         },
     )
-
-
-def extract_features_layout(config: FeatureConfig) -> tuple[str, ...]:
-    """Column names for the configured layout, without needing a sample."""
-    layout: list[str] = []
-
-    def id_names(tag):
-        if config.id_encoding == "numeric":
-            return [tag]
-        dim = config.one_hot_beams if "beam" in tag else config.one_hot_cells
-        return [f"{tag}[{k}]" for k in range(dim)]
-
-    for rank in range(1, config.n_serving_beams + 1):
-        layout += id_names(f"serving_beam_id_{rank}")
-    layout += [f"serving_rsrp_{rank}" for rank in range(1, config.n_serving_beams + 1)]
-    if config.include_serving_cell_id:
-        layout += id_names("serving_cell_id")
-    for rank in range(1, config.n_neighbor_cells + 1):
-        layout += id_names(f"neighbor{rank}_cell_id")
-        layout += id_names(f"neighbor{rank}_beam_id")
-        layout.append(f"neighbor{rank}_rsrp")
-    return tuple(layout)
 
 
 def _safe_std(std: np.ndarray) -> np.ndarray:
@@ -324,7 +486,7 @@ def denormalize(dataset: Dataset, rows: np.ndarray) -> np.ndarray:
 
 
 def partition_by_cell(
-    samples: list[FingerprintSample],
+    samples: FingerprintTable | list[FingerprintSample],
     config: FeatureConfig,
     split_fraction: float = 0.9,
     seed: int = 0,
@@ -337,17 +499,18 @@ def partition_by_cell(
     logged. Each group gets its own seeded split and normalization stats.
     """
     config = dataclasses.replace(config, include_serving_cell_id=False)
-    groups: dict[int, list[FingerprintSample]] = {}
-    for sample in samples:
-        groups.setdefault(sample.serving_cell, []).append(sample)
+    table = _as_table(samples)
+    serving = table.serving_cell
 
     datasets: dict[int, Dataset] = {}
-    for cell_id in sorted(groups):
-        members = groups[cell_id]
+    for cell_id in np.unique(serving).tolist():
+        members = np.flatnonzero(serving == cell_id)
         if len(members) < min_size:
             log.warning("skipping cell %d: %d samples < min_size %d", cell_id, len(members), min_size)
             continue
-        datasets[cell_id] = build_dataset(members, config, split_fraction, derive_seed(seed, "cell", cell_id))
+        datasets[cell_id] = build_dataset(
+            table.take(members), config, split_fraction, derive_seed(seed, "cell", cell_id)
+        )
     return datasets
 
 

@@ -182,3 +182,58 @@ def test_cmd_run_no_experiments_exits_2(capsys, tmp_path):
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", path]) == 2
     assert "experiments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(seed=True), r"top level: seed must be an int"),
+        (lambda doc: doc["dataset"].update(min_cell_size=True), r"dataset: min_cell_size must be a positive int"),
+        (lambda doc: doc["experiments"][0].update(hidden_layers=[True]),
+         r"experiments\[tree\]: hidden_layers must be a list of ints"),
+        (lambda doc: doc["experiments"][0].update(seed=True), r"experiments\[tree\]: seed must be an int"),
+        (lambda doc: doc["experiments"][0].update(seed=1.7), r"experiments\[tree\]: seed must be an int"),
+        (lambda doc: doc["experiments"][0]["features"].update(n_serving_beams=True),
+         r"experiments\[tree\].features: n_serving_beams must be an int"),
+    ],
+    ids=["top-seed", "min-cell-size", "hidden-layers", "experiment-seed-bool", "experiment-seed-float",
+         "dataclass-int-field"],
+)
+def test_config_rejects_bool_and_float_for_int(tmp_path, edit, message):
+    doc = base_doc(str(tmp_path / "out"))
+    edit(doc)
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(write_config(tmp_path, doc))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2_without_workers(capsys, tmp_path, monkeypatch, jobs):
+    import beamloc.evaluation
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(beamloc.evaluation, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "out"
+    assert main(["run", "--config", TINY, "--out", str(out), "--jobs", jobs]) == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_run_jobs_2_matches_jobs_1_byte_for_byte(tmp_path):
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--config", TINY, "--out", str(outs[jobs]), "--jobs", jobs]) == 0
+
+    def tree(root):
+        return {
+            os.path.relpath(os.path.join(d, name), root): open(os.path.join(d, name), "rb").read()
+            for d, _, names in os.walk(root)
+            for name in names
+        }
+
+    serial, parallel = tree(outs["1"]), tree(outs["2"])
+    assert {"manifest.json", "comparison.csv"} <= set(serial)
+    assert len(serial) >= 6
+    assert serial == parallel

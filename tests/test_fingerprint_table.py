@@ -1,0 +1,207 @@
+"""The columnar fingerprint table against the single-row path.
+
+`build_dataset` and `partition_by_cell` build every feature matrix from a
+`FingerprintTable` in one vectorized pass; `extract_features` ranks one
+sample's RSRP dict in Python. The property test feeds both the same random
+sparse fingerprints, with RSRP ties forced within and across cells, and
+requires bit-identical features, the same kept rows and the same drop
+counts for every feature layout.
+"""
+import dataclasses
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
+
+from beamloc.fingerprint import (
+    FeatureConfig,
+    FeatureExtractionError,
+    FingerprintSample,
+    FingerprintTable,
+    build_dataset,
+    extract_features,
+    extract_features_layout,
+    filter_los,
+    generate_samples,
+    partition_by_cell,
+    select_serving,
+)
+from beamloc.propagation import BeamRef, PropagationConfig, RsrpGrid
+from beamloc.scenario import ScenarioConfig, build_scenario
+
+CELLS = (0, 2, 3, 7)  # not contiguous, so cell ids are not column positions
+BEAMS = 5
+NOISE_FLOOR = -100.0
+# few distinct levels, so equal RSRPs within a cell and across cells are common
+TIED_LEVELS = (-60.0, -65.5, -65.5, -72.25, -80.0)
+
+FEATURE_CONFIGS = [
+    FeatureConfig(n_serving_beams=s, n_neighbor_cells=n, include_serving_cell_id=cid,
+                  id_encoding=encoding, one_hot_cells=8, one_hot_beams=BEAMS)
+    for s in (1, 2, 3, 5)
+    for n in (0, 1, 2, 3)
+    for cid in (True, False)
+    for encoding in ("numeric", "one_hot")
+]
+# one-hot widths narrower than the IDs in use: both paths must raise alike
+NARROW_ONE_HOT = [
+    FeatureConfig(n_serving_beams=2, n_neighbor_cells=1, id_encoding="one_hot", one_hot_cells=8, one_hot_beams=2),
+    FeatureConfig(n_serving_beams=1, n_neighbor_cells=2, id_encoding="one_hot", one_hot_cells=3, one_hot_beams=BEAMS),
+]
+
+# Hypothesis's explain phase took about five minutes per failure on these
+# examples; shrinking alone reports a minimal one in about one.
+PHASES = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)
+
+level = st.one_of(st.sampled_from(TIED_LEVELS), st.floats(-99.0, -50.0, allow_nan=False))
+
+
+@st.composite
+def fingerprint_rows(draw):
+    """(grid RSRP rows over CELLS x BEAMS, per-site LoS); inaudible entries sit below the floor."""
+    n_rows = draw(st.integers(10, 40))
+    rows = []
+    for _ in range(n_rows):
+        heard = draw(st.lists(st.booleans(), min_size=len(CELLS) * BEAMS, max_size=len(CELLS) * BEAMS))
+        values = draw(st.lists(level, min_size=len(CELLS) * BEAMS, max_size=len(CELLS) * BEAMS))
+        rows.append([v if h else NOISE_FLOOR - 1.0 for v, h in zip(values, heard)])
+    site_los = draw(st.lists(st.booleans(), min_size=n_rows * len(SITES), max_size=n_rows * len(SITES)))
+    return np.array(rows), np.array(site_los).reshape(n_rows, len(SITES))
+
+
+def _site(cell):
+    return cell // 2
+
+
+SITES = (3, 0, 1)  # site_los column order; every _site(cell) is listed
+
+
+def _grid(rsrp, site_los, column_order):
+    """RsrpGrid with columns in `column_order` and one location per row at (row, 0)."""
+    keys = [(cell, beam) for cell in CELLS for beam in range(BEAMS)]
+    beams = tuple(BeamRef(site_id=_site(keys[k][0]), cell_id=keys[k][0], beam_id=keys[k][1]) for k in column_order)
+    locations = np.column_stack([np.arange(len(rsrp), dtype=float), np.zeros(len(rsrp))])
+    return locations, RsrpGrid(rsrp=rsrp[:, column_order], beams=beams, site_los=site_los)
+
+
+def _samples(rsrp, site_los):
+    """Per-row samples straight from the matrix, serving cell by select_serving."""
+    keys = [(cell, beam) for cell in CELLS for beam in range(BEAMS)]
+    samples = []
+    for i, row in enumerate(rsrp):
+        fingerprint = {key: float(v) for key, v in zip(keys, row) if v > NOISE_FLOOR}
+        if fingerprint:
+            serving = select_serving(fingerprint)
+            los = bool(site_los[i, SITES.index(_site(serving))])
+            samples.append(FingerprintSample((float(i), 0.0), fingerprint, serving, los))
+    return samples
+
+
+def _per_row(samples, config):
+    """(features, kept row labels, drop counts, first encoding error) via extract_features."""
+    rows, labels, dropped = [], [], {}
+    for sample in samples:
+        try:
+            fv = extract_features(sample, config)
+        except FeatureExtractionError as err:
+            dropped[err.reason] = dropped.get(err.reason, 0) + 1
+            continue
+        except ValueError as err:
+            return None, None, None, str(err)
+        rows.append(fv.values)
+        labels.append(sample.location)
+    return rows, labels, dropped, None
+
+
+def _assert_paths_agree(table, samples, config):
+    rows, labels, dropped, error = _per_row(samples, config)
+    if error is not None:
+        with pytest.raises(ValueError) as exc:
+            build_dataset(table, config, seed=0)
+        assert str(exc.value) == error
+        return
+    if len(rows) < 10:
+        with pytest.raises(ValueError, match="at least 10"):
+            build_dataset(table, config, seed=0)
+        return
+    dataset = build_dataset(table, config, seed=0)
+    expected = np.vstack(rows)
+    assert dataset.features.shape == expected.shape
+    assert dataset.features.tobytes() == expected.tobytes()
+    assert dataset.labels.tolist() == [list(label) for label in labels]
+    assert dataset.provenance["dropped"] == dropped
+    assert dataset.layout == extract_features_layout(config)
+
+
+@settings(max_examples=30, deadline=None, phases=PHASES, suppress_health_check=[HealthCheck.too_slow])
+@given(data=fingerprint_rows(), column_seed=st.integers(0, 2**16))
+def test_table_and_per_row_paths_agree(data, column_seed):
+    rsrp, site_los = data
+    column_order = np.random.default_rng(column_seed).permutation(len(CELLS) * BEAMS)
+    generated = FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), SITES, NOISE_FLOOR)
+    samples = _samples(rsrp, site_los)
+
+    assert len(generated) == len(samples)
+    assert generated.serving_cell.tolist() == [s.serving_cell for s in samples]
+    assert generated.los.tolist() == [s.los_to_serving for s in samples]
+    assert list(generated) == samples
+    stacked = FingerprintTable.from_samples(samples)
+    assert stacked.serving_cell.tolist() == [s.serving_cell for s in samples]
+    for config in FEATURE_CONFIGS + NARROW_ONE_HOT:
+        _assert_paths_agree(generated, samples, config)
+        _assert_paths_agree(stacked, samples, config)
+
+
+@settings(max_examples=15, deadline=None, phases=PHASES)
+@given(data=fingerprint_rows())
+def test_partition_by_cell_matches_per_row_groups(data):
+    rsrp, site_los = data
+    table = FingerprintTable.from_grid(*_grid(rsrp, site_los, np.arange(len(CELLS) * BEAMS)), SITES, NOISE_FLOOR)
+    samples = _samples(rsrp, site_los)
+    config = FeatureConfig(n_serving_beams=1, n_neighbor_cells=0)  # no row is dropped
+    parts = partition_by_cell(table, config, min_size=10)
+    groups = {cell: [s for s in samples if s.serving_cell == cell] for cell in {s.serving_cell for s in samples}}
+    assert sorted(parts) == sorted(cell for cell, members in groups.items() if len(members) >= 10)
+    for cell, dataset in parts.items():
+        rows, labels, _, _ = _per_row(groups[cell], dataclasses.replace(config, include_serving_cell_id=False))
+        assert dataset.features.tobytes() == np.vstack(rows).tobytes()
+        assert dataset.labels.tolist() == [list(label) for label in labels]
+
+
+def test_from_samples_keeps_given_serving_cell():
+    # the serving cell is the sample's, even where another cell is stronger
+    sample = FingerprintSample((1.0, 2.0), {(0, 0): -70.0, (0, 1): -65.0, (4, 3): -50.0}, 0, True)
+    table = FingerprintTable.from_samples([sample])
+    assert table.serving_cell.tolist() == [0]
+    assert (table.cell_ids[table.serving_col], table.beam_ids[table.serving_col]) == ([0], [1])
+    assert table[0] == sample
+
+
+def test_table_rejects_columns_out_of_order():
+    table = FingerprintTable.from_samples([FingerprintSample((0.0, 0.0), {(0, 0): -60.0, (1, 0): -70.0}, 0, True)])
+    with pytest.raises(ValueError, match="increasing"):
+        dataclasses.replace(table, cell_ids=table.cell_ids[::-1].copy())
+
+
+def test_from_samples_rejects_non_finite_rsrp():
+    with pytest.raises(ValueError, match="non-finite"):
+        FingerprintTable.from_samples([FingerprintSample((0.0, 0.0), {(0, 0): float("nan")}, 0, True)])
+
+
+def test_generated_table_is_a_sequence_of_samples():
+    scenario = build_scenario(ScenarioConfig(site_rows=1, site_cols=2, grid_resolution_m=10.0))
+    table = generate_samples(scenario, PropagationConfig())
+    assert len(table) == len(table.locations) > 0
+    assert np.all(np.diff(table.cell_ids * 1000 + table.beam_ids) > 0)  # (cell, beam) column order
+    rows = list(table)
+    assert [s.serving_cell for s in rows] == [select_serving(s.rsrp) for s in rows]
+    assert table[-1] == rows[-1]
+    assert list(table[1:3]) == rows[1:3]
+    with pytest.raises(IndexError):
+        table[len(table)]
+    los = filter_los(table)
+    assert list(los) == [s for s in rows if s.los_to_serving]
+    restored = pickle.loads(pickle.dumps(table))
+    assert list(restored) == rows
