@@ -15,6 +15,7 @@ import dataclasses
 import io
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -292,7 +293,8 @@ def run_matrix(
     """Run every experiment; failures are recorded and the matrix continues.
 
     Returns (reports, failures) with failures as {experiment_id, error}
-    entries. Results do not depend on `jobs`.
+    entries. At most min(jobs, arms, CPUs) worker processes run; results do
+    not depend on `jobs`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -302,8 +304,9 @@ def run_matrix(
 
     reports: list[EvalReport] = []
     failures: list[dict] = []
-    if jobs > 1 and len(descriptors) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(descriptors), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 d.experiment_id: pool.submit(_run_one, samples, d, split_fraction, min_cell_size)
                 for d in descriptors

@@ -7,6 +7,7 @@ best-parameter restore. Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,15 +41,47 @@ class MlpArchitecture:
         return (self.input_dim, *self.hidden_layers, self.output_dim)
 
 
+def _param_views(buffer: np.ndarray, dims: tuple[int, ...]):
+    """Per-layer (weights, biases) views into one flat buffer: every weight
+    matrix in layer order, then every bias vector."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(buffer[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+    for fan_out in dims[1:]:
+        biases.append(buffer[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
 @dataclass
 class MlpModel:
+    """Weights and biases are views into `params`, one flat float64 buffer.
+
+    Construction copies the given arrays into that buffer; writing into a
+    view (`model.weights[i][...] = ...`) changes the model. `train` packs
+    again on entry, so rebinding a list entry is picked up there.
+    """
+
     architecture: MlpArchitecture
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     training_log: list[float] = field(default_factory=list)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def copy_params(self):
-        return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
+    def __post_init__(self):
+        self.pack()
+
+    def pack(self) -> None:
+        """Copy every weight and bias into a fresh flat buffer and rebind
+        `weights`/`biases` as views into it."""
+        dims = self.architecture.layer_dims
+        shapes = [(a, b) for a, b in zip(dims[:-1], dims[1:])] + [(b,) for b in dims[1:]]
+        given = [np.asarray(p, dtype=float) for p in list(self.weights) + list(self.biases)]
+        if [p.shape for p in given] != shapes:
+            raise ValueError(f"parameter shapes {[p.shape for p in given]} do not match layer dims {dims}")
+        self.params = np.concatenate([p.ravel() for p in given])
+        self.weights, self.biases = _param_views(self.params, dims)
 
 
 @dataclass(frozen=True)
@@ -70,6 +103,15 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (math.isfinite(self.min_delta) and self.min_delta >= 0):
+            raise ValueError(f"min_delta must be finite and >= 0, got {self.min_delta}")
 
 
 def init_model(arch: MlpArchitecture, seed: int = 0) -> MlpModel:
@@ -92,12 +134,19 @@ def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(model: MlpModel, batch: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer, input first, linear output last."""
+    """Activations per layer, input first, linear output last.
+
+    Every array after the input is fresh and owned by the caller, so
+    `backward` may overwrite it.
+    """
     activations = [batch]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = activations[-1] @ w + b
-        activations.append(z if i == last else np.tanh(z))
+        z = activations[-1] @ w
+        z += b
+        if i != last:
+            np.tanh(z, out=z)
+        activations.append(z)
     return activations
 
 
@@ -110,13 +159,17 @@ def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return float(np.mean((pred - target) ** 2))
+    residual = pred - target
+    residual **= 2
+    return float(np.mean(residual))
 
 
-def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray):
+def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray, out: np.ndarray | None = None):
     """Exact gradients of loss_mse(forward(batch), target) w.r.t. all params.
 
-    Returns (weight_grads, bias_grads) shaped like model.weights/model.biases.
+    Returns (weight_grads, bias_grads) shaped like model.weights/model.biases:
+    views into `out`, a flat float64 buffer laid out like `model.params`,
+    or into a fresh one when `out` is None.
     """
     batch = _check_batch(model, batch)
     target = np.atleast_2d(np.asarray(target, dtype=float))
@@ -124,23 +177,40 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray):
     pred = activations[-1]
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    if out is None:
+        out = np.empty(model.params.size)
+    weight_grads, bias_grads = _param_views(out, model.architecture.layer_dims)
 
-    weight_grads = [np.empty_like(w) for w in model.weights]
-    bias_grads = [np.empty_like(b) for b in model.biases]
-    delta = 2.0 * (pred - target) / pred.size
+    delta = np.subtract(pred, target, out=pred)
+    delta *= 2.0
+    delta /= pred.size
     for layer in range(len(model.weights) - 1, -1, -1):
-        weight_grads[layer] = activations[layer].T @ delta
-        bias_grads[layer] = delta.sum(axis=0)
+        np.matmul(activations[layer].T, delta, out=weight_grads[layer])
+        np.sum(delta, axis=0, out=bias_grads[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (1.0 - activations[layer] ** 2)
+            # (delta @ W.T) * (1 - a**2), with the hidden activation reused
+            # as scratch once its weight gradient is taken
+            slope = activations[layer]
+            slope **= 2
+            np.subtract(1.0, slope, out=slope)
+            delta = delta @ model.weights[layer].T
+            delta *= slope
     return weight_grads, bias_grads
+
+
+def _require_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contain non-finite values")
 
 
 def train(model: MlpModel, features: np.ndarray, labels: np.ndarray, config: TrainConfig | None = None) -> MlpModel:
     """Adam over seeded shuffled mini-batches, early stop on training loss.
 
     Mutates and returns `model`, with the best-loss parameters restored and
-    the per-epoch training-loss history in model.training_log.
+    the per-epoch training-loss history in model.training_log. The Adam
+    update runs over the whole flat parameter buffer at once; each epoch
+    gathers its shuffled rows once and slices batches from them. Raises
+    ValueError on non-finite inputs or a non-finite epoch loss.
     """
     config = config or TrainConfig()
     features = _check_batch(model, features)
@@ -149,39 +219,56 @@ def train(model: MlpModel, features: np.ndarray, labels: np.ndarray, config: Tra
         raise ValueError("empty training set")
     if len(features) != len(labels):
         raise ValueError("features and labels row counts differ")
+    _require_finite("features", features)
+    _require_finite("labels", labels)
 
     rng = np.random.default_rng(config.seed)
-    params = model.weights + model.biases
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    model.pack()
+    params = model.params
+    grad, m_state, v_state = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
+    step_buf, denom = np.empty_like(params), np.empty_like(params)
+    lr, beta1, beta2 = config.learning_rate, config.beta1, config.beta2
     step = 0
 
     best_loss = np.inf
-    best_params = model.copy_params()
+    best_params = params.copy()
     reference_loss = np.inf  # last loss that counted as an improvement
     stale_epochs = 0
     model.training_log = []
 
-    for _ in range(config.max_epochs):
+    for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(features))
+        epoch_features, epoch_labels = features[order], labels[order]
         for start in range(0, len(order), config.batch_size):
-            rows = order[start : start + config.batch_size]
-            weight_grads, bias_grads = backward(model, features[rows], labels[rows])
+            stop = start + config.batch_size
+            backward(model, epoch_features[start:stop], epoch_labels[start:stop], out=grad)
             step += 1
-            correction1 = 1.0 - config.beta1**step
-            correction2 = 1.0 - config.beta2**step
-            for p, g, m, v in zip(params, weight_grads + bias_grads, m_state, v_state):
-                m *= config.beta1
-                m += (1.0 - config.beta1) * g
-                v *= config.beta2
-                v += (1.0 - config.beta2) * g * g
-                p -= config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + config.epsilon)
+            correction1 = 1.0 - beta1**step
+            correction2 = 1.0 - beta2**step
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            m_state *= beta1
+            np.multiply(grad, 1.0 - beta1, out=step_buf)
+            m_state += step_buf
+            v_state *= beta2
+            np.multiply(grad, 1.0 - beta2, out=step_buf)
+            step_buf *= grad
+            v_state += step_buf
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m_state, correction1, out=step_buf)
+            step_buf *= lr
+            np.divide(v_state, correction2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += config.epsilon
+            step_buf /= denom
+            params -= step_buf
 
         epoch_loss = loss_mse(forward(model, features), labels)
+        if not math.isfinite(epoch_loss):
+            raise ValueError(f"training loss is not finite at epoch {epoch}: {epoch_loss}")
         model.training_log.append(epoch_loss)
         if epoch_loss < best_loss:
             best_loss = epoch_loss
-            best_params = model.copy_params()
+            best_params[...] = params
         if epoch_loss < reference_loss - config.min_delta:
             reference_loss = epoch_loss
             stale_epochs = 0
@@ -190,7 +277,7 @@ def train(model: MlpModel, features: np.ndarray, labels: np.ndarray, config: Tra
             if stale_epochs >= config.patience:
                 break
 
-    model.weights, model.biases = best_params
+    params[...] = best_params
     return model
 
 

@@ -56,3 +56,81 @@ def brute_force_best_split(x: np.ndarray, y: np.ndarray):
             if best is None or sse < best[2]:
                 best = (j, thr, sse)
     return best
+
+
+def reference_forward_cached(weights, biases, batch):
+    """Per-layer activations of a tanh MLP with a linear head, input first."""
+    activations = [batch]
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = activations[-1] @ w + b
+        activations.append(z if i == last else np.tanh(z))
+    return activations
+
+
+def reference_backward(weights, biases, batch, target):
+    """MSE gradients as fresh per-parameter arrays, one allocation per op."""
+    activations = reference_forward_cached(weights, biases, batch)
+    pred = activations[-1]
+    weight_grads = [np.empty_like(w) for w in weights]
+    bias_grads = [np.empty_like(b) for b in biases]
+    delta = 2.0 * (pred - target) / pred.size
+    for layer in range(len(weights) - 1, -1, -1):
+        weight_grads[layer] = activations[layer].T @ delta
+        bias_grads[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
+    return weight_grads, bias_grads
+
+
+def reference_train(weights, biases, features, labels, config):
+    """Per-parameter Adam over seeded shuffled mini-batches, each batch
+    gathered with `features[rows]`; early stop on training loss with
+    best-parameter restore. `config` is a beamloc.mlp.TrainConfig.
+
+    Returns (weights, biases, training_log); the input arrays are not touched.
+    """
+    weights = [np.array(w, dtype=float) for w in weights]
+    biases = [np.array(b, dtype=float) for b in biases]
+    rng = np.random.default_rng(config.seed)
+    params = weights + biases
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    step = 0
+
+    best_loss = np.inf
+    best_params = ([w.copy() for w in weights], [b.copy() for b in biases])
+    reference_loss = np.inf
+    stale_epochs = 0
+    log = []
+
+    for _ in range(config.max_epochs):
+        order = rng.permutation(len(features))
+        for start in range(0, len(order), config.batch_size):
+            rows = order[start : start + config.batch_size]
+            weight_grads, bias_grads = reference_backward(weights, biases, features[rows], labels[rows])
+            step += 1
+            correction1 = 1.0 - config.beta1**step
+            correction2 = 1.0 - config.beta2**step
+            for p, g, m, v in zip(params, weight_grads + bias_grads, m_state, v_state):
+                m *= config.beta1
+                m += (1.0 - config.beta1) * g
+                v *= config.beta2
+                v += (1.0 - config.beta2) * g * g
+                p -= config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + config.epsilon)
+
+        pred = reference_forward_cached(weights, biases, features)[-1]
+        epoch_loss = float(np.mean((pred - labels) ** 2))
+        log.append(epoch_loss)
+        if epoch_loss < best_loss:
+            best_loss = epoch_loss
+            best_params = ([w.copy() for w in weights], [b.copy() for b in biases])
+        if epoch_loss < reference_loss - config.min_delta:
+            reference_loss = epoch_loss
+            stale_epochs = 0
+        else:
+            stale_epochs += 1
+            if stale_epochs >= config.patience:
+                break
+
+    return best_params[0], best_params[1], log

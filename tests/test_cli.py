@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -237,3 +238,68 @@ def test_cmd_run_jobs_2_matches_jobs_1_byte_for_byte(tmp_path):
     assert {"manifest.json", "comparison.csv"} <= set(serial)
     assert len(serial) >= 6
     assert serial == parallel
+
+
+def _mlp_arm(train):
+    return {
+        "id": "net",
+        "model": "mlp",
+        "features": {"n_serving_beams": 2, "n_neighbor_cells": 0},
+        "hidden_layers": [4],
+        "train": train,
+    }
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["experiments"].append(_mlp_arm({"learning_rate": True})),
+         r"experiments\[net\].train: learning_rate must be a number, got bool"),
+        (lambda doc: doc["experiments"].append(_mlp_arm({"learning_rate": "0.01"})),
+         r"experiments\[net\].train: learning_rate must be a number, got str"),
+        (lambda doc: doc.update(propagation={"noise_floor": None}),
+         r"propagation: noise_floor must be a number, got NoneType"),
+        (lambda doc: doc["experiments"].append(_mlp_arm({"learning_rate": float("nan")})),
+         r"experiments\[net\].train: learning_rate must be finite and >= 0, got nan"),
+        (lambda doc: doc["experiments"].append(_mlp_arm({"learning_rate": -0.01})),
+         r"experiments\[net\].train: learning_rate must be finite and >= 0"),
+        (lambda doc: doc["experiments"].append(_mlp_arm({"beta1": 1.0})),
+         r"experiments\[net\].train: beta1 must be in \[0, 1\)"),
+        (lambda doc: doc["experiments"].append(_mlp_arm({"beta2": -0.1})),
+         r"experiments\[net\].train: beta2 must be in \[0, 1\)"),
+        (lambda doc: doc["experiments"].append(_mlp_arm({"epsilon": 0})),
+         r"experiments\[net\].train: epsilon must be > 0"),
+        (lambda doc: doc["experiments"].append(_mlp_arm({"min_delta": float("inf")})),
+         r"experiments\[net\].train: min_delta must be finite and >= 0"),
+    ],
+    ids=["float-bool", "float-str", "float-none", "lr-nan", "lr-negative", "beta1", "beta2", "epsilon",
+         "min-delta"],
+)
+def test_config_rejects_bad_float_fields(tmp_path, edit, message):
+    doc = base_doc(str(tmp_path / "out"))
+    edit(doc)
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(write_config(tmp_path, doc))
+
+
+def test_config_accepts_yaml_int_for_float_field(tmp_path):
+    doc = base_doc(str(tmp_path / "out"))
+    doc["propagation"] = {"noise_floor": -105}
+    doc["experiments"].append(_mlp_arm({"learning_rate": 1, "min_delta": 0}))
+    config = load_run_config(write_config(tmp_path, doc))
+    assert config.propagation.noise_floor == -105
+    assert config.experiments[1].train_config.learning_rate == 1
+
+
+def test_cmd_run_non_finite_loss_is_a_named_arm_failure(tmp_path):
+    out_dir = tmp_path / "out"
+    doc = base_doc(str(out_dir))
+    doc["experiments"].append(_mlp_arm({"learning_rate": 1e300, "max_epochs": 3}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert [f["experiment_id"] for f in manifest["failed"]] == ["net"]
+    assert "training loss is not finite at epoch 1" in manifest["failed"][0]["error"]
+    for d, _, names in os.walk(out_dir):
+        for name in names:
+            assert "NaN" not in open(os.path.join(d, name)).read()

@@ -280,3 +280,42 @@ def test_report_writers_round_trip(samples, tmp_path):
 
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize(
+    "jobs, arms, cpus, expected",
+    [(8, 3, 2, 2), (8, 2, 64, 2), (3, 5, 64, 3), (4, 4, 1, None), (2, 1, 8, None), (1, 4, 8, None)],
+)
+def test_run_matrix_clamps_workers(monkeypatch, jobs, arms, cpus, expected):
+    """min(jobs, arms, CPUs) workers; one worker runs in process. No worker
+    is spawned: the pool is replaced by one that records its size and
+    resolves every future to a placeholder."""
+    import concurrent.futures
+    import beamloc.evaluation
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(args[1].experiment_id)
+            return future
+
+    monkeypatch.setattr(beamloc.evaluation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(beamloc.evaluation.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(beamloc.evaluation, "prepare_data", lambda *a: None)
+    monkeypatch.setattr(beamloc.evaluation, "run_experiment", lambda data, d: d.experiment_id)
+    descriptors = [ExperimentDescriptor(f"arm{i}", FeatureConfig()) for i in range(arms)]
+    reports, failures = run_matrix(None, descriptors, jobs=jobs)
+    assert pools == ([] if expected is None else [expected])
+    assert reports == [d.experiment_id for d in descriptors]
+    assert failures == []

@@ -155,11 +155,11 @@ def test_gradient_of_duplicated_rows():
 
 def test_train_zero_learning_rate_keeps_params():
     model = init_model(MlpArchitecture(input_dim=3, hidden_layers=(4,)), seed=7)
-    before = model.copy_params()
+    before = [p.copy() for p in model.weights + model.biases]
     rng = np.random.default_rng(4)
     train(model, rng.normal(size=(20, 3)), rng.normal(size=(20, 2)),
           TrainConfig(learning_rate=0.0, max_epochs=5, patience=10))
-    for old, new in zip(before[0] + before[1], model.weights + model.biases):
+    for old, new in zip(before, model.weights + model.biases):
         assert np.array_equal(old, new)
 
 

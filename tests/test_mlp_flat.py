@@ -1,0 +1,188 @@
+"""The flat-buffer trainer against the per-parameter reference in oracles.py.
+
+`train` keeps every weight and bias in one buffer and runs one in-place Adam
+update over it; `reference_train` is the per-parameter loop with a fresh
+`features[rows]` gather per batch. Both apply the same elementwise operations
+in the same order, so their results must agree bit for bit.
+"""
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from beamloc.mlp import (
+    MlpArchitecture,
+    MlpModel,
+    TrainConfig,
+    backward,
+    forward,
+    init_model,
+    load_model,
+    save_model,
+    train,
+)
+from oracles import reference_backward, reference_train
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    input_dim=st.integers(1, 5),
+    hidden=st.lists(st.integers(1, 7), min_size=0, max_size=2),
+    rows=st.integers(1, 40),
+    batch_size=st.integers(1, 48),
+    learning_rate=st.sampled_from([0.0, 0.003, 0.05, 0.5]),
+    max_epochs=st.integers(1, 8),
+    patience=st.integers(1, 4),
+    min_delta=st.sampled_from([0.0, 1e-3, 1e9]),
+    seed=st.integers(0, 2**16),
+)
+@example(input_dim=3, hidden=[], rows=10, batch_size=4, learning_rate=0.05, max_epochs=5,
+         patience=4, min_delta=0.0, seed=1)
+@example(input_dim=2, hidden=[5, 3], rows=13, batch_size=13, learning_rate=0.05, max_epochs=4,
+         patience=4, min_delta=0.0, seed=2)
+@example(input_dim=2, hidden=[4], rows=7, batch_size=30, learning_rate=0.05, max_epochs=6,
+         patience=2, min_delta=1e9, seed=3)
+@example(input_dim=4, hidden=[6], rows=20, batch_size=6, learning_rate=0.0, max_epochs=3,
+         patience=4, min_delta=0.0, seed=4)
+# the last epoch is not the best one, so the best-parameter restore matters
+@example(input_dim=2, hidden=[5], rows=12, batch_size=5, learning_rate=0.5, max_epochs=6,
+         patience=6, min_delta=0.0, seed=1)
+def test_train_bit_equal_to_per_parameter_reference(
+    input_dim, hidden, rows, batch_size, learning_rate, max_epochs, patience, min_delta, seed
+):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(rows, input_dim))
+    labels = rng.normal(size=(rows, 2))
+    config = TrainConfig(batch_size=batch_size, max_epochs=max_epochs, learning_rate=learning_rate,
+                         patience=patience, min_delta=min_delta, seed=seed + 1)
+    model = init_model(MlpArchitecture(input_dim, tuple(hidden)), seed=seed)
+    if learning_rate == 0.0:
+        initial = _bits(model.weights + model.biases)
+    ref_weights, ref_biases, ref_log = reference_train(model.weights, model.biases, features, labels, config)
+
+    train(model, features, labels, config)
+    assert _bits(model.weights) == _bits(ref_weights)
+    assert _bits(model.biases) == _bits(ref_biases)
+    assert model.training_log == ref_log
+    if min_delta == 1e9:
+        assert len(model.training_log) == min(max_epochs, patience + 1)
+    if learning_rate == 0.0:
+        assert _bits(model.weights + model.biases) == initial
+
+
+def test_backward_matches_reference_and_out_buffer():
+    rng = np.random.default_rng(1)
+    model = init_model(MlpArchitecture(4, (6, 3)), seed=2)
+    batch, target = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
+    ref = reference_backward(model.weights, model.biases, batch, target)
+    fresh = backward(model, batch, target)
+    out = np.full(model.params.size, np.nan)
+    into = backward(model, batch, target, out=out)
+    for ref_part, fresh_part, into_part in zip(ref, fresh, into):
+        assert _bits(fresh_part) == _bits(ref_part)
+        assert _bits(into_part) == _bits(ref_part)
+    assert all(np.shares_memory(g, out) for g in into[0] + into[1])
+    assert np.array_equal(out, np.concatenate([g.ravel() for g in ref[0] + ref[1]]))
+
+
+def test_backward_without_out_returns_unaliased_arrays():
+    rng = np.random.default_rng(2)
+    model = init_model(MlpArchitecture(3, (5,)), seed=3)
+    batch, target = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+    first = backward(model, batch, target)
+    second = backward(model, batch, target)
+    first_arrays = first[0] + first[1]
+    for g in first_arrays:
+        assert not np.shares_memory(g, model.params)
+        assert not any(np.shares_memory(g, p) for p in model.weights + model.biases)
+        assert not any(np.shares_memory(g, h) for h in second[0] + second[1])
+    kept = [g.copy() for g in first_arrays]
+    backward(model, batch * 2.0, target)
+    assert _bits(first_arrays) == _bits(kept)
+
+
+def test_weight_views_write_through_to_forward():
+    model = init_model(MlpArchitecture(2, (3,)), seed=4)
+    batch = np.array([[0.5, -1.0]])
+    before = forward(model, batch)
+    model.weights[1][0, 0] += 1.0
+    assert all(np.shares_memory(p, model.params) for p in model.weights + model.biases)
+    after = forward(model, batch)
+    assert not np.array_equal(before, after)
+    model.biases[1][...] = 0.0
+    model.weights[1][...] = 0.0
+    assert np.array_equal(forward(model, batch), np.zeros((1, 2)))
+
+
+def test_hand_built_and_loaded_models_are_packed(tmp_path):
+    arch = MlpArchitecture(2, (3,))
+    weights = [np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(3, 2)]
+    biases = [np.ones(3), np.zeros(2)]
+    model = MlpModel(arch, weights, biases)
+    assert model.params.shape == (6 + 6 + 3 + 2,)
+    assert all(np.shares_memory(p, model.params) for p in model.weights + model.biases)
+    assert not np.shares_memory(model.weights[0], weights[0])
+    assert _bits(model.weights + model.biases) == _bits(weights + biases)
+
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    loaded, _ = load_model(str(path))
+    assert all(np.shares_memory(p, loaded.params) for p in loaded.weights + loaded.biases)
+    assert loaded.params.tobytes() == model.params.tobytes()
+
+    with pytest.raises(ValueError, match="do not match layer dims"):
+        MlpModel(arch, weights[::-1], biases)
+
+
+def test_train_picks_up_a_rebound_weight():
+    rng = np.random.default_rng(5)
+    features, labels = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
+    config = TrainConfig(batch_size=4, max_epochs=3, learning_rate=0.05, seed=6)
+    model = init_model(MlpArchitecture(2, (3,)), seed=7)
+    model.weights[0] = np.full((2, 3), 0.25)
+    ref_weights, ref_biases, ref_log = reference_train(model.weights, model.biases, features, labels, config)
+    train(model, features, labels, config)
+    assert _bits(model.weights + model.biases) == _bits(ref_weights + ref_biases)
+    assert model.training_log == ref_log
+
+
+@pytest.mark.parametrize("bad", ["features", "labels"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_train_rejects_non_finite_inputs(bad, value):
+    rng = np.random.default_rng(8)
+    data = {"features": rng.normal(size=(6, 3)), "labels": rng.normal(size=(6, 2))}
+    data[bad][2, 1] = value
+    model = init_model(MlpArchitecture(3, (4,)), seed=0)
+    with pytest.raises(ValueError, match=f"{bad} contain non-finite values"):
+        train(model, data["features"], data["labels"], TrainConfig(max_epochs=2))
+
+
+def test_train_rejects_non_finite_epoch_loss():
+    rng = np.random.default_rng(9)
+    model = init_model(MlpArchitecture(3, (4,)), seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="training loss is not finite at epoch 1"):
+        train(model, rng.normal(size=(20, 3)), rng.normal(size=(20, 2)),
+              TrainConfig(learning_rate=1e300, max_epochs=3))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"learning_rate": float("nan")}, "learning_rate must be finite and >= 0"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite and >= 0"),
+        ({"learning_rate": -0.1}, "learning_rate must be finite and >= 0"),
+        ({"beta1": 1.0}, r"beta1 must be in \[0, 1\)"),
+        ({"beta2": -0.5}, r"beta2 must be in \[0, 1\)"),
+        ({"epsilon": 0.0}, "epsilon must be > 0"),
+        ({"min_delta": -1e-3}, "min_delta must be finite and >= 0"),
+        ({"min_delta": float("nan")}, "min_delta must be finite and >= 0"),
+    ],
+)
+def test_train_config_rejects_bad_optimizer_values(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**kwargs)
