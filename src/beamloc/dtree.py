@@ -66,59 +66,70 @@ def _partition_sse(x_col: np.ndarray, y: np.ndarray, threshold: float) -> float:
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Lowest-children-SSE split, or None if no candidate separates the node.
+    """Lowest-children-SSE split of (x, y), or None if no candidate separates it.
 
-    A cumulative-sum scan ranks the candidates per feature; the few within
-    rounding distance of the per-feature minimum are re-evaluated canonically
-    before the cross-feature comparison, keeping ties deterministic (lowest
-    feature index, then lowest threshold).
+    Sorts every feature of the node and runs the scan `fit_tree` uses.
     """
-    n = len(x)
+    sorted_rows = np.argsort(x, axis=0, kind="stable").T
+    return _presorted_split(x, y, np.arange(len(x)), sorted_rows, min_leaf)
+
+
+def _presorted_split(
+    features: np.ndarray, labels: np.ndarray, rows: np.ndarray, sorted_rows: np.ndarray, min_leaf: int
+):
+    """Best split of the node holding `rows` (ascending row ids), or None.
+
+    `sorted_rows` is (n_features, n): row j lists the node's rows in stable
+    ascending order of feature j. One cumulative-sum scan ranks every
+    (feature, boundary) candidate at once; the few within rounding distance
+    of the overall minimum are re-evaluated canonically in (feature,
+    boundary) order, keeping ties deterministic (lowest feature index, then
+    lowest threshold).
+    """
+    n = len(rows)
+    y = labels[rows]
     total_sum = y.sum(axis=0)
     total_sq = float((y * y).sum())
     tie_window = 1e-9 * max(1.0, total_sq)
-    best = None
-    for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        xv = x[order, j]
-        yv = y[order]
-        boundaries = np.flatnonzero(xv[1:] != xv[:-1])
-        if len(boundaries) == 0:
-            continue
-        n_left = boundaries + 1
-        n_right = n - n_left
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not np.any(valid):
-            continue
-        boundaries = boundaries[valid]
-        n_left = n_left[valid]
-        n_right = n_right[valid]
-        cum_sum = np.cumsum(yv, axis=0)
-        cum_sq = np.cumsum((yv * yv).sum(axis=1))
-        sum_left = cum_sum[boundaries]
-        sq_left = cum_sq[boundaries]
-        sse_left = sq_left - (sum_left * sum_left).sum(axis=1) / n_left
-        sum_right = total_sum - sum_left
-        sse_right = (total_sq - sq_left) - (sum_right * sum_right).sum(axis=1) / n_right
-        scan = np.maximum(sse_left, 0.0) + np.maximum(sse_right, 0.0)
 
-        near = np.flatnonzero(scan <= scan.min() + tie_window)
-        feature_best = None
-        for k in near:
-            lower = xv[boundaries[k]]
-            upper = xv[boundaries[k] + 1]
-            threshold = (lower + upper) / 2.0
-            # the midpoint of two near-adjacent floats can round up to the
-            # upper value; fall back to the lower one, same partition
-            if threshold >= upper:
-                threshold = lower
-            children = _partition_sse(x[:, j], y, threshold)
-            if feature_best is None or children < feature_best[0]:
-                feature_best = (children, float(threshold))
-        if best is None or feature_best[0] < best[0]:
-            best = (feature_best[0], j, feature_best[1])
-    if best is None:
+    xv = features[sorted_rows, np.arange(features.shape[1])[:, None]]
+    n_left = np.arange(1, n)
+    n_right = n - n_left
+    valid = xv[:, 1:] != xv[:, :-1]
+    valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
         return None
+    yv = labels[sorted_rows]
+    cum_sum = np.cumsum(yv, axis=1)
+    cum_sq = np.cumsum((yv * yv).sum(axis=2), axis=1)
+    sum_left = cum_sum[:, :-1]
+    sq_left = cum_sq[:, :-1]
+    sse_left = sq_left - (sum_left * sum_left).sum(axis=2) / n_left
+    sum_right = total_sum - sum_left
+    sse_right = (total_sq - sq_left) - (sum_right * sum_right).sum(axis=2) / n_right
+    scan = np.maximum(sse_left, 0.0) + np.maximum(sse_right, 0.0)
+    scan[~valid] = np.inf
+
+    best = None
+    seen = set()
+    for j, k in zip(*np.nonzero(scan <= scan.min() + tie_window)):
+        lower = xv[j, k]
+        upper = xv[j, k + 1]
+        threshold = (lower + upper) / 2.0
+        # the midpoint of two near-adjacent floats can round up to the
+        # upper value; fall back to the lower one, same partition
+        if threshold >= upper:
+            threshold = lower
+        x_col = features[rows, j]
+        # a partition already evaluated has the same canonical value and an
+        # earlier (feature, boundary), so it cannot win
+        partition = (x_col <= threshold).tobytes()
+        if partition in seen:
+            continue
+        seen.add(partition)
+        children = _partition_sse(x_col, y, threshold)
+        if best is None or children < best[0]:
+            best = (children, int(j), float(threshold))
     return best[1], best[2]
 
 
@@ -127,7 +138,9 @@ def fit_tree(features: np.ndarray, labels: np.ndarray, config: TreeConfig | None
 
     A node with remaining label error accepts the best split even when the
     immediate error reduction is zero, so distinct feature rows always reach
-    zero training error at unlimited depth.
+    zero training error at unlimited depth. Every feature is sorted once at
+    the root; a split filters each sorted row list by side, which keeps it
+    sorted, so no node sorts again. Raises ValueError on non-finite inputs.
     """
     config = config or TreeConfig()
     features = np.atleast_2d(np.asarray(features, dtype=float))
@@ -136,11 +149,16 @@ def fit_tree(features: np.ndarray, labels: np.ndarray, config: TreeConfig | None
         raise ValueError("empty training set")
     if len(features) != len(labels):
         raise ValueError("features and labels row counts differ")
+    for name, values in (("features", features), ("labels", labels)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} contain non-finite values")
 
-    root = TreeNode(n_features=features.shape[1])
-    stack = [(root, np.arange(len(features)), 0)]
+    n_features = features.shape[1]
+    root = TreeNode(n_features=n_features)
+    goes_left = np.empty(len(features), dtype=bool)  # per-row side of the current split
+    stack = [(root, np.arange(len(features)), np.argsort(features, axis=0, kind="stable").T, 0)]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx, sorted_rows, depth = stack.pop()
         y = labels[idx]
         mean = y.mean(axis=0)
         node.count = len(idx)
@@ -148,16 +166,19 @@ def fit_tree(features: np.ndarray, labels: np.ndarray, config: TreeConfig | None
         depth_ok = config.max_depth is None or depth < config.max_depth
         split = None
         if sse > 0.0 and depth_ok and len(idx) >= config.min_samples_split:
-            split = _best_split(features[idx], y, config.min_samples_leaf)
+            split = _presorted_split(features, labels, idx, sorted_rows, config.min_samples_leaf)
         if split is None:
             node.value = mean
             continue
         node.feature_index, node.threshold = split
         go_left = features[idx, node.feature_index] <= node.threshold
+        goes_left[idx] = go_left
+        # each feature's list keeps exactly the left rows, in the same order
+        left_mask = goes_left[sorted_rows]
         node.left = TreeNode()
         node.right = TreeNode()
-        stack.append((node.left, idx[go_left], depth + 1))
-        stack.append((node.right, idx[~go_left], depth + 1))
+        stack.append((node.left, idx[go_left], sorted_rows[left_mask].reshape(n_features, -1), depth + 1))
+        stack.append((node.right, idx[~go_left], sorted_rows[~left_mask].reshape(n_features, -1), depth + 1))
     return root
 
 

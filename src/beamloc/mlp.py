@@ -236,46 +236,48 @@ def train(model: MlpModel, features: np.ndarray, labels: np.ndarray, config: Tra
     stale_epochs = 0
     model.training_log = []
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(features))
-        epoch_features, epoch_labels = features[order], labels[order]
-        for start in range(0, len(order), config.batch_size):
-            stop = start + config.batch_size
-            backward(model, epoch_features[start:stop], epoch_labels[start:stop], out=grad)
-            step += 1
-            correction1 = 1.0 - beta1**step
-            correction2 = 1.0 - beta2**step
-            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-            m_state *= beta1
-            np.multiply(grad, 1.0 - beta1, out=step_buf)
-            m_state += step_buf
-            v_state *= beta2
-            np.multiply(grad, 1.0 - beta2, out=step_buf)
-            step_buf *= grad
-            v_state += step_buf
-            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(m_state, correction1, out=step_buf)
-            step_buf *= lr
-            np.divide(v_state, correction2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += config.epsilon
-            step_buf /= denom
-            params -= step_buf
+    # a diverging run overflows here; the non-finite epoch loss below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            order = rng.permutation(len(features))
+            epoch_features, epoch_labels = features[order], labels[order]
+            for start in range(0, len(order), config.batch_size):
+                stop = start + config.batch_size
+                backward(model, epoch_features[start:stop], epoch_labels[start:stop], out=grad)
+                step += 1
+                correction1 = 1.0 - beta1**step
+                correction2 = 1.0 - beta2**step
+                # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+                m_state *= beta1
+                np.multiply(grad, 1.0 - beta1, out=step_buf)
+                m_state += step_buf
+                v_state *= beta2
+                np.multiply(grad, 1.0 - beta2, out=step_buf)
+                step_buf *= grad
+                v_state += step_buf
+                # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(m_state, correction1, out=step_buf)
+                step_buf *= lr
+                np.divide(v_state, correction2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += config.epsilon
+                step_buf /= denom
+                params -= step_buf
 
-        epoch_loss = loss_mse(forward(model, features), labels)
-        if not math.isfinite(epoch_loss):
-            raise ValueError(f"training loss is not finite at epoch {epoch}: {epoch_loss}")
-        model.training_log.append(epoch_loss)
-        if epoch_loss < best_loss:
-            best_loss = epoch_loss
-            best_params[...] = params
-        if epoch_loss < reference_loss - config.min_delta:
-            reference_loss = epoch_loss
-            stale_epochs = 0
-        else:
-            stale_epochs += 1
-            if stale_epochs >= config.patience:
-                break
+            epoch_loss = loss_mse(forward(model, features), labels)
+            if not math.isfinite(epoch_loss):
+                raise ValueError(f"training loss is not finite at epoch {epoch}: {epoch_loss}")
+            model.training_log.append(epoch_loss)
+            if epoch_loss < best_loss:
+                best_loss = epoch_loss
+                best_params[...] = params
+            if epoch_loss < reference_loss - config.min_delta:
+                reference_loss = epoch_loss
+                stale_epochs = 0
+            else:
+                stale_epochs += 1
+                if stale_epochs >= config.patience:
+                    break
 
     params[...] = best_params
     return model

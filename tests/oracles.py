@@ -58,6 +58,100 @@ def brute_force_best_split(x: np.ndarray, y: np.ndarray):
     return best
 
 
+def _reference_partition_sse(x_col, y, threshold):
+    mask = x_col <= threshold
+    total = 0.0
+    for side in (mask, ~mask):
+        part = y[side]
+        if len(part) == 0:
+            continue
+        total += float(((part - part.mean(axis=0)) ** 2).sum())
+    return total
+
+
+def _reference_best_split(x, y, min_leaf):
+    """Per-node, per-feature argsort and cumulative-sum scan; the candidates
+    within rounding distance of each feature's minimum are re-evaluated in
+    original row order, lowest feature then lowest threshold winning ties."""
+    n = len(x)
+    total_sum = y.sum(axis=0)
+    total_sq = float((y * y).sum())
+    tie_window = 1e-9 * max(1.0, total_sq)
+    best = None
+    for j in range(x.shape[1]):
+        order = np.argsort(x[:, j], kind="stable")
+        xv = x[order, j]
+        yv = y[order]
+        boundaries = np.flatnonzero(xv[1:] != xv[:-1])
+        if len(boundaries) == 0:
+            continue
+        n_left = boundaries + 1
+        n_right = n - n_left
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not np.any(valid):
+            continue
+        boundaries = boundaries[valid]
+        n_left = n_left[valid]
+        n_right = n_right[valid]
+        cum_sum = np.cumsum(yv, axis=0)
+        cum_sq = np.cumsum((yv * yv).sum(axis=1))
+        sum_left = cum_sum[boundaries]
+        sq_left = cum_sq[boundaries]
+        sse_left = sq_left - (sum_left * sum_left).sum(axis=1) / n_left
+        sum_right = total_sum - sum_left
+        sse_right = (total_sq - sq_left) - (sum_right * sum_right).sum(axis=1) / n_right
+        scan = np.maximum(sse_left, 0.0) + np.maximum(sse_right, 0.0)
+
+        near = np.flatnonzero(scan <= scan.min() + tie_window)
+        feature_best = None
+        for k in near:
+            lower = xv[boundaries[k]]
+            upper = xv[boundaries[k] + 1]
+            threshold = (lower + upper) / 2.0
+            if threshold >= upper:
+                threshold = lower
+            children = _reference_partition_sse(x[:, j], y, threshold)
+            if feature_best is None or children < feature_best[0]:
+                feature_best = (children, float(threshold))
+        if best is None or feature_best[0] < best[0]:
+            best = (feature_best[0], j, feature_best[1])
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def reference_fit_tree(features, labels, config):
+    """CART grown depth-first with a fresh argsort of every feature at every
+    node. `config` is a beamloc.dtree.TreeConfig; returns a
+    beamloc.dtree.TreeNode root."""
+    from beamloc.dtree import TreeNode
+
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    labels = np.atleast_2d(np.asarray(labels, dtype=float))
+    root = TreeNode(n_features=features.shape[1])
+    stack = [(root, np.arange(len(features)), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        y = labels[idx]
+        mean = y.mean(axis=0)
+        node.count = len(idx)
+        sse = float(((y - mean) ** 2).sum())
+        depth_ok = config.max_depth is None or depth < config.max_depth
+        split = None
+        if sse > 0.0 and depth_ok and len(idx) >= config.min_samples_split:
+            split = _reference_best_split(features[idx], y, config.min_samples_leaf)
+        if split is None:
+            node.value = mean
+            continue
+        node.feature_index, node.threshold = split
+        go_left = features[idx, node.feature_index] <= node.threshold
+        node.left = TreeNode()
+        node.right = TreeNode()
+        stack.append((node.left, idx[go_left], depth + 1))
+        stack.append((node.right, idx[~go_left], depth + 1))
+    return root
+
+
 def reference_forward_cached(weights, biases, batch):
     """Per-layer activations of a tanh MLP with a linear head, input first."""
     activations = [batch]

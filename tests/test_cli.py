@@ -1,7 +1,7 @@
 import json
 import os
+import warnings
 
-import numpy as np
 import pytest
 import yaml
 
@@ -295,8 +295,10 @@ def test_cmd_run_non_finite_loss_is_a_named_arm_failure(tmp_path):
     out_dir = tmp_path / "out"
     doc = base_doc(str(out_dir))
     doc["experiments"].append(_mlp_arm({"learning_rate": 1e300, "max_epochs": 3}))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert [f["experiment_id"] for f in manifest["failed"]] == ["net"]
     assert "training loss is not finite at epoch 1" in manifest["failed"][0]["error"]

@@ -61,6 +61,35 @@ def test_root_split_matches_bruteforce_oracle():
         assert tree.threshold == pytest.approx(oracle[1], rel=1e-12)
 
 
+def test_every_internal_split_matches_bruteforce_oracle():
+    # the sorted row lists handed down from the root must give every node,
+    # not only the root, the split an exhaustive search finds on its rows
+    rng = np.random.default_rng(12)
+    internal = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 41))
+        cols = []
+        for _ in range(int(rng.integers(1, 5))):
+            if rng.random() < 0.5:
+                cols.append(rng.integers(0, 5, size=n).astype(float))
+            else:
+                cols.append(rng.uniform(0, 10, size=n))
+        x = np.column_stack(cols)
+        y = np.round(rng.normal(size=(n, 2)), 2)
+        stack = [(fit_tree(x, y), np.arange(n))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                continue
+            internal += 1
+            oracle = brute_force_best_split(x[rows], y[rows])
+            assert (node.feature_index, node.threshold) == oracle[:2]
+            go_left = x[rows, node.feature_index] <= node.threshold
+            stack.append((node.left, rows[go_left]))
+            stack.append((node.right, rows[~go_left]))
+    assert internal > 500
+
+
 def test_distinct_rows_zero_training_error():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(60, 3))
@@ -178,6 +207,20 @@ def test_fit_rejects_empty_and_mismatched():
         fit_tree(np.zeros((3, 2)), np.zeros((4, 2)))
     with pytest.raises(ValueError):
         TreeConfig(min_samples_split=1)
+
+
+@pytest.mark.parametrize(
+    "features, labels, name",
+    [
+        ([[np.nan], [np.nan]], [[0.0, 0.0], [1.0, 1.0]], "features"),
+        ([[0.0], [np.inf]], [[0.0, 0.0], [1.0, 1.0]], "features"),
+        ([[0.0], [1.0]], [[0.0, np.nan], [1.0, 1.0]], "labels"),
+    ],
+)
+def test_fit_rejects_non_finite_inputs(features, labels, name):
+    # a NaN feature would send every row right and split the same node forever
+    with pytest.raises(ValueError, match=f"{name} contain non-finite values"):
+        fit_tree(features, labels)
 
 
 def test_predict_dimension_mismatch():
