@@ -9,8 +9,6 @@ never limited by the interpreter stack.
 """
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +59,8 @@ def _partition_sse(x_col: np.ndarray, y: np.ndarray, threshold: float) -> float:
         part = y[side]
         if len(part) == 0:
             continue
-        total += float(((part - part.mean(axis=0)) ** 2).sum())
+        # sum / count is what ndarray.mean computes, without its Python wrapper
+        total += float(((part - part.sum(axis=0) / len(part)) ** 2).sum())
     return total
 
 
@@ -160,7 +159,7 @@ def fit_tree(features: np.ndarray, labels: np.ndarray, config: TreeConfig | None
     while stack:
         node, idx, sorted_rows, depth = stack.pop()
         y = labels[idx]
-        mean = y.mean(axis=0)
+        mean = y.sum(axis=0) / len(y)
         node.count = len(idx)
         sse = float(((y - mean) ** 2).sum())
         depth_ok = config.max_depth is None or depth < config.max_depth
@@ -248,41 +247,3 @@ def tree_to_dict(tree: TreeNode) -> dict:
                 "right": rendered[id(node.right)],
             }
     return rendered[id(tree)]
-
-
-def _dict_to_tree(doc: dict) -> TreeNode:
-    root = TreeNode()
-    stack = [(root, doc)]
-    while stack:
-        node, entry = stack.pop()
-        node.count = entry["count"]
-        if "value" in entry:
-            node.value = np.asarray(entry["value"], dtype=float)
-            continue
-        node.feature_index = entry["feature_index"]
-        node.threshold = entry["threshold"]
-        node.left = TreeNode()
-        node.right = TreeNode()
-        stack.append((node.left, entry["left"]))
-        stack.append((node.right, entry["right"]))
-    return root
-
-
-def save_tree(tree: TreeNode, path: str) -> None:
-    doc = {"n_features": tree.n_features, "root": tree_to_dict(tree)}
-    # the json encoder recurses once per tree level
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, tree_depth(tree) * 4 + 1000))
-    try:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def load_tree(path: str) -> TreeNode:
-    with open(path) as fh:
-        doc = json.load(fh)
-    tree = _dict_to_tree(doc["root"])
-    tree.n_features = doc["n_features"]
-    return tree

@@ -10,8 +10,10 @@ order or parallelism.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import logging
@@ -222,34 +224,42 @@ def run_experiment(data, descriptor: ExperimentDescriptor) -> EvalReport:
 
     `data` is the object prepare_data returned for this descriptor: a single
     Dataset for network-level topology, a cell_id -> Dataset map for
-    cell-specific. Cell-specific test errors are pooled across cells (sorted
-    by cell id) so topologies are compared on one test population.
+    cell-specific. Each part (the pooled dataset, or one cell's) trains its
+    own model under its own seed labels; test errors are pooled across parts
+    (cells sorted by id) so topologies are compared on one test population.
     """
     expected = _expected_layout(descriptor)
-    per_cell = None
     if descriptor.topology == "network_level":
         if data.layout != expected:
             raise ValueError(f"dataset layout {data.layout} does not match descriptor features {expected}")
-        pred, info = _fit_and_predict(data, descriptor, "net")
-        train_err = euclidean_errors(pred[data.train_idx], data.labels[data.train_idx])
-        test_err = euclidean_errors(pred[data.test_idx], data.labels[data.test_idx])
-        baseline_err = _centroid_errors(data)
+        parts = [(("net",), data)]
     else:
         if not data:
             raise ValueError("cell_specific topology received no per-cell datasets")
-        train_parts, test_parts, baseline_parts = [], [], []
-        per_cell = {}
-        info = {"kind": descriptor.model_kind, "cells": {}}
+        parts = []
         for cell_id in sorted(data):
-            dataset = data[cell_id]
-            if dataset.layout != expected:
+            if data[cell_id].layout != expected:
                 raise ValueError(f"cell {cell_id} layout does not match descriptor features")
-            pred, cell_info = _fit_and_predict(dataset, descriptor, "cell", cell_id)
-            cell_train = euclidean_errors(pred[dataset.train_idx], dataset.labels[dataset.train_idx])
-            cell_test = euclidean_errors(pred[dataset.test_idx], dataset.labels[dataset.test_idx])
-            train_parts.append(cell_train)
-            test_parts.append(cell_test)
-            baseline_parts.append(_centroid_errors(dataset))
+            parts.append((("cell", cell_id), data[cell_id]))
+
+    train_parts, test_parts, baseline_parts, infos = [], [], [], []
+    for seed_labels, dataset in parts:
+        pred, info = _fit_and_predict(dataset, descriptor, *seed_labels)
+        train_parts.append(euclidean_errors(pred[dataset.train_idx], dataset.labels[dataset.train_idx]))
+        test_parts.append(euclidean_errors(pred[dataset.test_idx], dataset.labels[dataset.test_idx]))
+        baseline_parts.append(_centroid_errors(dataset))
+        infos.append(info)
+    train_err = np.concatenate(train_parts)
+    test_err = np.concatenate(test_parts)
+    baseline_err = np.concatenate(baseline_parts)
+
+    per_cell = None
+    if descriptor.topology == "network_level":
+        info = infos[0]
+    else:
+        info = {"kind": descriptor.model_kind, "cells": {}}
+        per_cell = {}
+        for ((_, cell_id), dataset), cell_test, cell_info in zip(parts, test_parts, infos):
             stats = error_stats(cell_test)
             per_cell[str(cell_id)] = {
                 "n_train": len(dataset.train_idx),
@@ -258,9 +268,6 @@ def run_experiment(data, descriptor: ExperimentDescriptor) -> EvalReport:
                 "test_std": stats.std,
             }
             info["cells"][str(cell_id)] = cell_info
-        train_err = np.concatenate(train_parts)
-        test_err = np.concatenate(test_parts)
-        baseline_err = np.concatenate(baseline_parts)
         if descriptor.model_kind == "mlp":
             info["hidden_layers"] = list(descriptor.hidden_layers)
 
@@ -293,8 +300,8 @@ def run_matrix(
     """Run every experiment; failures are recorded and the matrix continues.
 
     Returns (reports, failures) with failures as {experiment_id, error}
-    entries. At most min(jobs, arms, CPUs) worker processes run; results do
-    not depend on `jobs`.
+    entries. At most min(jobs, arms, CPUs) worker processes run; one worker
+    runs the arms in this process. Results do not depend on `jobs`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -305,30 +312,19 @@ def run_matrix(
     reports: list[EvalReport] = []
     failures: list[dict] = []
     workers = min(jobs, len(descriptors), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                d.experiment_id: pool.submit(_run_one, samples, d, split_fraction, min_cell_size)
-                for d in descriptors
-            }
-            for d in descriptors:
-                try:
-                    reports.append(futures[d.experiment_id].result())
-                except Exception as err:
-                    log.error("experiment %s failed: %s", d.experiment_id, err)
-                    failures.append({"experiment_id": d.experiment_id, "error": str(err)})
-        return reports, failures
-
-    cache: dict = {}
-    for d in descriptors:
-        try:
-            key = (d.feature_config, d.topology, d.seed, split_fraction)
-            if key not in cache:
-                cache[key] = prepare_data(samples, d, split_fraction, min_cell_size)
-            reports.append(run_experiment(cache[key], d))
-        except Exception as err:
-            log.error("experiment %s failed: %s", d.experiment_id, err)
-            failures.append({"experiment_id": d.experiment_id, "error": str(err)})
+    arms = [(samples, d, split_fraction, min_cell_size) for d in descriptors]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        # one callable per arm: it returns the arm's report or raises its error
+        if pool is None:
+            outcomes = [functools.partial(_run_one, *arm) for arm in arms]
+        else:
+            outcomes = [pool.submit(_run_one, *arm).result for arm in arms]
+        for d, outcome in zip(descriptors, outcomes):
+            try:
+                reports.append(outcome())
+            except Exception as err:
+                log.error("experiment %s failed: %s", d.experiment_id, err)
+                failures.append({"experiment_id": d.experiment_id, "error": str(err)})
     return reports, failures
 
 

@@ -478,13 +478,6 @@ def normalize(dataset: Dataset, rows: np.ndarray) -> np.ndarray:
     return (rows - dataset.mean) / _safe_std(dataset.std)
 
 
-def denormalize(dataset: Dataset, rows: np.ndarray) -> np.ndarray:
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != len(dataset.mean):
-        raise ValueError(f"expected {len(dataset.mean)} columns, got {rows.shape[1]}")
-    return rows * _safe_std(dataset.std) + dataset.mean
-
-
 def partition_by_cell(
     samples: FingerprintTable | list[FingerprintSample],
     config: FeatureConfig,

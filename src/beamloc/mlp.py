@@ -6,7 +6,6 @@ best-parameter restore. Everything is deterministic for a fixed seed.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -295,42 +294,3 @@ def predict(model: MlpModel, features: np.ndarray, norm_stats) -> np.ndarray:
         raise ValueError(f"expected {len(mean)} feature columns, got {features.shape[1]}")
     normalized = (features - mean) / np.where(std == 0.0, 1.0, std)
     return forward(model, normalized)
-
-
-def save_model(model: MlpModel, path: str, norm_stats=None) -> None:
-    """JSON export; floats round-trip exactly, so reload is bit-stable."""
-    doc = {
-        "architecture": {
-            "input_dim": model.architecture.input_dim,
-            "hidden_layers": list(model.architecture.hidden_layers),
-            "output_dim": model.architecture.output_dim,
-            "hidden_activation": model.architecture.hidden_activation,
-            "output_activation": model.architecture.output_activation,
-        },
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "training_log": model.training_log,
-    }
-    if norm_stats is not None:
-        mean, std = norm_stats
-        doc["norm_mean"] = np.asarray(mean, dtype=float).tolist()
-        doc["norm_std"] = np.asarray(std, dtype=float).tolist()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-
-
-def load_model(path: str):
-    """Returns (model, norm_stats or None)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    arch = MlpArchitecture(**doc["architecture"])
-    model = MlpModel(
-        architecture=arch,
-        weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-        training_log=list(doc["training_log"]),
-    )
-    norm_stats = None
-    if "norm_mean" in doc:
-        norm_stats = (np.asarray(doc["norm_mean"], dtype=float), np.asarray(doc["norm_std"], dtype=float))
-    return model, norm_stats

@@ -8,12 +8,11 @@ evaluation order or parallelism.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import points_in_rect, segment_rect_crossing, wrap_deg
+from .geom import segment_rect_crossing, wrap_deg
 from .scenario import Beam, Scenario, Sector, Site
 from .seeds import derive_seed
 
@@ -24,21 +23,15 @@ PROPAGATION_MODELS = ("free_space", "umi_los_nlos")
 
 
 @dataclass(frozen=True)
-class LinkGeometry:
-    """Direct-path geometry from a site to a UE location."""
-
-    distance_3d: float
-    azimuth_to_ue: float
-    elevation_to_ue: float
-    los: bool
-
-    def __post_init__(self):
-        if self.distance_3d <= 0:
-            raise ValueError("distance_3d must be > 0")
-
-
-@dataclass(frozen=True)
 class PropagationConfig:
+    """Path-loss model and receiver settings.
+
+    `free_space` is Friis loss, 20*log10(4*pi*d*f/c). `umi_los_nlos` is the
+    same free-space loss plus 10*n*log10(d) on links without line of sight,
+    with n = `nlos_extra_loss_exponent`; it is not the 3GPP TR 38.901 UMi
+    street-canyon model, only named after the urban-micro setting.
+    """
+
     model: str = "free_space"
     nlos_extra_loss_exponent: float = 2.0
     shadow_fading_sigma: float = 0.0
@@ -97,30 +90,19 @@ def _site_link_arrays(site: Site, locations: np.ndarray, scenario: Scenario, con
     return d3d, azimuth, elevation, los
 
 
-def link_geometry(location, site: Site, scenario: Scenario, config: PropagationConfig | None = None) -> LinkGeometry:
-    """Direct-path geometry from `site` to a single 2-D `location`."""
-    config = config or PropagationConfig()
-    d3d, az, el, los = _site_link_arrays(site, np.atleast_2d(np.asarray(location, dtype=float)), scenario, config)
-    return LinkGeometry(
-        distance_3d=float(d3d[0]),
-        azimuth_to_ue=float(wrap_deg(az[0])),
-        elevation_to_ue=float(wrap_deg(el[0])),
-        los=bool(los[0]),
-    )
+def path_loss(d3d: np.ndarray, los: np.ndarray, freq_ghz: float, config: PropagationConfig) -> np.ndarray:
+    """Path loss in dB per link, distances clamped at 1 m.
 
-
-def _path_loss_arrays(d3d: np.ndarray, los: np.ndarray, freq_ghz: float, config: PropagationConfig) -> np.ndarray:
+    Free-space loss at `freq_ghz`; under `umi_los_nlos` a link whose `los`
+    entry is False adds 10*n*log10(d), n = `nlos_extra_loss_exponent`
+    (a distance-exponent penalty, not the 3GPP TR 38.901 UMi formulas).
+    """
     d = np.maximum(np.asarray(d3d, dtype=float), 1.0)
     loss = 20.0 * np.log10(d) + 20.0 * np.log10(freq_ghz * 1e9) + FREE_SPACE_CONST_DB
     if config.model == "umi_los_nlos":
         extra = 10.0 * config.nlos_extra_loss_exponent * np.log10(d)
         loss = loss + np.where(los, 0.0, extra)
     return loss
-
-
-def path_loss(geometry: LinkGeometry, freq_ghz: float, config: PropagationConfig) -> float:
-    """Log-distance path loss in dB for the given link (distance clamped at 1 m)."""
-    return float(_path_loss_arrays(np.array([geometry.distance_3d]), np.array([geometry.los]), freq_ghz, config)[0])
 
 
 def antenna_gain(beam: Beam, azimuth_off, elevation_off):
@@ -229,39 +211,10 @@ def rsrp_grid(scenario: Scenario, locations: np.ndarray, config: PropagationConf
     for si, site in enumerate(scenario.sites):
         d3d, azimuth, elevation, los = _site_link_arrays(site, locations, scenario, config)
         site_los[:, si] = los
-        loss = _path_loss_arrays(d3d, los, scenario.carrier_frequency, config)
+        loss = path_loss(d3d, los, scenario.carrier_frequency, config)
         shadow = shadow_fading(shadow_seed, site.id, locations, config.shadow_fading_sigma)
         for sector in site.sectors:
             columns, refs = _beam_columns(site, sector, d3d, azimuth, elevation, loss, shadow, config)
             all_columns.extend(columns)
             all_refs.extend(refs)
     return RsrpGrid(rsrp=np.column_stack(all_columns), beams=tuple(all_refs), site_los=site_los)
-
-
-def beam_rsrp(location, beam: Beam, sector: Sector, scenario: Scenario, config: PropagationConfig | None = None) -> float:
-    """RSRP of one beam at one location, via the same path as rsrp_grid."""
-    config = config or PropagationConfig()
-    point = np.atleast_2d(np.asarray(location, dtype=float))
-    for b in scenario.buildings:
-        if points_in_rect(point, b.min_corner, b.max_corner)[0]:
-            raise ValueError(f"location {tuple(point[0])} is inside a building")
-    site = next(s for s in scenario.sites if any(sec.cell_id == sector.cell_id for sec in s.sectors))
-    d3d, azimuth, elevation, los = _site_link_arrays(site, point, scenario, config)
-    loss = _path_loss_arrays(d3d, los, scenario.carrier_frequency, config)
-    shadow_seed = derive_seed(scenario.rng_seed, "shadow")
-    shadow = shadow_fading(shadow_seed, site.id, point, config.shadow_fading_sigma)
-    only = Sector(
-        cell_id=sector.cell_id,
-        boresight_azimuth=sector.boresight_azimuth,
-        mechanical_downtilt=sector.mechanical_downtilt,
-        tx_power=sector.tx_power,
-        beams=(beam,),
-    )
-    columns, _ = _beam_columns(site, only, d3d, azimuth, elevation, loss, shadow, config)
-    return float(columns[0][0])
-
-
-def los_fraction(grid: RsrpGrid, serving_site_index: np.ndarray) -> float:
-    """Fraction of locations with line of sight to their serving site."""
-    rows = np.arange(len(serving_site_index))
-    return float(np.mean(grid.site_los[rows, serving_site_index]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,6 @@ class Building:
             raise ValueError(f"building min_corner {self.min_corner} must be < max_corner {self.max_corner}")
         if self.height <= 0:
             raise ValueError(f"building height must be > 0, got {self.height}")
-
-    def contains(self, x: float, y: float) -> bool:
-        return bool(points_in_rect(np.array([[x, y]]), self.min_corner, self.max_corner)[0])
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,7 @@ from beamloc.dtree import (
     _best_split,
     fit_tree,
     leaf_nodes,
-    load_tree,
     predict_tree,
-    save_tree,
     tree_depth,
     tree_to_dict,
 )
@@ -228,20 +226,6 @@ def test_predict_dimension_mismatch():
     tree = fit_tree(rng.normal(size=(20, 3)), rng.normal(size=(20, 2)))
     with pytest.raises(ValueError, match="columns"):
         predict_tree(tree, np.zeros((2, 4)))
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=(70, 4))
-    y = rng.normal(size=(70, 2))
-    tree = fit_tree(x, y, TreeConfig(min_samples_leaf=2))
-    path = tmp_path / "tree.json"
-    save_tree(tree, str(path))
-    loaded = load_tree(str(path))
-    probe = rng.normal(size=(30, 4))
-    assert np.array_equal(predict_tree(loaded, probe), predict_tree(tree, probe))
-    with pytest.raises(ValueError):
-        predict_tree(loaded, np.zeros((2, 5)))
 
 
 def test_adjacent_float_values_split_cleanly():

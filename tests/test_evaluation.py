@@ -219,14 +219,15 @@ def test_run_matrix_requires_unique_ids(samples):
         run_matrix(samples, descs)
 
 
-def test_run_matrix_contains_failures_and_continues(samples):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_matrix_contains_failures_and_continues(samples, jobs):
     fc = FeatureConfig(n_serving_beams=3, n_neighbor_cells=0)
     good = ExperimentDescriptor(experiment_id="good", feature_config=fc, model_kind="dtree")
     bad = ExperimentDescriptor(
         experiment_id="bad", feature_config=fc, model_kind="dtree", topology="cell_specific"
     )
     # an absurd cell-size floor leaves no per-cell dataset, failing only `bad`
-    reports, failures = run_matrix(samples, [good, bad], min_cell_size=10**6)
+    reports, failures = run_matrix(samples, [good, bad], min_cell_size=10**6, jobs=jobs)
     assert [r.experiment_id for r in reports] == ["good"]
     assert [f["experiment_id"] for f in failures] == ["bad"]
     assert failures[0]["error"]

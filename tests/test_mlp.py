@@ -10,10 +10,8 @@ from beamloc.mlp import (
     backward,
     forward,
     init_model,
-    load_model,
     loss_mse,
     predict,
-    save_model,
     train,
 )
 
@@ -237,21 +235,6 @@ def test_predict_dimension_mismatch():
     model = init_model(MlpArchitecture(input_dim=3, hidden_layers=(5,)), seed=0)
     with pytest.raises(ValueError):
         predict(model, np.zeros((2, 4)), (np.zeros(3), np.ones(3)))
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(10)
-    features = rng.normal(size=(20, 4))
-    labels = rng.normal(size=(20, 2))
-    model = train(init_model(MlpArchitecture(4, (6,)), seed=13), features, labels,
-                  TrainConfig(max_epochs=10))
-    stats = (features.mean(axis=0), features.std(axis=0))
-    path = tmp_path / "model.json"
-    save_model(model, str(path), norm_stats=stats)
-    loaded, loaded_stats = load_model(str(path))
-    assert np.array_equal(predict(loaded, features, loaded_stats), predict(model, features, stats))
-    assert loaded.architecture == model.architecture
-    assert loaded.training_log == model.training_log
 
 
 def test_architecture_validation():

@@ -17,8 +17,6 @@ from beamloc.mlp import (
     backward,
     forward,
     init_model,
-    load_model,
-    save_model,
     train,
 )
 from oracles import reference_backward, reference_train
@@ -118,7 +116,7 @@ def test_weight_views_write_through_to_forward():
     assert np.array_equal(forward(model, batch), np.zeros((1, 2)))
 
 
-def test_hand_built_and_loaded_models_are_packed(tmp_path):
+def test_hand_built_and_loaded_models_are_packed():
     arch = MlpArchitecture(2, (3,))
     weights = [np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(3, 2)]
     biases = [np.ones(3), np.zeros(2)]
@@ -127,12 +125,6 @@ def test_hand_built_and_loaded_models_are_packed(tmp_path):
     assert all(np.shares_memory(p, model.params) for p in model.weights + model.biases)
     assert not np.shares_memory(model.weights[0], weights[0])
     assert _bits(model.weights + model.biases) == _bits(weights + biases)
-
-    path = tmp_path / "model.json"
-    save_model(model, str(path))
-    loaded, _ = load_model(str(path))
-    assert all(np.shares_memory(p, loaded.params) for p in loaded.weights + loaded.biases)
-    assert loaded.params.tobytes() == model.params.tobytes()
 
     with pytest.raises(ValueError, match="do not match layer dims"):
         MlpModel(arch, weights[::-1], biases)

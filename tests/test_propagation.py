@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from beamloc.propagation import (
-    LinkGeometry,
     PropagationConfig,
     antenna_gain,
-    beam_rsrp,
     line_of_sight,
-    link_geometry,
-    los_fraction,
     path_loss,
     rsrp_grid,
     shadow_fading,
@@ -22,42 +18,40 @@ from oracles import dense_los_oracle
 SPEED_OF_LIGHT = 299_792_458.0
 
 
-def _geom(distance, los=True):
-    return LinkGeometry(distance_3d=distance, azimuth_to_ue=0.0, elevation_to_ue=0.0, los=los)
-
-
 def test_free_space_reference_value():
     # independent evaluation of 20*log10(4*pi*d*f/c) at d=1m, f=28GHz
     expected = 20.0 * math.log10(4.0 * math.pi * 1.0 * 28e9 / SPEED_OF_LIGHT)
-    got = path_loss(_geom(1.0), 28.0, PropagationConfig())
-    assert got == pytest.approx(expected, abs=0.05)
-    assert got == pytest.approx(61.4, abs=0.05)
+    got = path_loss(np.array([1.0]), np.array([True]), 28.0, PropagationConfig())
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(expected, abs=0.05)
+    assert got[0] == pytest.approx(61.4, abs=0.05)
 
 
 def test_free_space_doubling_distance():
+    d = np.array([2.0, 17.0, 333.0])
+    los = np.ones(len(d), dtype=bool)
     cfg = PropagationConfig()
-    for d in (2.0, 17.0, 333.0):
-        delta = path_loss(_geom(2 * d), 28.0, cfg) - path_loss(_geom(d), 28.0, cfg)
-        assert delta == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
+    delta = path_loss(2 * d, los, 28.0, cfg) - path_loss(d, los, 28.0, cfg)
+    assert np.allclose(delta, 20.0 * math.log10(2.0), rtol=0.0, atol=1e-9)
 
 
 def test_distance_clamped_below_one_meter():
-    cfg = PropagationConfig()
-    assert path_loss(_geom(0.2), 28.0, cfg) == path_loss(_geom(1.0), 28.0, cfg)
+    loss = path_loss(np.array([0.2, 0.7, 1.0]), np.ones(3, dtype=bool), 28.0, PropagationConfig())
+    assert loss[0] == loss[1] == loss[2]
 
 
 def test_nlos_never_cheaper_than_los():
     cfg = PropagationConfig(model="umi_los_nlos", nlos_extra_loss_exponent=2.0)
-    rng = np.random.default_rng(1)
-    for d in rng.uniform(0.5, 2000.0, size=200):
-        los = path_loss(_geom(d, los=True), 28.0, cfg)
-        nlos = path_loss(_geom(d, los=False), 28.0, cfg)
-        assert nlos >= los
+    d = np.random.default_rng(1).uniform(0.5, 2000.0, size=200)
+    los = path_loss(d, np.ones(len(d), dtype=bool), 28.0, cfg)
+    nlos = path_loss(d, np.zeros(len(d), dtype=bool), 28.0, cfg)
+    assert np.all(nlos >= los)
 
 
 def test_free_space_model_ignores_los_flag():
     cfg = PropagationConfig(model="free_space")
-    assert path_loss(_geom(50.0, True), 28.0, cfg) == path_loss(_geom(50.0, False), 28.0, cfg)
+    loss = path_loss(np.array([50.0, 50.0]), np.array([True, False]), 28.0, cfg)
+    assert loss[0] == loss[1]
 
 
 def test_propagation_config_validation():
@@ -154,36 +148,47 @@ def test_los_matches_dense_sampling_oracle():
         assert line_of_sight(p, q, buildings) == dense_los_oracle(p, q, buildings)
 
 
-def _one_site_scenario(with_building=False, tx_power=30.0, seed=0, sigma=0.0):
+def _one_site_scenario(tx_power=30.0):
     sector = Sector(cell_id=0, boresight_azimuth=0.0, tx_power=tx_power, beams=(_beam(),))
     site_cfg = ScenarioConfig(site_rows=1, site_cols=1, with_buildings=False)
     site = build_scenario(site_cfg).sites[0]
     site = type(site)(id=0, position=(0.0, 0.0), height=10.0, sectors=(sector,))
-    buildings = (Building((30.0, -5.0), (40.0, 5.0), 25.0),) if with_building else ()
     return Scenario(
-        buildings=buildings,
+        buildings=(),
         sites=(site,),
         carrier_frequency=28.0,
         area=(200.0, 200.0),
         grid_resolution=1.0,
-        rng_seed=seed,
+        rng_seed=0,
     )
 
 
 def test_beam_rsrp_composition():
+    # tx power + beam gain - free-space loss, with the link angles taken
+    # from numpy hypot/arctan2 rather than the module's geometry
     scenario = _one_site_scenario()
     cfg = PropagationConfig()
-    sector = scenario.sites[0].sectors[0]
+    site = scenario.sites[0]
+    sector = site.sectors[0]
     beam = sector.beams[0]
     location = (80.0, 15.0)
-    geom = link_geometry(location, scenario.sites[0], scenario, cfg)
+    dx, dy = location[0] - site.position[0], location[1] - site.position[1]
+    dz = cfg.ue_height - site.height
+    d2d = np.hypot(dx, dy)
+    azimuth = np.degrees(np.arctan2(dy, dx))
+    elevation = np.degrees(np.arctan2(dz, d2d))
+    distance = math.sqrt(d2d**2 + dz**2)
+    free_space = 20.0 * math.log10(4.0 * math.pi * distance * scenario.carrier_frequency * 1e9 / SPEED_OF_LIGHT)
     expected = (
         sector.tx_power
-        + antenna_gain(beam, geom.azimuth_to_ue - sector.boresight_azimuth - beam.steer_azimuth,
-                       geom.elevation_to_ue - beam.steer_elevation)
-        - path_loss(geom, scenario.carrier_frequency, cfg)
+        + antenna_gain(beam, azimuth - sector.boresight_azimuth - beam.steer_azimuth,
+                       elevation - beam.steer_elevation)
+        - free_space
     )
-    assert beam_rsrp(location, beam, sector, scenario, cfg) == pytest.approx(expected, abs=1e-9)
+    grid = rsrp_grid(scenario, np.array([location]), cfg)
+    assert grid.beams[0].beam_id == beam.beam_id
+    # the module's free-space constant is rounded to 0.01 dB
+    assert grid.rsrp[0, 0] == pytest.approx(expected, abs=0.01)
 
 
 def test_rsrp_decreases_along_boresight():
@@ -194,9 +199,9 @@ def test_rsrp_decreases_along_boresight():
     )
     scenario = Scenario(buildings=(), sites=(site,), carrier_frequency=28.0, area=(2000.0, 10.0),
                         grid_resolution=1.0, rng_seed=0)
-    cfg = PropagationConfig()
-    values = [beam_rsrp((d, 0.0), sector.beams[0], sector, scenario, cfg) for d in (2, 5, 20, 100, 700)]
-    assert all(a > b for a, b in zip(values, values[1:]))
+    locations = np.array([[d, 0.0] for d in (2, 5, 20, 100, 700)])
+    values = rsrp_grid(scenario, locations, PropagationConfig()).rsrp[:, 0]
+    assert np.all(values[:-1] > values[1:])
 
 
 def test_tx_power_shift_is_exact():
@@ -260,48 +265,5 @@ def test_shadow_moments():
 def test_noise_floor_clamp():
     scenario = _one_site_scenario()
     cfg = PropagationConfig(noise_floor=-60.0)
-    value = beam_rsrp((190.0, 170.0), scenario.sites[0].sectors[0].beams[0], scenario.sites[0].sectors[0], scenario, cfg)
+    value = rsrp_grid(scenario, np.array([[190.0, 170.0]]), cfg).rsrp[0, 0]
     assert value == -60.0
-
-
-def test_beam_rsrp_rejects_location_inside_building():
-    scenario = _one_site_scenario(with_building=True)
-    sector = scenario.sites[0].sectors[0]
-    with pytest.raises(ValueError, match="inside a building"):
-        beam_rsrp((35.0, 0.0), sector.beams[0], sector, scenario, PropagationConfig())
-
-
-def test_scalar_matches_grid_column():
-    scenario = build_scenario(ScenarioConfig(site_rows=1, site_cols=2, grid_resolution_m=20.0))
-    cfg = PropagationConfig(shadow_fading_sigma=3.0)
-    locations = np.array([[40.0, 60.0], [150.0, 35.0]])  # on street corridors
-    grid = rsrp_grid(scenario, locations, cfg)
-    for col, ref in enumerate(grid.beams):
-        if col % 37 != 0:  # spot-check a spread of columns
-            continue
-        site = scenario.sites[ref.site_id]
-        sector = next(s for s in site.sectors if s.cell_id == ref.cell_id)
-        beam = next(b for b in sector.beams if b.beam_id == ref.beam_id)
-        for row in range(len(locations)):
-            scalar = beam_rsrp(locations[row], beam, sector, scenario, cfg)
-            assert scalar == grid.rsrp[row, col]
-
-
-def test_link_geometry_angles_normalized():
-    scenario = _one_site_scenario()
-    geom = link_geometry((-30.0, -30.0), scenario.sites[0], scenario, PropagationConfig())
-    assert -180.0 < geom.azimuth_to_ue <= 180.0
-    assert -180.0 < geom.elevation_to_ue <= 180.0
-    assert geom.distance_3d > 0
-
-
-def test_los_fraction_reportable():
-    scenario = build_scenario(ScenarioConfig(grid_resolution_m=30.0))
-    from beamloc.scenario import enumerate_locations
-
-    locations = enumerate_locations(scenario)
-    grid = rsrp_grid(scenario, locations, PropagationConfig())
-    serving_col = np.argmax(grid.rsrp, axis=1)
-    serving_site = np.array([grid.beams[c].site_id for c in serving_col])
-    frac = los_fraction(grid, serving_site)
-    assert 0.0 <= frac <= 1.0
