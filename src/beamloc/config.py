@@ -51,14 +51,14 @@ def _is_int(value) -> bool:
 
 
 def _build_dataclass(cls, values: dict, section: str, *, coerce_tuples=(), defaults=None):
-    """Construct a config dataclass, rejecting unknown keys, bools for ints
-    and anything but an int or float for floats, by name."""
+    """Construct a config dataclass, rejecting unknown keys, anything but an
+    int for ints and anything but an int or float for floats, by name."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, value in values.items():
         if key not in fields:
             raise ConfigError(f"{section}: unknown key '{key}'")
-        if fields[key].type == "int" and isinstance(value, bool):
-            raise ConfigError(f"{section}: {key} must be an int, got a bool")
+        if fields[key].type == "int" and not _is_int(value):
+            raise ConfigError(f"{section}: {key} must be an int, got {type(value).__name__}")
         if fields[key].type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ConfigError(f"{section}: {key} must be a number, got {type(value).__name__}")
     merged = dict(defaults or {})

@@ -525,13 +525,12 @@ def atomic_write_text(path: str, text: str) -> None:
 def save_dataset(dataset: Dataset, csv_path: str) -> None:
     """CSV of unnormalized features + labels, JSON sidecar with everything else.
 
-    Floats are written with repr so a reload is bit-exact.
+    The csv module writes Python floats with repr, so a reload is bit-exact.
     """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(list(dataset.layout) + ["label_x", "label_y"])
-    for row, label in zip(dataset.features, dataset.labels):
-        writer.writerow([repr(float(v)) for v in row] + [repr(float(label[0])), repr(float(label[1]))])
+    writer.writerows(np.column_stack([dataset.features, dataset.labels]).astype(float, copy=False).tolist())
     atomic_write_text(csv_path, buf.getvalue())
     sidecar = {
         "layout": list(dataset.layout),

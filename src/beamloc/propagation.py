@@ -105,13 +105,17 @@ def path_loss(d3d: np.ndarray, los: np.ndarray, freq_ghz: float, config: Propaga
     return loss
 
 
+def _pattern_term(offset, beamwidth):
+    """Quadratic rolloff 12*(|wrap(offset)| / beamwidth)**2 in dB along one axis."""
+    return 12.0 * (np.abs(wrap_deg(np.asarray(offset, dtype=float))) / beamwidth) ** 2
+
+
 def antenna_gain(beam: Beam, azimuth_off, elevation_off):
     """Parabolic-in-dB pattern: peak gain minus a quadratic rolloff, floored
     at front_to_back below the peak. Offsets are degrees from the steering
     direction; scalars or arrays."""
-    az = np.abs(wrap_deg(np.asarray(azimuth_off, dtype=float)))
-    el = np.abs(wrap_deg(np.asarray(elevation_off, dtype=float)))
-    rolloff = 12.0 * (az / beam.azimuth_beamwidth) ** 2 + 12.0 * (el / beam.elevation_beamwidth) ** 2
+    azimuth_term = _pattern_term(azimuth_off, beam.azimuth_beamwidth)
+    rolloff = azimuth_term + _pattern_term(elevation_off, beam.elevation_beamwidth)
     gain = beam.peak_gain - np.minimum(rolloff, beam.front_to_back)
     if np.isscalar(azimuth_off) and np.isscalar(elevation_off):
         return float(gain)
@@ -184,17 +188,40 @@ class RsrpGrid:
     site_los: np.ndarray
 
 
-def _beam_columns(site: Site, sector: Sector, d3d, azimuth, elevation, loss, shadow, config: PropagationConfig):
-    columns, refs = [], []
-    for beam in sector.beams:
-        beam_azimuth = wrap_deg(sector.boresight_azimuth + beam.steer_azimuth)
-        az_off = wrap_deg(azimuth - beam_azimuth)
-        el_off = elevation - beam.steer_elevation
-        gain = antenna_gain(beam, az_off, el_off)
-        rsrp = sector.tx_power + gain - loss + shadow
-        columns.append(np.maximum(rsrp, config.noise_floor))
-        refs.append(BeamRef(site_id=site.id, cell_id=sector.cell_id, beam_id=beam.beam_id))
-    return columns, refs
+def _distinct(keys: list) -> tuple[list, list[int]]:
+    """Distinct keys in first-seen order, and each key's index into them."""
+    index: dict = {}
+    inverse = [index.setdefault(key, len(index)) for key in keys]
+    return list(index), inverse
+
+
+def _sector_block(sector: Sector, azimuth, elevation, loss, shadow, noise_floor: float, out: np.ndarray) -> None:
+    """Write the sector's (locations, beams) RSRP block into `out`.
+
+    Each pattern term is computed once per distinct (steer, beamwidth) pair
+    and gathered per beam; the per-element operations and their order are
+    those of antenna_gain evaluated beam by beam on wrapped offsets. The
+    azimuth offset is wrapped once: wrap_deg returns its own outputs
+    unchanged, bit for bit, so a second wrap would change nothing.
+    """
+    beams = sector.beams
+    az_keys, az_of_beam = _distinct(
+        [(wrap_deg(sector.boresight_azimuth + b.steer_azimuth), b.azimuth_beamwidth) for b in beams]
+    )
+    el_keys, el_of_beam = _distinct([(b.steer_elevation, b.elevation_beamwidth) for b in beams])
+    az_steer, az_width = np.array(az_keys, dtype=float).T
+    el_steer, el_width = np.array(el_keys, dtype=float).T
+    az_term = _pattern_term(azimuth[:, None] - az_steer, az_width)
+    el_term = _pattern_term(elevation[:, None] - el_steer, el_width)
+
+    rolloff = az_term[:, az_of_beam]
+    rolloff += el_term[:, el_of_beam]
+    np.minimum(rolloff, np.array([b.front_to_back for b in beams], dtype=float), out=rolloff)
+    gain = np.subtract(np.array([b.peak_gain for b in beams], dtype=float), rolloff, out=rolloff)
+    rsrp = np.add(sector.tx_power, gain, out=gain)
+    rsrp -= loss[:, None]
+    rsrp += shadow[:, None]
+    np.maximum(rsrp, noise_floor, out=out)
 
 
 def rsrp_grid(scenario: Scenario, locations: np.ndarray, config: PropagationConfig | None = None) -> RsrpGrid:
@@ -206,15 +233,26 @@ def rsrp_grid(scenario: Scenario, locations: np.ndarray, config: PropagationConf
     config = config or PropagationConfig()
     locations = np.asarray(locations, dtype=float)
     shadow_seed = derive_seed(scenario.rng_seed, "shadow")
-    all_columns, all_refs = [], []
+    refs = tuple(
+        BeamRef(site_id=site.id, cell_id=sector.cell_id, beam_id=beam.beam_id)
+        for site in scenario.sites
+        for sector in site.sectors
+        for beam in sector.beams
+    )
+    if not refs:
+        raise ValueError("scenario has no beams")
+    rsrp = np.empty((len(locations), len(refs)))
     site_los = np.zeros((len(locations), len(scenario.sites)), dtype=bool)
+    column = 0
     for si, site in enumerate(scenario.sites):
         d3d, azimuth, elevation, los = _site_link_arrays(site, locations, scenario, config)
         site_los[:, si] = los
         loss = path_loss(d3d, los, scenario.carrier_frequency, config)
         shadow = shadow_fading(shadow_seed, site.id, locations, config.shadow_fading_sigma)
         for sector in site.sectors:
-            columns, refs = _beam_columns(site, sector, d3d, azimuth, elevation, loss, shadow, config)
-            all_columns.extend(columns)
-            all_refs.extend(refs)
-    return RsrpGrid(rsrp=np.column_stack(all_columns), beams=tuple(all_refs), site_los=site_los)
+            if not sector.beams:
+                continue
+            end = column + len(sector.beams)
+            _sector_block(sector, azimuth, elevation, loss, shadow, config.noise_floor, rsrp[:, column:end])
+            column = end
+    return RsrpGrid(rsrp=rsrp, beams=refs, site_los=site_los)

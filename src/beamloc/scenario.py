@@ -139,6 +139,18 @@ class ScenarioConfig:
             raise ValueError("street_width_m must be > 0")
         if isinstance(self.elevation_steers_deg, list):
             object.__setattr__(self, "elevation_steers_deg", tuple(self.elevation_steers_deg))
+        if self.sectors_per_site < 1:
+            raise ValueError(f"sectors_per_site must be >= 1, got {self.sectors_per_site}")
+        if self.beams_per_sector < 1:
+            raise ValueError(f"beams_per_sector must be >= 1, got {self.beams_per_sector}")
+        rows = len(self.elevation_steers_deg)
+        if self.beams_per_sector > 1 and (rows == 0 or self.beams_per_sector % rows != 0):
+            raise ValueError(
+                f"beams_per_sector {self.beams_per_sector} must be 1 or divisible by the "
+                f"{rows} elevation_steers_deg entries"
+            )
+        if not (math.isfinite(self.carrier_frequency_ghz) and self.carrier_frequency_ghz > 0):
+            raise ValueError(f"carrier_frequency_ghz must be finite and > 0, got {self.carrier_frequency_ghz}")
 
 
 def synthesize_beam_grid(

@@ -5,6 +5,9 @@ agreement is evidence, not tautology.
 """
 import numpy as np
 
+from beamloc.propagation import BeamRef, RsrpGrid, _site_link_arrays, path_loss, shadow_fading
+from beamloc.seeds import derive_seed
+
 
 def dense_los_oracle(p, q, buildings, samples: int = 10_000) -> bool:
     """Line-of-sight by dense sampling along the 3-D segment p -> q.
@@ -228,3 +231,36 @@ def reference_train(weights, biases, features, labels, config):
                 break
 
     return best_params[0], best_params[1], log
+
+
+def _reference_wrap(angle):
+    wrapped = np.asarray(angle, dtype=float) % 360.0
+    return np.where(wrapped > 180.0, wrapped - 360.0, wrapped)
+
+
+def reference_rsrp_grid(scenario, locations, config):
+    """RSRP grid evaluated beam by beam: both angle offsets wrapped and the
+    parabolic pattern evaluated once per beam, one column per beam, stacked
+    at the end. Link geometry, LoS, path loss and shadow fading are the
+    library's; the pattern and the RSRP composition are written out here.
+    """
+    locations = np.asarray(locations, dtype=float)
+    shadow_seed = derive_seed(scenario.rng_seed, "shadow")
+    columns, refs = [], []
+    site_los = np.zeros((len(locations), len(scenario.sites)), dtype=bool)
+    for si, site in enumerate(scenario.sites):
+        d3d, azimuth, elevation, los = _site_link_arrays(site, locations, scenario, config)
+        site_los[:, si] = los
+        loss = path_loss(d3d, los, scenario.carrier_frequency, config)
+        shadow = shadow_fading(shadow_seed, site.id, locations, config.shadow_fading_sigma)
+        for sector in site.sectors:
+            for beam in sector.beams:
+                beam_azimuth = _reference_wrap(sector.boresight_azimuth + beam.steer_azimuth)
+                az = np.abs(_reference_wrap(_reference_wrap(azimuth - beam_azimuth)))
+                el = np.abs(_reference_wrap(elevation - beam.steer_elevation))
+                rolloff = 12.0 * (az / beam.azimuth_beamwidth) ** 2 + 12.0 * (el / beam.elevation_beamwidth) ** 2
+                gain = beam.peak_gain - np.minimum(rolloff, beam.front_to_back)
+                rsrp = sector.tx_power + gain - loss + shadow
+                columns.append(np.maximum(rsrp, config.noise_floor))
+                refs.append(BeamRef(site_id=site.id, cell_id=sector.cell_id, beam_id=beam.beam_id))
+    return RsrpGrid(rsrp=np.column_stack(columns), beams=tuple(refs), site_los=site_los)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import pytest
@@ -205,6 +206,38 @@ def test_config_rejects_bool_and_float_for_int(tmp_path, edit, message):
     edit(doc)
     with pytest.raises(ConfigError, match=message):
         load_run_config(write_config(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"carrier_frequency_ghz": 0}, r"scenario: carrier_frequency_ghz must be finite and > 0, got 0"),
+        ({"carrier_frequency_ghz": float("nan")}, r"scenario: carrier_frequency_ghz must be finite and > 0, got nan"),
+        ({"sectors_per_site": 0}, r"scenario: sectors_per_site must be >= 1, got 0"),
+        ({"beams_per_sector": 0}, r"scenario: beams_per_sector must be >= 1, got 0"),
+        ({"elevation_steers_deg": []}, r"scenario: beams_per_sector 8 must be 1 or divisible by the 0 elevation"),
+        ({"beams_per_sector": 6, "elevation_steers_deg": [-3.0, -12.0, -6.0, 0.0]},
+         r"scenario: beams_per_sector 6 must be 1 or divisible by the 4 elevation"),
+        ({"sectors_per_site": 2.5}, r"scenario: sectors_per_site must be an int, got float"),
+        ({"beams_per_sector": "8"}, r"scenario: beams_per_sector must be an int, got str"),
+        ({"site_rows": None}, r"scenario: site_rows must be an int, got NoneType"),
+    ],
+    ids=["carrier-zero", "carrier-nan", "no-sectors", "no-beams", "no-elevation-rows", "rows-do-not-divide",
+         "sectors-float", "beams-str", "site-rows-null"],
+)
+def test_dataset_rejects_unbuildable_scenario_exits_2(capsys, tmp_path, scenario, message):
+    out = tmp_path / "out"
+    doc = base_doc(str(out))
+    doc["scenario"].update(scenario)
+    assert main(["dataset", "--config", write_config(tmp_path, doc)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_single_beam_sector_needs_no_elevation_rows(tmp_path):
+    doc = base_doc(str(tmp_path / "out"))
+    doc["scenario"].update(beams_per_sector=1, elevation_steers_deg=[])
+    assert load_run_config(write_config(tmp_path, doc)).scenario.beams_per_sector == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

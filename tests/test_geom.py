@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamloc.geom import points_in_rect, segment_rect_crossing, wrap_deg
 
@@ -69,3 +71,12 @@ def test_segment_batch_shapes():
     hit, t_enter, t_exit = segment_rect_crossing((-1.0, 0.5), targets, (0.0, 0.0), (1.0, 1.0))
     assert hit.shape == (3,) and t_enter.shape == (3,) and t_exit.shape == (3,)
     assert hit.tolist() == [True, False, True]
+
+
+@settings(max_examples=500, deadline=None)
+@given(angle=st.floats(-1e6, 1e6))
+def test_wrap_deg_returns_its_outputs_unchanged(angle):
+    # rsrp_grid wraps each azimuth offset once where the per-beam pattern
+    # wrapped it twice; that is bit-identical only because of this
+    wrapped = wrap_deg(np.array([angle]))
+    assert wrap_deg(wrapped).tobytes() == wrapped.tobytes()
