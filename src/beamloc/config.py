@@ -50,22 +50,29 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _build_dataclass(cls, values: dict, section: str, *, coerce_tuples=(), defaults=None):
+def _is_number(value) -> bool:
+    """True for an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _build_dataclass(cls, values: dict, section: str, *, defaults=None):
     """Construct a config dataclass, rejecting unknown keys, anything but an
-    int for ints and anything but an int or float for floats, by name."""
+    int for ints, anything but an int or float for floats and anything but
+    a list of those for float tuples, by name."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, value in values.items():
         if key not in fields:
             raise ConfigError(f"{section}: unknown key '{key}'")
         if fields[key].type == "int" and not _is_int(value):
             raise ConfigError(f"{section}: {key} must be an int, got {type(value).__name__}")
-        if fields[key].type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        if fields[key].type == "float" and not _is_number(value):
             raise ConfigError(f"{section}: {key} must be a number, got {type(value).__name__}")
+        if fields[key].type == "tuple[float, ...]" and not (
+            isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
+        ):
+            raise ConfigError(f"{section}: {key} must be a list of numbers, got {value!r}")
     merged = dict(defaults or {})
     merged.update(values)
-    for key in coerce_tuples:
-        if key in merged and isinstance(merged[key], list):
-            merged[key] = tuple(merged[key])
     try:
         return cls(**merged)
     except (TypeError, ValueError) as err:
@@ -86,8 +93,7 @@ def _parse_experiment(entry, index: int, global_seed: int) -> ExperimentDescript
             raise ConfigError(f"{section}: unknown key '{key}'")
 
     features = _build_dataclass(
-        FeatureConfig, _require_map(entry.get("features"), f"{section}.features"),
-        f"{section}.features", coerce_tuples=("one_hot_cells", "one_hot_beams"),
+        FeatureConfig, _require_map(entry.get("features"), f"{section}.features"), f"{section}.features"
     )
     train_map = _require_map(entry.get("train"), f"{section}.train")
     if "seed" in train_map:
@@ -146,10 +152,7 @@ def load_run_config(path: str, seed_override: int | None = None, out_override: s
 
     scenario_map = _require_map(doc.get("scenario"), "scenario")
     scenario_defaults = {"seed": derive_seed(seed, "scenario")}
-    scenario = _build_dataclass(
-        ScenarioConfig, scenario_map, "scenario",
-        coerce_tuples=("elevation_steers_deg",), defaults=scenario_defaults,
-    )
+    scenario = _build_dataclass(ScenarioConfig, scenario_map, "scenario", defaults=scenario_defaults)
     propagation = _build_dataclass(
         PropagationConfig, _require_map(doc.get("propagation"), "propagation"), "propagation"
     )

@@ -119,6 +119,8 @@ class ExperimentDescriptor:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
         if isinstance(self.hidden_layers, list):
             object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
+        if any(width < 1 for width in self.hidden_layers):
+            raise ValueError(f"hidden_layers widths must be >= 1, got {list(self.hidden_layers)}")
 
     def summary(self) -> dict:
         return {

@@ -6,9 +6,9 @@ the owner of the globally strongest beam, keep LoS locations, and flatten
 each fingerprint into a fixed-layout feature vector (serving beam IDs and
 RSRPs, optional serving cell ID, then one strongest beam per neighbor cell).
 
-All locations live in one columnar `FingerprintTable`, and every feature
-matrix is built from it in one vectorized pass. `FingerprintSample` plus
-`extract_features` are the single-row view of the same layout.
+All locations live in one columnar `FingerprintTable`, and
+`extract_features` builds every feature matrix from it in one vectorized
+pass; `FingerprintSample` is only a read-only view of one table row.
 """
 from __future__ import annotations
 
@@ -76,28 +76,6 @@ class FeatureConfig:
             raise ValueError("one_hot encoding needs one_hot_cells and one_hot_beams cardinalities")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    layout: tuple[str, ...]
-
-
-class FeatureExtractionError(ValueError):
-    """Sample cannot fill the configured layout; `reason` is a counted label."""
-
-    def __init__(self, reason: str, detail: str):
-        super().__init__(f"{reason}: {detail}")
-        self.reason = reason
-
-
-def select_serving(sample_rsrp: dict) -> int:
-    """Cell owning the maximum RSRP entry; ties to lowest (cell_id, beam_id)."""
-    if not sample_rsrp:
-        raise ValueError("empty rsrp map")
-    best = max(sample_rsrp.values())
-    return min(key for key, value in sample_rsrp.items() if value == best)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class FingerprintTable(Sequence):
     """Every location's fingerprint as columns, one row per location.
@@ -105,8 +83,8 @@ class FingerprintTable(Sequence):
     `rsrp` is dense, (n_rows, n_beams), with columns in (cell_id, beam_id)
     order and -inf where a beam is inaudible. `serving_col` is each row's
     strongest serving-cell column: for generated tables the row-wise argmax,
-    whose first maximum is the lowest (cell, beam) as in `select_serving`.
-    The table is a sequence of `FingerprintSample` rows built on demand.
+    so ties go to the lowest (cell, beam). The table is a sequence of
+    `FingerprintSample` rows built on demand.
     """
 
     locations: np.ndarray  # (n_rows, 2)
@@ -178,34 +156,6 @@ class FingerprintTable(Sequence):
         heard = rsrp[rows, serving_col] > -np.inf
         return table if heard.all() else table.take(heard)
 
-    @classmethod
-    def from_samples(cls, samples) -> FingerprintTable:
-        """Stack per-location samples; each keeps its own serving cell."""
-        samples = list(samples)
-        keys = sorted({key for sample in samples for key in sample.rsrp})
-        column = {key: k for k, key in enumerate(keys)}
-        rsrp = np.full((len(samples), len(keys)), -np.inf)
-        for row, sample in enumerate(samples):
-            values = np.array(list(sample.rsrp.values()), dtype=float)
-            if not np.isfinite(values).all():
-                raise ValueError(f"sample at {sample.location} has a non-finite rsrp value")
-            rsrp[row, [column[key] for key in sample.rsrp]] = values
-        cell_ids = np.array([cell for cell, _ in keys], dtype=np.int64)
-        serving = np.array([sample.serving_cell for sample in samples], dtype=np.int64)
-        in_serving_cell = np.where(cell_ids == serving[:, None], rsrp, -np.inf)
-        return cls(
-            locations=np.array([sample.location for sample in samples], dtype=float).reshape(-1, 2),
-            rsrp=rsrp,
-            cell_ids=cell_ids,
-            beam_ids=np.array([beam for _, beam in keys], dtype=np.int64),
-            serving_col=in_serving_cell.argmax(axis=1) if samples else np.zeros(0, dtype=np.int64),
-            los=np.array([sample.los_to_serving for sample in samples], dtype=bool),
-        )
-
-
-def _as_table(samples) -> FingerprintTable:
-    return samples if isinstance(samples, FingerprintTable) else FingerprintTable.from_samples(samples)
-
 
 def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None = None) -> FingerprintTable:
     """One fingerprint row per street-grid location.
@@ -227,11 +177,9 @@ def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None =
     return table
 
 
-def filter_los(samples):
-    """Keep exactly the samples (table rows) with line of sight to their serving cell."""
-    if isinstance(samples, FingerprintTable):
-        return samples.take(samples.los)
-    return [s for s in samples if s.los_to_serving]
+def filter_los(table: FingerprintTable) -> FingerprintTable:
+    """Keep exactly the rows with line of sight to their serving cell."""
+    return table.take(table.los)
 
 
 def _layout_fields(config: FeatureConfig) -> list[tuple[str, str | None, str, int]]:
@@ -296,58 +244,16 @@ def _check_one_hot(ranked: dict[str, np.ndarray], config: FeatureConfig) -> None
         raise ValueError(f"{name}={values[row]} outside one-hot cardinality {dim}")
 
 
-def extract_features(sample: FingerprintSample, config: FeatureConfig) -> FeatureVector:
-    """Flatten a sample into the configured fixed layout.
-
-    Serving beams are ranked by RSRP descending (ties to lower beam_id);
-    neighbor cells by their strongest beam's RSRP descending (ties to lower
-    cell_id), each contributing its single strongest beam.
-    """
-    serving = sorted(
-        ((beam, value) for (cell, beam), value in sample.rsrp.items() if cell == sample.serving_cell),
-        key=lambda item: (-item[1], item[0]),
-    )
-    if len(serving) < config.n_serving_beams:
-        raise FeatureExtractionError(
-            "insufficient_serving_beams",
-            f"need {config.n_serving_beams}, sample has {len(serving)}",
-        )
-
-    strongest_per_cell: dict[int, tuple[int, float]] = {}
-    for (cell, beam), value in sample.rsrp.items():
-        if cell == sample.serving_cell:
-            continue
-        current = strongest_per_cell.get(cell)
-        if current is None or (value, -beam) > (current[1], -current[0]):
-            strongest_per_cell[cell] = (beam, value)
-    neighbors = sorted(strongest_per_cell.items(), key=lambda item: (-item[1][1], item[0]))
-    if len(neighbors) < config.n_neighbor_cells:
-        raise FeatureExtractionError(
-            "insufficient_neighbors",
-            f"need {config.n_neighbor_cells}, sample has {len(neighbors)}",
-        )
-
-    serving = serving[: config.n_serving_beams]
-    neighbors = neighbors[: config.n_neighbor_cells]
-    ranked = {
-        "serving_beam": [beam for beam, _ in serving],
-        "serving_rsrp": [value for _, value in serving],
-        "serving_cell": [sample.serving_cell],
-        "neighbor_cell": [cell for cell, _ in neighbors],
-        "neighbor_beam": [beam for _, (beam, _) in neighbors],
-        "neighbor_rsrp": [value for _, (_, value) in neighbors],
-    }
-    values = _encode({key: np.array([row]) for key, row in ranked.items()}, config)[0]
-    return FeatureVector(values=values, layout=extract_features_layout(config))
-
-
-def _table_features(table: FingerprintTable, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray, dict]:
+def extract_features(table: FingerprintTable, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray, dict]:
     """(features, kept row indices, dropped-row counts by reason) in one pass.
 
-    Ranks as `extract_features` does: serving beams by a stable descending
-    sort (ties to the lower beam), each neighbor cell by its strongest beam
-    (argmax, ties to the lower beam) and the cells by a stable descending
-    sort (ties to the lower cell).
+    Each row's serving beams are ranked by RSRP descending (ties to the
+    lower beam_id); its neighbor cells by their strongest beam's RSRP
+    descending (ties to the lower cell_id), each contributing that single
+    beam (ties to the lower beam_id). Rows with fewer audible serving beams
+    or neighbor cells than the layout needs are dropped and counted under
+    "insufficient_serving_beams" or "insufficient_neighbors"; a one-hot ID
+    outside its width raises ValueError.
     """
     n = len(table)
     if n == 0:
@@ -417,21 +323,20 @@ class Dataset:
 
 
 def build_dataset(
-    samples: FingerprintTable | list[FingerprintSample],
+    table: FingerprintTable,
     config: FeatureConfig,
     split_fraction: float = 0.9,
     seed: int = 0,
 ) -> Dataset:
     """Extract features, split train/test, and attach train-row norm stats.
 
-    Samples that cannot fill the layout are dropped; per-reason counts go to
+    Rows that cannot fill the layout are dropped; per-reason counts go to
     the log and the dataset provenance. Stats use the population std and are
     computed on training rows only.
     """
     if not 0.0 < split_fraction < 1.0:
         raise ValueError("split_fraction must be in (0, 1)")
-    table = _as_table(samples)
-    features, kept, dropped = _table_features(table, config)
+    features, kept, dropped = extract_features(table, config)
     if dropped:
         log.warning("dropped samples during feature extraction: %s", dropped)
     if len(features) < 10:
@@ -479,20 +384,19 @@ def normalize(dataset: Dataset, rows: np.ndarray) -> np.ndarray:
 
 
 def partition_by_cell(
-    samples: FingerprintTable | list[FingerprintSample],
+    table: FingerprintTable,
     config: FeatureConfig,
     split_fraction: float = 0.9,
     seed: int = 0,
     min_size: int = 50,
 ) -> dict[int, Dataset]:
-    """Group samples by serving cell and build one dataset per group.
+    """Group rows by serving cell and build one dataset per group.
 
     The serving-cell ID feature is constant within a group, so it is removed
     from the per-cell layouts. Groups smaller than min_size are skipped and
     logged. Each group gets its own seeded split and normalization stats.
     """
     config = dataclasses.replace(config, include_serving_cell_id=False)
-    table = _as_table(samples)
     serving = table.serving_cell
 
     datasets: dict[int, Dataset] = {}

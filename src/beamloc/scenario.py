@@ -96,13 +96,6 @@ class Scenario:
     def cells(self) -> tuple[Sector, ...]:
         return tuple(sector for site in self.sites for sector in site.sectors)
 
-    def site_of_cell(self, cell_id: int) -> Site:
-        for site in self.sites:
-            for sector in site.sectors:
-                if sector.cell_id == cell_id:
-                    return site
-        raise KeyError(f"no cell with id {cell_id}")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -149,6 +142,9 @@ class ScenarioConfig:
                 f"beams_per_sector {self.beams_per_sector} must be 1 or divisible by the "
                 f"{rows} elevation_steers_deg entries"
             )
+        for key in ("azimuth_beamwidth_deg", "elevation_beamwidth_deg"):
+            if not 0.0 < getattr(self, key) < 180.0:
+                raise ValueError(f"{key} must lie in (0, 180) degrees, got {getattr(self, key)}")
         if not (math.isfinite(self.carrier_frequency_ghz) and self.carrier_frequency_ghz > 0):
             raise ValueError(f"carrier_frequency_ghz must be finite and > 0, got {self.carrier_frequency_ghz}")
 

@@ -5,6 +5,7 @@ agreement is evidence, not tautology.
 """
 import numpy as np
 
+from beamloc.fingerprint import FingerprintTable
 from beamloc.propagation import BeamRef, RsrpGrid, _site_link_arrays, path_loss, shadow_fading
 from beamloc.seeds import derive_seed
 
@@ -264,3 +265,95 @@ def reference_rsrp_grid(scenario, locations, config):
                 columns.append(np.maximum(rsrp, config.noise_floor))
                 refs.append(BeamRef(site_id=site.id, cell_id=sector.cell_id, beam_id=beam.beam_id))
     return RsrpGrid(rsrp=np.column_stack(columns), beams=tuple(refs), site_los=site_los)
+
+
+class FeatureExtractionError(ValueError):
+    """A sample cannot fill the configured layout; `reason` is the drop label."""
+
+    def __init__(self, reason: str, detail: str):
+        super().__init__(f"{reason}: {detail}")
+        self.reason = reason
+
+
+def select_serving(sample_rsrp: dict) -> int:
+    """Cell owning the maximum RSRP entry; ties to lowest (cell_id, beam_id)."""
+    if not sample_rsrp:
+        raise ValueError("empty rsrp map")
+    best = max(sample_rsrp.values())
+    return min(key for key, value in sample_rsrp.items() if value == best)[0]
+
+
+def table_from_samples(samples) -> FingerprintTable:
+    """Stack hand-built `FingerprintSample`s into a table; each row keeps its
+    sample's serving cell, even where another cell is stronger."""
+    samples = list(samples)
+    keys = sorted({key for sample in samples for key in sample.rsrp})
+    column = {key: k for k, key in enumerate(keys)}
+    rsrp = np.full((len(samples), len(keys)), -np.inf)
+    for row, sample in enumerate(samples):
+        rsrp[row, [column[key] for key in sample.rsrp]] = list(sample.rsrp.values())
+    cell_ids = np.array([cell for cell, _ in keys], dtype=np.int64)
+    serving = np.array([sample.serving_cell for sample in samples], dtype=np.int64)
+    in_serving_cell = np.where(cell_ids == serving[:, None], rsrp, -np.inf)
+    return FingerprintTable(
+        locations=np.array([sample.location for sample in samples], dtype=float).reshape(-1, 2),
+        rsrp=rsrp,
+        cell_ids=cell_ids,
+        beam_ids=np.array([beam for _, beam in keys], dtype=np.int64),
+        serving_col=in_serving_cell.argmax(axis=1) if samples else np.zeros(0, dtype=np.int64),
+        los=np.array([sample.los_to_serving for sample in samples], dtype=bool),
+    )
+
+
+def reference_extract_features(sample, config) -> np.ndarray:
+    """One sample's feature vector, ranked from its RSRP dict in Python.
+
+    Serving beams by RSRP descending (ties to lower beam_id); neighbor cells
+    by their strongest beam's RSRP descending (ties to lower cell_id), each
+    contributing its single strongest beam (ties to lower beam_id). Raises
+    FeatureExtractionError when the sample cannot fill the layout, and
+    ValueError for the first ID, in layout order, outside its one-hot width.
+    The encoding is written out here, not taken from the library.
+    """
+    serving = sorted(
+        ((beam, value) for (cell, beam), value in sample.rsrp.items() if cell == sample.serving_cell),
+        key=lambda item: (-item[1], item[0]),
+    )
+    if len(serving) < config.n_serving_beams:
+        raise FeatureExtractionError(
+            "insufficient_serving_beams", f"need {config.n_serving_beams}, sample has {len(serving)}"
+        )
+    strongest_per_cell: dict[int, tuple[int, float]] = {}
+    for (cell, beam), value in sample.rsrp.items():
+        if cell == sample.serving_cell:
+            continue
+        current = strongest_per_cell.get(cell)
+        if current is None or (value, -beam) > (current[1], -current[0]):
+            strongest_per_cell[cell] = (beam, value)
+    neighbors = sorted(strongest_per_cell.items(), key=lambda item: (-item[1][1], item[0]))
+    if len(neighbors) < config.n_neighbor_cells:
+        raise FeatureExtractionError(
+            "insufficient_neighbors", f"need {config.n_neighbor_cells}, sample has {len(neighbors)}"
+        )
+
+    serving = serving[: config.n_serving_beams]
+    fields = [(f"serving_beam_id_{r + 1}", "beam", beam) for r, (beam, _) in enumerate(serving)]
+    fields += [(f"serving_rsrp_{r + 1}", None, value) for r, (_, value) in enumerate(serving)]
+    if config.include_serving_cell_id:
+        fields.append(("serving_cell_id", "cell", sample.serving_cell))
+    for r, (cell, (beam, value)) in enumerate(neighbors[: config.n_neighbor_cells]):
+        fields += [
+            (f"neighbor{r + 1}_cell_id", "cell", cell),
+            (f"neighbor{r + 1}_beam_id", "beam", beam),
+            (f"neighbor{r + 1}_rsrp", None, value),
+        ]
+    values = []
+    for name, kind, value in fields:
+        if kind is None or config.id_encoding == "numeric":
+            values.append(float(value))
+            continue
+        width = config.one_hot_beams if kind == "beam" else config.one_hot_cells
+        if not 0 <= value < width:
+            raise ValueError(f"{name}={value} outside one-hot cardinality {width}")
+        values += [float(k == value) for k in range(width)]
+    return np.array(values)

@@ -43,7 +43,7 @@ from beamloc.propagation import PropagationConfig, line_of_sight
 from beamloc.scenario import Building, ScenarioConfig, build_scenario
 
 from conftest import record_criterion
-from oracles import brute_force_best_split, dense_los_oracle
+from oracles import brute_force_best_split, dense_los_oracle, table_from_samples
 from test_mlp import finite_difference_grads
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -270,8 +270,9 @@ def test_criterion_11_feature_vector_lengths():
         serving_cell=0,
         los_to_serving=True,
     )
-    nine = extract_features(sample, FeatureConfig(n_serving_beams=4, n_neighbor_cells=0))
-    thirteen = extract_features(sample, FeatureConfig(n_serving_beams=3, n_neighbor_cells=2))
-    ok = len(nine.values) == 9 and len(thirteen.values) == 13
-    record_criterion(11, f"feature vectors have {len(nine.values)} and {len(thirteen.values)} entries", ok)
+    table = table_from_samples([sample])
+    nine, _, _ = extract_features(table, FeatureConfig(n_serving_beams=4, n_neighbor_cells=0))
+    thirteen, _, _ = extract_features(table, FeatureConfig(n_serving_beams=3, n_neighbor_cells=2))
+    ok = nine.shape == (1, 9) and thirteen.shape == (1, 13)
+    record_criterion(11, f"feature vectors have {nine.shape[1]} and {thirteen.shape[1]} entries", ok)
     assert ok

@@ -193,13 +193,15 @@ def test_cmd_run_no_experiments_exits_2(capsys, tmp_path):
         (lambda doc: doc["dataset"].update(min_cell_size=True), r"dataset: min_cell_size must be a positive int"),
         (lambda doc: doc["experiments"][0].update(hidden_layers=[True]),
          r"experiments\[tree\]: hidden_layers must be a list of ints"),
+        (lambda doc: doc["experiments"][0].update(hidden_layers=[64, 0]),
+         r"experiments\[tree\]: hidden_layers widths must be >= 1, got \[64, 0\]"),
         (lambda doc: doc["experiments"][0].update(seed=True), r"experiments\[tree\]: seed must be an int"),
         (lambda doc: doc["experiments"][0].update(seed=1.7), r"experiments\[tree\]: seed must be an int"),
         (lambda doc: doc["experiments"][0]["features"].update(n_serving_beams=True),
          r"experiments\[tree\].features: n_serving_beams must be an int"),
     ],
-    ids=["top-seed", "min-cell-size", "hidden-layers", "experiment-seed-bool", "experiment-seed-float",
-         "dataclass-int-field"],
+    ids=["top-seed", "min-cell-size", "hidden-layers", "hidden-layers-zero", "experiment-seed-bool",
+         "experiment-seed-float", "dataclass-int-field"],
 )
 def test_config_rejects_bool_and_float_for_int(tmp_path, edit, message):
     doc = base_doc(str(tmp_path / "out"))
@@ -221,9 +223,14 @@ def test_config_rejects_bool_and_float_for_int(tmp_path, edit, message):
         ({"sectors_per_site": 2.5}, r"scenario: sectors_per_site must be an int, got float"),
         ({"beams_per_sector": "8"}, r"scenario: beams_per_sector must be an int, got str"),
         ({"site_rows": None}, r"scenario: site_rows must be an int, got NoneType"),
+        ({"elevation_steers_deg": ["a"]}, r"scenario: elevation_steers_deg must be a list of numbers, got \['a'\]"),
+        ({"azimuth_beamwidth_deg": 0}, r"scenario: azimuth_beamwidth_deg must lie in \(0, 180\) degrees, got 0"),
+        ({"elevation_beamwidth_deg": 200},
+         r"scenario: elevation_beamwidth_deg must lie in \(0, 180\) degrees, got 200"),
     ],
     ids=["carrier-zero", "carrier-nan", "no-sectors", "no-beams", "no-elevation-rows", "rows-do-not-divide",
-         "sectors-float", "beams-str", "site-rows-null"],
+         "sectors-float", "beams-str", "site-rows-null", "steer-str", "azimuth-beamwidth-zero",
+         "elevation-beamwidth-200"],
 )
 def test_dataset_rejects_unbuildable_scenario_exits_2(capsys, tmp_path, scenario, message):
     out = tmp_path / "out"

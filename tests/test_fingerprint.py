@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from beamloc.fingerprint import (
     Dataset,
     FeatureConfig,
-    FeatureExtractionError,
     FingerprintSample,
     build_dataset,
     extract_features,
@@ -15,14 +16,21 @@ from beamloc.fingerprint import (
     normalize,
     partition_by_cell,
     save_dataset,
-    select_serving,
 )
 from beamloc.propagation import PropagationConfig
 from beamloc.scenario import Beam, Scenario, ScenarioConfig, Sector, Site, build_scenario, enumerate_locations
+from oracles import select_serving, table_from_samples
 
 
 def _sample(rsrp, location=(0.0, 0.0), los=True):
     return FingerprintSample(location=location, rsrp=rsrp, serving_cell=select_serving(rsrp), los_to_serving=los)
+
+
+def _row_features(sample, config):
+    """`extract_features` on a one-row table whose row fills the layout."""
+    features, kept, dropped = extract_features(table_from_samples([sample]), config)
+    assert kept.tolist() == [0] and dropped == {}
+    return features[0]
 
 
 def _rich_sample(rng, n_cells=4, n_beams=6, location=(0.0, 0.0)):
@@ -99,12 +107,12 @@ def test_filter_los():
         FingerprintSample(s.location, s.rsrp, s.serving_cell, los)
         for s, los in zip(samples, [True, False, True, True, False, False])
     ]
-    kept = filter_los(flagged)
+    kept = filter_los(table_from_samples(flagged))
     assert len(kept) == 3
-    assert all(s.los_to_serving for s in kept)
-    assert filter_los([]) == []
+    assert list(kept) == [s for s in flagged if s.los_to_serving]
+    assert len(filter_los(table_from_samples([]))) == 0
     all_los = [FingerprintSample(s.location, s.rsrp, s.serving_cell, True) for s in samples]
-    assert filter_los(all_los) == all_los
+    assert list(filter_los(table_from_samples(all_los))) == all_los
 
 
 def test_feature_lengths():
@@ -116,28 +124,33 @@ def test_feature_lengths():
         (FeatureConfig(n_serving_beams=3, n_neighbor_cells=0, include_serving_cell_id=False), 6),
     ]
     for config, expected in cases:
-        fv = extract_features(sample, config)
-        assert len(fv.values) == expected
-        assert len(fv.layout) == expected
-        assert fv.layout == extract_features_layout(config)
+        assert len(_row_features(sample, config)) == expected
+        assert len(extract_features_layout(config)) == expected
 
 
 def test_feature_length_formula_property():
     rng = np.random.default_rng(2)
     sample = _rich_sample(rng, n_cells=5, n_beams=8)
+    cells, beams = 7, 9  # one-hot widths, above every cell and beam id in the sample
     for ns in (1, 2, 3, 4, 8):
         for nn in (0, 1, 2, 4):
             for with_id in (True, False):
-                config = FeatureConfig(n_serving_beams=ns, n_neighbor_cells=nn, include_serving_cell_id=with_id)
-                fv = extract_features(sample, config)
-                assert len(fv.values) == 2 * ns + int(with_id) + 3 * nn
+                numeric = FeatureConfig(n_serving_beams=ns, n_neighbor_cells=nn, include_serving_cell_id=with_id)
+                one_hot = dataclasses.replace(numeric, id_encoding="one_hot", one_hot_cells=cells,
+                                              one_hot_beams=beams)
+                for config, length in (
+                    (numeric, 2 * ns + int(with_id) + 3 * nn),
+                    (one_hot, ns * (beams + 1) + int(with_id) * cells + nn * (cells + beams + 1)),
+                ):
+                    assert len(_row_features(sample, config)) == length
+                    assert len(extract_features_layout(config)) == length
 
 
 def test_serving_beams_sorted_and_tie_broken():
     rsrp = {(0, 4): -70.0, (0, 1): -65.0, (0, 3): -70.0, (0, 2): -80.0, (1, 0): -90.0}
-    fv = extract_features(_sample(rsrp), FeatureConfig(n_serving_beams=4, include_serving_cell_id=False))
-    assert fv.values[:4].tolist() == [1.0, 3.0, 4.0, 2.0]  # -65, then -70 tie by id, then -80
-    rsrps = fv.values[4:8]
+    values = _row_features(_sample(rsrp), FeatureConfig(n_serving_beams=4, include_serving_cell_id=False))
+    assert values[:4].tolist() == [1.0, 3.0, 4.0, 2.0]  # -65, then -70 tie by id, then -80
+    rsrps = values[4:8]
     assert all(a >= b for a, b in zip(rsrps, rsrps[1:]))
 
 
@@ -149,25 +162,32 @@ def test_neighbor_selection_and_ranking():
         (1, 2): -71.0,                     # ties cell 2's best; lower cell id ranks first
     }
     config = FeatureConfig(n_serving_beams=1, n_neighbor_cells=3, include_serving_cell_id=True)
-    fv = extract_features(_sample(rsrp), config)
-    assert fv.values.tolist() == [0.0, -60.0, 5.0, 7.0, 3.0, -68.0, 1.0, 2.0, -71.0, 2.0, 6.0, -71.0]
+    values = _row_features(_sample(rsrp), config)
+    assert values.tolist() == [0.0, -60.0, 5.0, 7.0, 3.0, -68.0, 1.0, 2.0, -71.0, 2.0, 6.0, -71.0]
 
 
 def test_neighbor_beam_tie_prefers_lower_beam_id():
     rsrp = {(0, 0): -50.0, (3, 8): -70.0, (3, 2): -70.0}
-    fv = extract_features(_sample(rsrp), FeatureConfig(n_serving_beams=1, n_neighbor_cells=1,
-                                                       include_serving_cell_id=False))
-    assert fv.values.tolist() == [0.0, -50.0, 3.0, 2.0, -70.0]
+    values = _row_features(_sample(rsrp), FeatureConfig(n_serving_beams=1, n_neighbor_cells=1,
+                                                        include_serving_cell_id=False))
+    assert values.tolist() == [0.0, -50.0, 3.0, 2.0, -70.0]
 
 
 def test_extract_features_error_reasons():
-    rsrp = {(0, 0): -60.0, (0, 1): -70.0}
-    with pytest.raises(FeatureExtractionError) as exc:
-        extract_features(_sample(rsrp), FeatureConfig(n_serving_beams=3))
-    assert exc.value.reason == "insufficient_serving_beams"
-    with pytest.raises(FeatureExtractionError) as exc:
-        extract_features(_sample(rsrp), FeatureConfig(n_serving_beams=1, n_neighbor_cells=1))
-    assert exc.value.reason == "insufficient_neighbors"
+    rows = [
+        _rich_sample(np.random.default_rng(5)),
+        _sample({(0, 0): -60.0, (0, 1): -70.0}),  # no neighbor cell
+        _sample({(0, 0): -60.0}),  # one serving beam and no neighbor: counted once, as serving
+    ]
+    config = FeatureConfig(n_serving_beams=2, n_neighbor_cells=1)
+    features, kept, dropped = extract_features(table_from_samples(rows), config)
+    assert features.shape == (1, len(extract_features_layout(config)))
+    assert kept.tolist() == [0]
+    assert dropped == {"insufficient_neighbors": 1, "insufficient_serving_beams": 1}
+    features, kept, dropped = extract_features(table_from_samples(rows[1:]), FeatureConfig(n_serving_beams=3))
+    assert features.shape == (0, 7)
+    assert kept.tolist() == []
+    assert dropped == {"insufficient_serving_beams": 2}
 
 
 def test_rsrp_shift_moves_only_rsrp_features():
@@ -175,9 +195,9 @@ def test_rsrp_shift_moves_only_rsrp_features():
     sample = _rich_sample(rng)
     config = FeatureConfig(n_serving_beams=3, n_neighbor_cells=2)
     shifted = _sample({k: v + 7.5 for k, v in sample.rsrp.items()})
-    a = extract_features(sample, config)
-    b = extract_features(shifted, config)
-    for name, va, vb in zip(a.layout, a.values, b.values):
+    a = _row_features(sample, config)
+    b = _row_features(shifted, config)
+    for name, va, vb in zip(extract_features_layout(config), a, b):
         if "rsrp" in name:
             assert vb - va == pytest.approx(7.5, abs=1e-12)
         else:
@@ -187,24 +207,27 @@ def test_rsrp_shift_moves_only_rsrp_features():
 def test_neighbor_ids_distinct_and_not_serving():
     rng = np.random.default_rng(4)
     config = FeatureConfig(n_serving_beams=2, n_neighbor_cells=3)
-    for _ in range(50):
-        sample = _rich_sample(rng, n_cells=6, n_beams=4)
-        fv = extract_features(sample, config)
-        ids = [fv.values[i] for i, name in enumerate(fv.layout) if name.endswith("cell_id") and "neighbor" in name]
+    table = table_from_samples(_rich_sample(rng, n_cells=6, n_beams=4) for _ in range(50))
+    features, kept, _ = extract_features(table, config)
+    assert kept.tolist() == list(range(50))
+    columns = [i for i, name in enumerate(extract_features_layout(config)) if name.startswith("neighbor")
+               and name.endswith("cell_id")]
+    for row, serving in zip(features, table.serving_cell):
+        ids = row[columns].tolist()
         assert len(set(ids)) == len(ids)
-        assert sample.serving_cell not in ids
+        assert serving not in ids
 
 
 def test_one_hot_encoding():
     rsrp = {(0, 0): -50.0, (2, 1): -70.0}
     config = FeatureConfig(n_serving_beams=1, n_neighbor_cells=1, include_serving_cell_id=True,
                            id_encoding="one_hot", one_hot_cells=3, one_hot_beams=2)
-    fv = extract_features(_sample(rsrp), config)
+    values = _row_features(_sample(rsrp), config)
     # beam one-hot(2) + rsrp + cell one-hot(3) + neighbor cell(3) + beam(2) + rsrp
-    assert len(fv.values) == 2 + 1 + 3 + 3 + 2 + 1
-    assert fv.values[:2].tolist() == [1.0, 0.0]
-    assert fv.values[3:6].tolist() == [1.0, 0.0, 0.0]
-    assert fv.values[6:9].tolist() == [0.0, 0.0, 1.0]
+    assert len(values) == 2 + 1 + 3 + 3 + 2 + 1
+    assert values[:2].tolist() == [1.0, 0.0]
+    assert values[3:6].tolist() == [1.0, 0.0, 0.0]
+    assert values[6:9].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_one_hot_requires_cardinalities():
@@ -214,10 +237,10 @@ def test_one_hot_requires_cardinalities():
 
 def _synthetic_samples(n, seed=0):
     rng = np.random.default_rng(seed)
-    return [
+    return table_from_samples(
         _rich_sample(rng, location=(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))))
         for _ in range(n)
-    ]
+    )
 
 
 def test_build_dataset_split_sizes():
@@ -247,7 +270,7 @@ def test_build_dataset_counts_dropped():
     rng = np.random.default_rng(6)
     good = [_rich_sample(rng) for _ in range(12)]
     poor = [_sample({(0, 0): -60.0}) for _ in range(3)]  # one beam only
-    dataset = build_dataset(good + poor, FeatureConfig(n_serving_beams=3), seed=0)
+    dataset = build_dataset(table_from_samples(good + poor), FeatureConfig(n_serving_beams=3), seed=0)
     assert dataset.n_samples == 12
     assert dataset.provenance["dropped"] == {"insufficient_serving_beams": 3}
 
@@ -284,7 +307,8 @@ def test_normalize_constant_column():
         rsrp = {(0, 0): float(rng.uniform(-80, -60)), (0, 1): float(rng.uniform(-90, -81))}
         samples.append(_sample(rsrp))
     # serving_beam_id_1 is always 0 -> constant column
-    dataset = build_dataset(samples, FeatureConfig(n_serving_beams=2, include_serving_cell_id=True), seed=0)
+    dataset = build_dataset(table_from_samples(samples), FeatureConfig(n_serving_beams=2, include_serving_cell_id=True),
+                            seed=0)
     col = dataset.layout.index("serving_beam_id_1")
     assert dataset.std[col] == 0.0
     normalized = normalize(dataset, dataset.features)
@@ -311,7 +335,7 @@ def test_partition_by_cell_sizes_and_layout():
     sizes = {cell: ds.n_samples for cell, ds in parts.items()}
     from collections import Counter
 
-    by_cell = Counter(s.serving_cell for s in samples)
+    by_cell = Counter(samples.serving_cell.tolist())
     skipped = sum(v for cell, v in by_cell.items() if cell not in sizes)
     assert sum(sizes.values()) == len(samples) - skipped
     for ds in parts.values():
@@ -322,7 +346,7 @@ def test_partition_by_cell_min_size_skips():
     samples = _synthetic_samples(60, seed=9)
     from collections import Counter
 
-    by_cell = Counter(s.serving_cell for s in samples)
+    by_cell = Counter(samples.serving_cell.tolist())
     threshold = max(by_cell.values())  # only the largest group survives
     parts = partition_by_cell(samples, FeatureConfig(), min_size=threshold)
     assert len(parts) == sum(1 for v in by_cell.values() if v >= threshold)

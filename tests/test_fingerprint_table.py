@@ -1,11 +1,12 @@
-"""The columnar fingerprint table against the single-row path.
+"""The columnar fingerprint table against the per-row reference.
 
-`build_dataset` and `partition_by_cell` build every feature matrix from a
-`FingerprintTable` in one vectorized pass; `extract_features` ranks one
-sample's RSRP dict in Python. The property test feeds both the same random
-sparse fingerprints, with RSRP ties forced within and across cells, and
-requires bit-identical features, the same kept rows and the same drop
-counts for every feature layout.
+`extract_features` builds every feature matrix from a `FingerprintTable` in
+one vectorized pass; `reference_extract_features` (tests/oracles.py) ranks
+one sample's RSRP dict in Python. The property test feeds both the same
+random sparse fingerprints, with RSRP ties forced within and across cells,
+and requires bit-identical features, the same kept rows, the same drop
+counts and the same one-hot error for every feature layout, on tables built
+by `FingerprintTable.from_grid` and by `table_from_samples`.
 """
 import dataclasses
 import pickle
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 
 from beamloc.fingerprint import (
     FeatureConfig,
-    FeatureExtractionError,
     FingerprintSample,
     FingerprintTable,
     build_dataset,
@@ -26,10 +26,10 @@ from beamloc.fingerprint import (
     filter_los,
     generate_samples,
     partition_by_cell,
-    select_serving,
 )
 from beamloc.propagation import BeamRef, PropagationConfig, RsrpGrid
 from beamloc.scenario import ScenarioConfig, build_scenario
+from oracles import FeatureExtractionError, reference_extract_features, select_serving, table_from_samples
 
 CELLS = (0, 2, 3, 7)  # not contiguous, so cell ids are not column positions
 BEAMS = 5
@@ -100,37 +100,40 @@ def _samples(rsrp, site_los):
 
 
 def _per_row(samples, config):
-    """(features, kept row labels, drop counts, first encoding error) via extract_features."""
-    rows, labels, dropped = [], [], {}
-    for sample in samples:
+    """(feature rows, kept sample positions, drop counts, first encoding error) via the reference."""
+    rows, kept, dropped = [], [], {}
+    for i, sample in enumerate(samples):
         try:
-            fv = extract_features(sample, config)
+            rows.append(reference_extract_features(sample, config))
         except FeatureExtractionError as err:
             dropped[err.reason] = dropped.get(err.reason, 0) + 1
             continue
         except ValueError as err:
             return None, None, None, str(err)
-        rows.append(fv.values)
-        labels.append(sample.location)
-    return rows, labels, dropped, None
+        kept.append(i)
+    return rows, kept, dropped, None
 
 
 def _assert_paths_agree(table, samples, config):
-    rows, labels, dropped, error = _per_row(samples, config)
+    rows, kept, dropped, error = _per_row(samples, config)
     if error is not None:
         with pytest.raises(ValueError) as exc:
-            build_dataset(table, config, seed=0)
+            extract_features(table, config)
         assert str(exc.value) == error
         return
-    if len(rows) < 10:
+    features, table_kept, table_dropped = extract_features(table, config)
+    expected = np.vstack(rows) if rows else np.zeros((0, len(extract_features_layout(config))))
+    assert features.shape == expected.shape
+    assert features.tobytes() == expected.tobytes()
+    assert table_kept.tolist() == kept
+    assert table_dropped == dropped
+    if len(kept) < 10:
         with pytest.raises(ValueError, match="at least 10"):
             build_dataset(table, config, seed=0)
         return
     dataset = build_dataset(table, config, seed=0)
-    expected = np.vstack(rows)
-    assert dataset.features.shape == expected.shape
     assert dataset.features.tobytes() == expected.tobytes()
-    assert dataset.labels.tolist() == [list(label) for label in labels]
+    assert dataset.labels.tolist() == [list(samples[i].location) for i in kept]
     assert dataset.provenance["dropped"] == dropped
     assert dataset.layout == extract_features_layout(config)
 
@@ -147,7 +150,7 @@ def test_table_and_per_row_paths_agree(data, column_seed):
     assert generated.serving_cell.tolist() == [s.serving_cell for s in samples]
     assert generated.los.tolist() == [s.los_to_serving for s in samples]
     assert list(generated) == samples
-    stacked = FingerprintTable.from_samples(samples)
+    stacked = table_from_samples(samples)
     assert stacked.serving_cell.tolist() == [s.serving_cell for s in samples]
     for config in FEATURE_CONFIGS + NARROW_ONE_HOT:
         _assert_paths_agree(generated, samples, config)
@@ -165,29 +168,24 @@ def test_partition_by_cell_matches_per_row_groups(data):
     groups = {cell: [s for s in samples if s.serving_cell == cell] for cell in {s.serving_cell for s in samples}}
     assert sorted(parts) == sorted(cell for cell, members in groups.items() if len(members) >= 10)
     for cell, dataset in parts.items():
-        rows, labels, _, _ = _per_row(groups[cell], dataclasses.replace(config, include_serving_cell_id=False))
+        rows, kept, _, _ = _per_row(groups[cell], dataclasses.replace(config, include_serving_cell_id=False))
         assert dataset.features.tobytes() == np.vstack(rows).tobytes()
-        assert dataset.labels.tolist() == [list(label) for label in labels]
+        assert dataset.labels.tolist() == [list(groups[cell][i].location) for i in kept]
 
 
 def test_from_samples_keeps_given_serving_cell():
     # the serving cell is the sample's, even where another cell is stronger
     sample = FingerprintSample((1.0, 2.0), {(0, 0): -70.0, (0, 1): -65.0, (4, 3): -50.0}, 0, True)
-    table = FingerprintTable.from_samples([sample])
+    table = table_from_samples([sample])
     assert table.serving_cell.tolist() == [0]
     assert (table.cell_ids[table.serving_col], table.beam_ids[table.serving_col]) == ([0], [1])
     assert table[0] == sample
 
 
 def test_table_rejects_columns_out_of_order():
-    table = FingerprintTable.from_samples([FingerprintSample((0.0, 0.0), {(0, 0): -60.0, (1, 0): -70.0}, 0, True)])
+    table = table_from_samples([FingerprintSample((0.0, 0.0), {(0, 0): -60.0, (1, 0): -70.0}, 0, True)])
     with pytest.raises(ValueError, match="increasing"):
         dataclasses.replace(table, cell_ids=table.cell_ids[::-1].copy())
-
-
-def test_from_samples_rejects_non_finite_rsrp():
-    with pytest.raises(ValueError, match="non-finite"):
-        FingerprintTable.from_samples([FingerprintSample((0.0, 0.0), {(0, 0): float("nan")}, 0, True)])
 
 
 def test_generated_table_is_a_sequence_of_samples():
