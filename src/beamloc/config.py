@@ -56,15 +56,17 @@ def _is_number(value) -> bool:
 
 
 def _build_dataclass(cls, values: dict, section: str, *, defaults=None):
-    """Construct a config dataclass, rejecting unknown keys, anything but an
-    int for ints, anything but an int or float for floats and anything but
-    a list of those for float tuples, by name."""
+    """Construct a config dataclass, rejecting by name unknown keys and any
+    value of the wrong type: ints, optional ints (int or null), floats (int
+    or float) and float tuples (a list of those)."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, value in values.items():
         if key not in fields:
             raise ConfigError(f"{section}: unknown key '{key}'")
         if fields[key].type == "int" and not _is_int(value):
             raise ConfigError(f"{section}: {key} must be an int, got {type(value).__name__}")
+        if fields[key].type == "int | None" and not (value is None or _is_int(value)):
+            raise ConfigError(f"{section}: {key} must be an int or null, got {type(value).__name__}")
         if fields[key].type == "float" and not _is_number(value):
             raise ConfigError(f"{section}: {key} must be a number, got {type(value).__name__}")
         if fields[key].type == "tuple[float, ...]" and not (
@@ -149,6 +151,8 @@ def load_run_config(path: str, seed_override: int | None = None, out_override: s
     if not _is_int(seed):
         raise ConfigError("top level: seed must be an int")
     output_dir = out_override if out_override is not None else doc.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError("top level: output_dir must be a string")
 
     scenario_map = _require_map(doc.get("scenario"), "scenario")
     scenario_defaults = {"seed": derive_seed(seed, "scenario")}

@@ -11,38 +11,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ACTIVATIONS = ("tanh",)
-OUTPUT_ACTIVATIONS = ("linear",)
+OUTPUT_DIM = 2  # the (x, y) position
 
 
 @dataclass(frozen=True)
 class MlpArchitecture:
     input_dim: int
     hidden_layers: tuple[int, ...] = (64,)
-    output_dim: int = 2
-    hidden_activation: str = "tanh"
-    output_activation: str = "linear"
 
     def __post_init__(self):
         if isinstance(self.hidden_layers, list):
             object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim and output_dim must be >= 1")
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
         if any(w < 1 for w in self.hidden_layers):
             raise ValueError("hidden layer widths must be >= 1")
-        if self.hidden_activation not in ACTIVATIONS:
-            raise ValueError(f"unsupported hidden activation {self.hidden_activation!r}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unsupported output activation {self.output_activation!r}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden_layers, self.output_dim)
+        return (self.input_dim, *self.hidden_layers, OUTPUT_DIM)
+
+    @property
+    def param_count(self) -> int:
+        dims = self.layer_dims
+        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
 
 
-def _param_views(buffer: np.ndarray, dims: tuple[int, ...]):
+def _param_views(buffer: np.ndarray, arch: MlpArchitecture):
     """Per-layer (weights, biases) views into one flat buffer: every weight
     matrix in layer order, then every bias vector."""
+    dims = arch.layer_dims
+    if buffer.shape != (arch.param_count,):
+        raise ValueError(f"parameter buffer shape {buffer.shape} does not match layer dims {dims}")
     weights, biases, offset = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weights.append(buffer[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
@@ -50,37 +50,23 @@ def _param_views(buffer: np.ndarray, dims: tuple[int, ...]):
     for fan_out in dims[1:]:
         biases.append(buffer[offset : offset + fan_out])
         offset += fan_out
-    return weights, biases
+    return tuple(weights), tuple(biases)
 
 
 @dataclass
 class MlpModel:
-    """Weights and biases are views into `params`, one flat float64 buffer.
-
-    Construction copies the given arrays into that buffer; writing into a
-    view (`model.weights[i][...] = ...`) changes the model. `train` packs
-    again on entry, so rebinding a list entry is picked up there.
-    """
+    """The model is `params`, one flat float64 buffer. `weights` and `biases`
+    are views into it: `model.weights[i][...] = ...` changes the model."""
 
     architecture: MlpArchitecture
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
     training_log: list[float] = field(default_factory=list)
-    params: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.pack()
-
-    def pack(self) -> None:
-        """Copy every weight and bias into a fresh flat buffer and rebind
-        `weights`/`biases` as views into it."""
-        dims = self.architecture.layer_dims
-        shapes = [(a, b) for a, b in zip(dims[:-1], dims[1:])] + [(b,) for b in dims[1:]]
-        given = [np.asarray(p, dtype=float) for p in list(self.weights) + list(self.biases)]
-        if [p.shape for p in given] != shapes:
-            raise ValueError(f"parameter shapes {[p.shape for p in given]} do not match layer dims {dims}")
-        self.params = np.concatenate([p.ravel() for p in given])
-        self.weights, self.biases = _param_views(self.params, dims)
+        self.params = np.ascontiguousarray(self.params, dtype=float)
+        self.weights, self.biases = _param_views(self.params, self.architecture)
 
 
 @dataclass(frozen=True)
@@ -116,13 +102,11 @@ class TrainConfig:
 def init_model(arch: MlpArchitecture, seed: int = 0) -> MlpModel:
     """Symmetric scaled-uniform weights, scale 1/sqrt(fan_in); zero biases."""
     rng = np.random.default_rng(seed)
-    dims = arch.layer_dims
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        scale = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-scale, scale, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(architecture=arch, weights=weights, biases=biases)
+    model = MlpModel(arch, np.zeros(arch.param_count))
+    for weight in model.weights:
+        scale = 1.0 / np.sqrt(weight.shape[0])
+        weight[...] = rng.uniform(-scale, scale, size=weight.shape)
+    return model
 
 
 def _check_batch(model: MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -178,7 +162,7 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray, out: np.nda
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     if out is None:
         out = np.empty(model.params.size)
-    weight_grads, bias_grads = _param_views(out, model.architecture.layer_dims)
+    weight_grads, bias_grads = _param_views(out, model.architecture)
 
     delta = np.subtract(pred, target, out=pred)
     delta *= 2.0
@@ -222,7 +206,6 @@ def train(model: MlpModel, features: np.ndarray, labels: np.ndarray, config: Tra
     _require_finite("labels", labels)
 
     rng = np.random.default_rng(config.seed)
-    model.pack()
     params = model.params
     grad, m_state, v_state = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
     step_buf, denom = np.empty_like(params), np.empty_like(params)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import segment_rect_crossing, wrap_deg
-from .scenario import Beam, Scenario, Sector, Site
+from .scenario import Beam, Scenario, Sector, Site, check_finite_fields
 from .seeds import derive_seed
 
 DEFAULT_UE_HEIGHT = 1.5
@@ -43,6 +43,7 @@ class PropagationConfig:
             raise ValueError(f"unknown propagation model {self.model!r}, expected one of {PROPAGATION_MODELS}")
         if self.shadow_fading_sigma < 0:
             raise ValueError("shadow_fading_sigma must be >= 0")
+        check_finite_fields(self)
 
 
 def _blocked_mask(p: tuple[float, float, float], targets: np.ndarray, target_height: float, buildings) -> np.ndarray:

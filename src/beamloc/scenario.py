@@ -147,6 +147,15 @@ class ScenarioConfig:
                 raise ValueError(f"{key} must lie in (0, 180) degrees, got {getattr(self, key)}")
         if not (math.isfinite(self.carrier_frequency_ghz) and self.carrier_frequency_ghz > 0):
             raise ValueError(f"carrier_frequency_ghz must be finite and > 0, got {self.carrier_frequency_ghz}")
+        check_finite_fields(self)
+
+
+def check_finite_fields(config) -> None:
+    """Reject a non-finite float or float-tuple entry of a config dataclass by name."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("float", "tuple[float, ...]") and not np.isfinite(value).all():
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def synthesize_beam_grid(
@@ -311,55 +320,17 @@ def enumerate_locations(scenario: Scenario) -> np.ndarray:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """JSON-ready export of the full scenario for inspection or plotting."""
-    return {
-        "area": list(scenario.area),
-        "carrier_frequency_ghz": scenario.carrier_frequency,
-        "grid_resolution_m": scenario.grid_resolution,
-        "rng_seed": scenario.rng_seed,
-        "buildings": [
-            {"min_corner": list(b.min_corner), "max_corner": list(b.max_corner), "height": b.height}
-            for b in scenario.buildings
-        ],
-        "sites": [
-            {
-                "id": site.id,
-                "position": list(site.position),
-                "height": site.height,
-                "sectors": [
-                    {
-                        "cell_id": sec.cell_id,
-                        "boresight_azimuth": sec.boresight_azimuth,
-                        "mechanical_downtilt": sec.mechanical_downtilt,
-                        "tx_power": sec.tx_power,
-                        "beams": [
-                            {
-                                "beam_id": beam.beam_id,
-                                "steer_azimuth": beam.steer_azimuth,
-                                "steer_elevation": beam.steer_elevation,
-                                "azimuth_beamwidth": beam.azimuth_beamwidth,
-                                "elevation_beamwidth": beam.elevation_beamwidth,
-                                "element_gain": beam.element_gain,
-                                "front_to_back": beam.front_to_back,
-                                "array_gain": beam.array_gain,
-                            }
-                            for beam in sec.beams
-                        ],
-                    }
-                    for sec in site.sectors
-                ],
-            }
-            for site in scenario.sites
-        ],
-    }
+    doc = dataclasses.asdict(scenario)
+    doc["carrier_frequency_ghz"] = doc.pop("carrier_frequency")
+    doc["grid_resolution_m"] = doc.pop("grid_resolution")
+    return doc
 
 
 def scenario_summary(scenario: Scenario) -> dict:
-    n_cells = sum(len(site.sectors) for site in scenario.sites)
-    n_beams = sum(len(sec.beams) for site in scenario.sites for sec in site.sectors)
     return {
         "sites": len(scenario.sites),
-        "cells": n_cells,
-        "beams": n_beams,
+        "cells": len(scenario.cells),
+        "beams": sum(len(cell.beams) for cell in scenario.cells),
         "buildings": len(scenario.buildings),
         "area_m": list(scenario.area),
         "grid_resolution_m": scenario.grid_resolution,

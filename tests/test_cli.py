@@ -97,6 +97,16 @@ def test_cmd_scenario_writes_summary_and_json(capsys, tmp_path):
     assert "sites: 1" in out
     doc = json.loads((tmp_path / "out" / "scenario.json").read_text())
     assert len(doc["sites"]) == 1
+    assert set(doc) == {"area", "buildings", "carrier_frequency_ghz", "grid_resolution_m", "rng_seed", "sites"}
+    assert set(doc["buildings"][0]) == {"min_corner", "max_corner", "height"}
+    site = doc["sites"][0]
+    assert set(site) == {"id", "position", "height", "sectors"}
+    sector = site["sectors"][0]
+    assert set(sector) == {"cell_id", "boresight_azimuth", "mechanical_downtilt", "tx_power", "beams"}
+    assert set(sector["beams"][0]) == {
+        "beam_id", "steer_azimuth", "steer_elevation", "azimuth_beamwidth", "elevation_beamwidth",
+        "element_gain", "front_to_back", "array_gain",
+    }
 
 
 def test_cmd_scenario_dry_run_writes_nothing(capsys, tmp_path):
@@ -199,9 +209,14 @@ def test_cmd_run_no_experiments_exits_2(capsys, tmp_path):
         (lambda doc: doc["experiments"][0].update(seed=1.7), r"experiments\[tree\]: seed must be an int"),
         (lambda doc: doc["experiments"][0]["features"].update(n_serving_beams=True),
          r"experiments\[tree\].features: n_serving_beams must be an int"),
+        (lambda doc: doc["experiments"][0].update(tree={"max_depth": True}),
+         r"experiments\[tree\].tree: max_depth must be an int or null, got bool"),
+        (lambda doc: doc["experiments"][0].update(tree={"max_depth": 1.5}),
+         r"experiments\[tree\].tree: max_depth must be an int or null, got float"),
+        (lambda doc: doc.update(output_dir=5), r"top level: output_dir must be a string"),
     ],
     ids=["top-seed", "min-cell-size", "hidden-layers", "hidden-layers-zero", "experiment-seed-bool",
-         "experiment-seed-float", "dataclass-int-field"],
+         "experiment-seed-float", "dataclass-int-field", "max-depth-bool", "max-depth-float", "output-dir-int"],
 )
 def test_config_rejects_bool_and_float_for_int(tmp_path, edit, message):
     doc = base_doc(str(tmp_path / "out"))
@@ -227,10 +242,14 @@ def test_config_rejects_bool_and_float_for_int(tmp_path, edit, message):
         ({"azimuth_beamwidth_deg": 0}, r"scenario: azimuth_beamwidth_deg must lie in \(0, 180\) degrees, got 0"),
         ({"elevation_beamwidth_deg": 200},
          r"scenario: elevation_beamwidth_deg must lie in \(0, 180\) degrees, got 200"),
+        ({"tx_power_dbm": float("nan")}, r"scenario: tx_power_dbm must be finite, got nan"),
+        ({"margin_m": float("inf")}, r"scenario: margin_m must be finite, got inf"),
+        ({"elevation_steers_deg": [-6.0, float("-inf")], "beams_per_sector": 2},
+         r"scenario: elevation_steers_deg must be finite, got \(-6.0, -inf\)"),
     ],
     ids=["carrier-zero", "carrier-nan", "no-sectors", "no-beams", "no-elevation-rows", "rows-do-not-divide",
          "sectors-float", "beams-str", "site-rows-null", "steer-str", "azimuth-beamwidth-zero",
-         "elevation-beamwidth-200"],
+         "elevation-beamwidth-200", "tx-power-nan", "margin-inf", "steer-inf"],
 )
 def test_dataset_rejects_unbuildable_scenario_exits_2(capsys, tmp_path, scenario, message):
     out = tmp_path / "out"
@@ -311,9 +330,13 @@ def _mlp_arm(train):
          r"experiments\[net\].train: epsilon must be > 0"),
         (lambda doc: doc["experiments"].append(_mlp_arm({"min_delta": float("inf")})),
          r"experiments\[net\].train: min_delta must be finite and >= 0"),
+        (lambda doc: doc.update(propagation={"shadow_fading_sigma": float("nan")}),
+         r"propagation: shadow_fading_sigma must be finite, got nan"),
+        (lambda doc: doc.update(propagation={"ue_height": float("inf")}),
+         r"propagation: ue_height must be finite, got inf"),
     ],
     ids=["float-bool", "float-str", "float-none", "lr-nan", "lr-negative", "beta1", "beta2", "epsilon",
-         "min-delta"],
+         "min-delta", "shadow-sigma-nan", "ue-height-inf"],
 )
 def test_config_rejects_bad_float_fields(tmp_path, edit, message):
     doc = base_doc(str(tmp_path / "out"))

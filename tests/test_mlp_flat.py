@@ -116,26 +116,31 @@ def test_weight_views_write_through_to_forward():
     assert np.array_equal(forward(model, batch), np.zeros((1, 2)))
 
 
-def test_hand_built_and_loaded_models_are_packed():
+def test_hand_built_model_is_its_buffer():
     arch = MlpArchitecture(2, (3,))
-    weights = [np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(3, 2)]
-    biases = [np.ones(3), np.zeros(2)]
-    model = MlpModel(arch, weights, biases)
-    assert model.params.shape == (6 + 6 + 3 + 2,)
-    assert all(np.shares_memory(p, model.params) for p in model.weights + model.biases)
-    assert not np.shares_memory(model.weights[0], weights[0])
-    assert _bits(model.weights + model.biases) == _bits(weights + biases)
+    params = np.arange(6 + 6 + 3 + 2, dtype=float)
+    model = MlpModel(arch, params)
+    assert model.params is params
+    assert all(np.shares_memory(p, params) for p in model.weights + model.biases)
+    assert _bits(model.weights + model.biases) == _bits(
+        [params[:6].reshape(2, 3), params[6:12].reshape(3, 2), params[12:15], params[15:]]
+    )
 
-    with pytest.raises(ValueError, match="do not match layer dims"):
-        MlpModel(arch, weights[::-1], biases)
+    for size in (16, 18):
+        with pytest.raises(ValueError, match=r"parameter buffer shape \(%d,\) does not match layer dims" % size):
+            MlpModel(arch, np.zeros(size))
+    with pytest.raises(ValueError, match="does not match layer dims"):
+        MlpModel(arch, params.reshape(1, -1))
 
 
-def test_train_picks_up_a_rebound_weight():
+def test_train_starts_from_weights_written_through_a_view():
     rng = np.random.default_rng(5)
     features, labels = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
     config = TrainConfig(batch_size=4, max_epochs=3, learning_rate=0.05, seed=6)
     model = init_model(MlpArchitecture(2, (3,)), seed=7)
-    model.weights[0] = np.full((2, 3), 0.25)
+    with pytest.raises(TypeError):
+        model.weights[0] = np.full((2, 3), 0.25)
+    model.weights[0][...] = 0.25
     ref_weights, ref_biases, ref_log = reference_train(model.weights, model.biases, features, labels, config)
     train(model, features, labels, config)
     assert _bits(model.weights + model.biases) == _bits(ref_weights + ref_biases)
