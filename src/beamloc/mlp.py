@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,11 +28,11 @@ class MlpArchitecture:
         if any(w < 1 for w in self.hidden_layers):
             raise ValueError("hidden layer widths must be >= 1")
 
-    @property
+    @cached_property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_layers, OUTPUT_DIM)
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         dims = self.layer_dims
         return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
@@ -144,15 +145,16 @@ def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     residual = pred - target
     residual **= 2
-    return float(np.mean(residual))
+    # np.mean's own arithmetic, without its Python wrapper
+    return float(np.add.reduce(residual, axis=None) / residual.size)
 
 
-def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray, out: np.ndarray | None = None):
+def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray, out: MlpModel | None = None):
     """Exact gradients of loss_mse(forward(batch), target) w.r.t. all params.
 
-    Returns (weight_grads, bias_grads) shaped like model.weights/model.biases:
-    views into `out`, a flat float64 buffer laid out like `model.params`,
-    or into a fresh one when `out` is None.
+    The gradient is itself a model: `out.params` receives it, and the
+    result is `(out.weights, out.biases)`, the views bound when `out` was
+    built. `out` must share `model`'s architecture; None builds a fresh one.
     """
     batch = _check_batch(model, batch)
     target = np.atleast_2d(np.asarray(target, dtype=float))
@@ -161,15 +163,17 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray, out: np.nda
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     if out is None:
-        out = np.empty(model.params.size)
-    weight_grads, bias_grads = _param_views(out, model.architecture)
+        out = MlpModel(model.architecture, np.empty(model.params.size))
+    elif out.architecture != model.architecture:
+        raise ValueError(f"gradient architecture {out.architecture} does not match model {model.architecture}")
+    weight_grads, bias_grads = out.weights, out.biases
 
     delta = np.subtract(pred, target, out=pred)
     delta *= 2.0
     delta /= pred.size
     for layer in range(len(model.weights) - 1, -1, -1):
         np.matmul(activations[layer].T, delta, out=weight_grads[layer])
-        np.sum(delta, axis=0, out=bias_grads[layer])
+        np.add.reduce(delta, axis=0, out=bias_grads[layer])
         if layer > 0:
             # (delta @ W.T) * (1 - a**2), with the hidden activation reused
             # as scratch once its weight gradient is taken
@@ -207,7 +211,8 @@ def train(model: MlpModel, features: np.ndarray, labels: np.ndarray, config: Tra
 
     rng = np.random.default_rng(config.seed)
     params = model.params
-    grad, m_state, v_state = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
+    grad_model = MlpModel(model.architecture, np.empty_like(params))
+    grad, m_state, v_state = grad_model.params, np.zeros_like(params), np.zeros_like(params)
     step_buf, denom = np.empty_like(params), np.empty_like(params)
     lr, beta1, beta2 = config.learning_rate, config.beta1, config.beta2
     step = 0
@@ -225,7 +230,7 @@ def train(model: MlpModel, features: np.ndarray, labels: np.ndarray, config: Tra
             epoch_features, epoch_labels = features[order], labels[order]
             for start in range(0, len(order), config.batch_size):
                 stop = start + config.batch_size
-                backward(model, epoch_features[start:stop], epoch_labels[start:stop], out=grad)
+                backward(model, epoch_features[start:stop], epoch_labels[start:stop], out=grad_model)
                 step += 1
                 correction1 = 1.0 - beta1**step
                 correction2 = 1.0 - beta2**step

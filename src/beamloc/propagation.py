@@ -43,6 +43,10 @@ class PropagationConfig:
             raise ValueError(f"unknown propagation model {self.model!r}, expected one of {PROPAGATION_MODELS}")
         if self.shadow_fading_sigma < 0:
             raise ValueError("shadow_fading_sigma must be >= 0")
+        if self.nlos_extra_loss_exponent < 0:
+            raise ValueError(f"nlos_extra_loss_exponent must be >= 0, got {self.nlos_extra_loss_exponent}")
+        if self.ue_height <= 0:
+            raise ValueError(f"ue_height must be > 0, got {self.ue_height}")
         check_finite_fields(self)
 
 

@@ -130,6 +130,12 @@ class ScenarioConfig:
             raise ValueError("grid_resolution_m must be > 0")
         if self.street_width_m <= 0:
             raise ValueError("street_width_m must be > 0")
+        for key in ("row_spacing_m", "col_spacing_m", "site_height_m", "building_height_m"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
+        # a site exactly on the area edge (margin 0) is still inside the area
+        if self.margin_m < 0:
+            raise ValueError(f"margin_m must be >= 0, got {self.margin_m}")
         if isinstance(self.elevation_steers_deg, list):
             object.__setattr__(self, "elevation_steers_deg", tuple(self.elevation_steers_deg))
         if self.sectors_per_site < 1:

@@ -8,6 +8,7 @@ import yaml
 
 from beamloc.cli import main
 from beamloc.config import ConfigError, load_run_config
+from beamloc.scenario import build_scenario
 
 TINY = os.path.join(os.path.dirname(__file__), "..", "configs", "tiny.yaml")
 MATRIX = os.path.join(os.path.dirname(__file__), "..", "configs", "paper-matrix.yaml")
@@ -246,10 +247,16 @@ def test_config_rejects_bool_and_float_for_int(tmp_path, edit, message):
         ({"margin_m": float("inf")}, r"scenario: margin_m must be finite, got inf"),
         ({"elevation_steers_deg": [-6.0, float("-inf")], "beams_per_sector": 2},
          r"scenario: elevation_steers_deg must be finite, got \(-6.0, -inf\)"),
+        ({"margin_m": -500}, r"scenario: margin_m must be >= 0, got -500"),
+        ({"building_height_m": -1}, r"scenario: building_height_m must be > 0, got -1"),
+        ({"site_height_m": 0}, r"scenario: site_height_m must be > 0, got 0"),
+        ({"row_spacing_m": -50}, r"scenario: row_spacing_m must be > 0, got -50"),
+        ({"col_spacing_m": 0}, r"scenario: col_spacing_m must be > 0, got 0"),
     ],
     ids=["carrier-zero", "carrier-nan", "no-sectors", "no-beams", "no-elevation-rows", "rows-do-not-divide",
          "sectors-float", "beams-str", "site-rows-null", "steer-str", "azimuth-beamwidth-zero",
-         "elevation-beamwidth-200", "tx-power-nan", "margin-inf", "steer-inf"],
+         "elevation-beamwidth-200", "tx-power-nan", "margin-inf", "steer-inf", "margin-negative",
+         "building-height-negative", "site-height-zero", "row-spacing-negative", "col-spacing-zero"],
 )
 def test_dataset_rejects_unbuildable_scenario_exits_2(capsys, tmp_path, scenario, message):
     out = tmp_path / "out"
@@ -258,6 +265,13 @@ def test_dataset_rejects_unbuildable_scenario_exits_2(capsys, tmp_path, scenario
     assert main(["dataset", "--config", write_config(tmp_path, doc)]) == 2
     assert re.search(message, capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_zero_margin_puts_sites_on_the_area_edge(tmp_path):
+    doc = base_doc(str(tmp_path / "out"))
+    doc["scenario"].update(margin_m=0)
+    scenario = build_scenario(load_run_config(write_config(tmp_path, doc)).scenario)
+    assert scenario.sites[0].position == (0.0, 0.0)
 
 
 def test_single_beam_sector_needs_no_elevation_rows(tmp_path):
@@ -334,9 +348,13 @@ def _mlp_arm(train):
          r"propagation: shadow_fading_sigma must be finite, got nan"),
         (lambda doc: doc.update(propagation={"ue_height": float("inf")}),
          r"propagation: ue_height must be finite, got inf"),
+        (lambda doc: doc.update(propagation={"ue_height": -5}),
+         r"propagation: ue_height must be > 0, got -5"),
+        (lambda doc: doc.update(propagation={"nlos_extra_loss_exponent": -50}),
+         r"propagation: nlos_extra_loss_exponent must be >= 0, got -50"),
     ],
     ids=["float-bool", "float-str", "float-none", "lr-nan", "lr-negative", "beta1", "beta2", "epsilon",
-         "min-delta", "shadow-sigma-nan", "ue-height-inf"],
+         "min-delta", "shadow-sigma-nan", "ue-height-inf", "ue-height-negative", "nlos-exponent-negative"],
 )
 def test_config_rejects_bad_float_fields(tmp_path, edit, message):
     doc = base_doc(str(tmp_path / "out"))

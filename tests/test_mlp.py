@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamloc.mlp import (
     MlpArchitecture,
@@ -115,6 +118,19 @@ def test_loss_mse_examples():
     assert loss_mse(np.array([[3.0]]), np.array([[0.0]])) == 9.0
     with pytest.raises(ValueError):
         loss_mse(np.ones((2, 2)), np.ones((3, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 300), cols=st.integers(1, 4), scale=st.sampled_from([1e-3, 1.0, 1e6]),
+       seed=st.integers(0, 2**16))
+@example(rows=1, cols=1, scale=1.0, seed=0)
+@example(rows=65, cols=2, scale=1.0, seed=1)  # 130 elements: past one 128-element pairwise block
+@example(rows=257, cols=3, scale=1e6, seed=2)
+def test_loss_mse_bit_equal_to_np_mean(rows, cols, scale, seed):
+    rng = np.random.default_rng(seed)
+    pred, target = rng.normal(scale=scale, size=(2, rows, cols))
+    expected = float(np.mean((pred - target) ** 2))
+    assert np.float64(loss_mse(pred, target)).tobytes() == np.float64(expected).tobytes()
 
 
 def test_gradients_match_finite_differences():
@@ -244,3 +260,19 @@ def test_architecture_validation():
         MlpArchitecture(input_dim=3, hidden_layers=(0,))
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+def test_architecture_cached_dims_keep_dataclass_semantics():
+    arch = MlpArchitecture(3, (5, 4))
+    fresh = MlpArchitecture(3, (5, 4))
+    assert arch.layer_dims == (3, 5, 4, 2)
+    assert arch.param_count == 3 * 5 + 5 * 4 + 4 * 2 + 5 + 4 + 2
+    assert arch.layer_dims is arch.layer_dims
+    assert arch == fresh and hash(arch) == hash(fresh)
+    assert {arch: 1}[fresh] == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        arch.input_dim = 4
+    wider = dataclasses.replace(arch, hidden_layers=(7,))
+    assert wider == MlpArchitecture(3, (7,)) and wider != arch
+    assert wider.layer_dims == (3, 7, 2)
+    assert wider.param_count == 3 * 7 + 7 * 2 + 7 + 2

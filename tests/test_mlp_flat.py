@@ -74,17 +74,30 @@ def test_train_bit_equal_to_per_parameter_reference(
 
 def test_backward_matches_reference_and_out_buffer():
     rng = np.random.default_rng(1)
-    model = init_model(MlpArchitecture(4, (6, 3)), seed=2)
+    arch = MlpArchitecture(4, (6, 3))
+    model = init_model(arch, seed=2)
     batch, target = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
     ref = reference_backward(model.weights, model.biases, batch, target)
     fresh = backward(model, batch, target)
-    out = np.full(model.params.size, np.nan)
+    out = MlpModel(arch, np.full(arch.param_count, np.nan))
     into = backward(model, batch, target, out=out)
     for ref_part, fresh_part, into_part in zip(ref, fresh, into):
         assert _bits(fresh_part) == _bits(ref_part)
         assert _bits(into_part) == _bits(ref_part)
-    assert all(np.shares_memory(g, out) for g in into[0] + into[1])
-    assert np.array_equal(out, np.concatenate([g.ravel() for g in ref[0] + ref[1]]))
+    assert into[0] is out.weights and into[1] is out.biases
+    assert all(np.shares_memory(g, out.params) for g in into[0] + into[1])
+    assert out.params.tobytes() == np.concatenate([g.ravel() for g in ref[0] + ref[1]]).tobytes()
+
+
+# (4, (3, 7)) has the same 59 parameters as the model, in another layout
+@pytest.mark.parametrize("other", [MlpArchitecture(4, (3, 7)), MlpArchitecture(4, (6, 2)), MlpArchitecture(4, (6,))])
+def test_backward_rejects_out_of_another_architecture(other):
+    rng = np.random.default_rng(3)
+    model = init_model(MlpArchitecture(4, (6, 3)), seed=2)
+    out = MlpModel(other, np.full(other.param_count, np.nan))
+    with pytest.raises(ValueError, match="gradient architecture .* does not match model"):
+        backward(model, rng.normal(size=(5, 4)), rng.normal(size=(5, 2)), out=out)
+    assert np.isnan(out.params).all()
 
 
 def test_backward_without_out_returns_unaliased_arrays():
