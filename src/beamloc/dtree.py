@@ -67,69 +67,107 @@ def _partition_sse(x_col: np.ndarray, y: np.ndarray, threshold: float) -> float:
 def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
     """Lowest-children-SSE split of (x, y), or None if no candidate separates it.
 
-    Sorts every feature of the node and runs the scan `fit_tree` uses.
+    The one-node call of the scan `fit_tree` runs on every group of nodes.
     """
     sorted_rows = np.argsort(x, axis=0, kind="stable").T
-    return _presorted_split(x, y, np.arange(len(x)), sorted_rows, min_leaf)
+    feature, threshold = _best_splits(x, y, np.arange(len(x))[None], sorted_rows[None], min_leaf)
+    return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
 
 
-def _presorted_split(
+def _best_splits(
     features: np.ndarray, labels: np.ndarray, rows: np.ndarray, sorted_rows: np.ndarray, min_leaf: int
 ):
-    """Best split of the node holding `rows` (ascending row ids), or None.
+    """Best split of each of K nodes of n rows: (feature, threshold) arrays of length K.
 
-    `sorted_rows` is (n_features, n): row j lists the node's rows in stable
-    ascending order of feature j. One cumulative-sum scan ranks every
-    (feature, boundary) candidate at once; the few within rounding distance
-    of the overall minimum are re-evaluated canonically in (feature,
-    boundary) order, keeping ties deterministic (lowest feature index, then
-    lowest threshold).
+    `rows` is (K, n), each node's rows in ascending order; `sorted_rows` is
+    (K, n_features, n): entry [i, j] lists node i's rows in stable ascending
+    order of feature j. A node that no candidate separates gets feature -1.
+    One cumulative-sum scan ranks every (node, feature, boundary) candidate
+    at once; each reduction runs along an axis of the same length, in the
+    same order, as it would for one node alone. The candidates within
+    rounding distance of their node's minimum are settled by the canonical
+    children SSE in (feature, boundary) order, so ties go to the lowest
+    feature index, then the lowest threshold. A partition and its mirror
+    (left and right swapped) have bit-equal canonical SSE, so a node whose
+    candidates all induce one unordered partition takes its first candidate
+    without scoring any.
     """
-    n = len(rows)
-    y = labels[rows]
-    total_sum = y.sum(axis=0)
-    total_sq = float((y * y).sum())
-    tie_window = 1e-9 * max(1.0, total_sq)
-
+    k_nodes, n = rows.shape
     xv = features[sorted_rows, np.arange(features.shape[1])[:, None]]
+    valid = xv[..., 1:] != xv[..., :-1]
+    # the boundary after sorted position k leaves k + 1 rows left, n - k - 1 right
+    valid[..., : min_leaf - 1] = False
+    valid[..., max(n - min_leaf, 0) :] = False
+    splittable = np.logical_or.reduce(valid.reshape(k_nodes, -1), axis=1)
+    if not splittable.all():
+        feature, threshold = np.full(k_nodes, -1), np.zeros(k_nodes)
+        if splittable.any():
+            feature[splittable], threshold[splittable] = _best_splits(
+                features, labels, rows[splittable], sorted_rows[splittable], min_leaf
+            )
+        return feature, threshold
+
+    y = labels[rows]
+    total_sum = np.add.reduce(y, axis=1)
+    total_sq = np.add.reduce((y * y).reshape(k_nodes, -1), axis=1)
     n_left = np.arange(1, n)
     n_right = n - n_left
-    valid = xv[:, 1:] != xv[:, :-1]
-    valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
-        return None
-    yv = labels[sorted_rows]
-    cum_sum = np.cumsum(yv, axis=1)
-    cum_sq = np.cumsum((yv * yv).sum(axis=2), axis=1)
-    sum_left = cum_sum[:, :-1]
-    sq_left = cum_sq[:, :-1]
-    sse_left = sq_left - (sum_left * sum_left).sum(axis=2) / n_left
-    sum_right = total_sum - sum_left
-    sse_right = (total_sq - sq_left) - (sum_right * sum_right).sum(axis=2) / n_right
+    # the two label columns are scanned apart; a sum over a row's two
+    # entries is the one addition first + second, written out
+    col0, col1 = labels[:, 0][sorted_rows], labels[:, 1][sorted_rows]
+    sum0 = np.add.accumulate(col0, axis=2)[..., :-1]
+    sum1 = np.add.accumulate(col1, axis=2)[..., :-1]
+    sq_left = np.add.accumulate(col0 * col0 + col1 * col1, axis=2)[..., :-1]
+    sse_left = sq_left - (sum0 * sum0 + sum1 * sum1) / n_left
+    right0 = total_sum[:, 0, None, None] - sum0
+    right1 = total_sum[:, 1, None, None] - sum1
+    sse_right = (total_sq[:, None, None] - sq_left) - (right0 * right0 + right1 * right1) / n_right
     scan = np.maximum(sse_left, 0.0) + np.maximum(sse_right, 0.0)
     scan[~valid] = np.inf
+    cutoff = np.minimum.reduce(scan.reshape(k_nodes, -1), axis=1) + 1e-9 * np.maximum(1.0, total_sq)
 
+    # candidates in (node, feature, boundary) order; every node has one
+    node, j, k = np.nonzero(scan <= cutoff[:, None, None])
+    lower = xv[node, j, k]
+    upper = xv[node, j, k + 1]
+    # the midpoint of two near-adjacent floats can round up to the upper
+    # value; fall back to the lower one, same partition
+    middle = (lower + upper) / 2.0
+    cand_threshold = np.where(middle >= upper, lower, middle)
+    size = np.bincount(node, minlength=k_nodes)
+    winner = np.add.accumulate(size) - size  # each node's first candidate
+    if len(node) > k_nodes:
+        # a candidate induces the unordered partition of its node's first
+        # candidate iff its left rows are that candidate's left rows or its
+        # right rows; count the first candidate's left rows in every prefix
+        side = np.empty(len(features), dtype=bool)
+        side[rows] = features[rows, j[winner][:, None]] <= cand_threshold[winner][:, None]
+        count = np.add.accumulate(side[sorted_rows], axis=2, dtype=np.intp)[node, j, k]
+        k_first = k[winner][node]
+        same = ((k == k_first) & (count == k_first + 1)) | ((k == n - 2 - k_first) & (count == 0))
+        for i in sorted(set(node[~same].tolist())):
+            winner[i] = _settle(features, rows[i], y[i], j, cand_threshold, winner[i], winner[i] + size[i])
+    return j[winner], cand_threshold[winner]
+
+
+def _settle(features, rows, y, cand_feature, cand_threshold, start, stop):
+    """Index of the lowest canonical children SSE among candidates start:stop,
+    scoring one candidate per unordered partition; the earliest wins ties."""
     best = None
     seen = set()
-    for j, k in zip(*np.nonzero(scan <= scan.min() + tie_window)):
-        lower = xv[j, k]
-        upper = xv[j, k + 1]
-        threshold = (lower + upper) / 2.0
-        # the midpoint of two near-adjacent floats can round up to the
-        # upper value; fall back to the lower one, same partition
-        if threshold >= upper:
-            threshold = lower
-        x_col = features[rows, j]
-        # a partition already evaluated has the same canonical value and an
-        # earlier (feature, boundary), so it cannot win
-        partition = (x_col <= threshold).tobytes()
-        if partition in seen:
+    for c in range(start, stop):
+        x_col = features[rows, cand_feature[c]]
+        left = x_col <= cand_threshold[c]
+        # a partition (or its mirror) already scored has the same canonical
+        # value and an earlier (feature, boundary), so it cannot win
+        key = (left if left[0] else ~left).tobytes()
+        if key in seen:
             continue
-        seen.add(partition)
-        children = _partition_sse(x_col, y, threshold)
+        seen.add(key)
+        children = _partition_sse(x_col, y, cand_threshold[c])
         if best is None or children < best[0]:
-            best = (children, int(j), float(threshold))
-    return best[1], best[2]
+            best = (children, c)
+    return best[1]
 
 
 def fit_tree(features: np.ndarray, labels: np.ndarray, config: TreeConfig | None = None) -> TreeNode:
@@ -139,13 +177,17 @@ def fit_tree(features: np.ndarray, labels: np.ndarray, config: TreeConfig | None
     immediate error reduction is zero, so distinct feature rows always reach
     zero training error at unlimited depth. Every feature is sorted once at
     the root; a split filters each sorted row list by side, which keeps it
-    sorted, so no node sorts again. Raises ValueError on non-finite inputs.
+    sorted, so no node sorts again. The tree grows one level per round, and
+    a round scans all its nodes of one row count together. Raises ValueError
+    on non-finite inputs or on labels that are not (n, 2).
     """
     config = config or TreeConfig()
     features = np.atleast_2d(np.asarray(features, dtype=float))
     labels = np.atleast_2d(np.asarray(labels, dtype=float))
     if len(features) == 0:
         raise ValueError("empty training set")
+    if labels.ndim != 2 or labels.shape[1] != 2:
+        raise ValueError(f"labels must have shape (n, 2), got {labels.shape}")
     if len(features) != len(labels):
         raise ValueError("features and labels row counts differ")
     for name, values in (("features", features), ("labels", labels)):
@@ -154,30 +196,60 @@ def fit_tree(features: np.ndarray, labels: np.ndarray, config: TreeConfig | None
 
     n_features = features.shape[1]
     root = TreeNode(n_features=n_features)
-    goes_left = np.empty(len(features), dtype=bool)  # per-row side of the current split
-    stack = [(root, np.arange(len(features)), np.argsort(features, axis=0, kind="stable").T, 0)]
-    while stack:
-        node, idx, sorted_rows, depth = stack.pop()
-        y = labels[idx]
-        mean = y.sum(axis=0) / len(y)
-        node.count = len(idx)
-        sse = float(((y - mean) ** 2).sum())
+    goes_left = np.empty(len(features), dtype=bool)  # per-row side of the current splits
+    # the nodes of one level: (node, ascending rows, per-feature sorted rows)
+    level = [(root, np.arange(len(features)), np.argsort(features, axis=0, kind="stable").T)]
+    depth = 0
+    while level:
+        by_size: dict[int, list] = {}
+        for entry in level:
+            by_size.setdefault(len(entry[1]), []).append(entry)
         depth_ok = config.max_depth is None or depth < config.max_depth
-        split = None
-        if sse > 0.0 and depth_ok and len(idx) >= config.min_samples_split:
-            split = _presorted_split(features, labels, idx, sorted_rows, config.min_samples_leaf)
-        if split is None:
-            node.value = mean
-            continue
-        node.feature_index, node.threshold = split
-        go_left = features[idx, node.feature_index] <= node.threshold
-        goes_left[idx] = go_left
-        # each feature's list keeps exactly the left rows, in the same order
-        left_mask = goes_left[sorted_rows]
-        node.left = TreeNode()
-        node.right = TreeNode()
-        stack.append((node.left, idx[go_left], sorted_rows[left_mask].reshape(n_features, -1), depth + 1))
-        stack.append((node.right, idx[~go_left], sorted_rows[~left_mask].reshape(n_features, -1), depth + 1))
+        level = []
+        depth += 1
+        for n, group in by_size.items():
+            nodes, rows, sorted_rows = zip(*group)
+            rows, sorted_rows = np.array(rows), np.array(sorted_rows)
+            y = labels[rows]
+            mean = np.add.reduce(y, axis=1) / n
+            sse = np.add.reduce(((y - mean[:, None]) ** 2).reshape(len(group), -1), axis=1)
+            split = np.zeros(len(group), dtype=bool)
+            grow = sse > 0.0
+            if depth_ok and n >= config.min_samples_split and grow.any():
+                feature, threshold = _best_splits(
+                    features, labels, rows[grow], sorted_rows[grow], config.min_samples_leaf
+                )
+                found = feature >= 0
+                split[grow] = found
+                feature, threshold = feature[found], threshold[found]
+            for node, value, is_split in zip(nodes, mean, split.tolist()):
+                node.count = n
+                if not is_split:
+                    node.value = value
+            if not split.any():
+                continue
+            rows, sorted_rows = rows[split], sorted_rows[split]
+            go_left = features[rows, feature[:, None]] <= threshold[:, None]
+            goes_left[rows] = go_left
+            # each feature's list keeps exactly the left rows, in the same
+            # order. Boolean selection lays the parents' children out in
+            # parent order: parent i's child holds rows cut[i]:cut[i + 1] of
+            # its side and the matching (n_features, size) block of its lists
+            left_mask = goes_left[sorted_rows]
+            left_cut = [0, *np.add.accumulate(np.add.reduce(go_left, axis=1)).tolist()]
+            right_cut = [i * n - cut for i, cut in enumerate(left_cut)]
+            sides = (
+                (rows[go_left], sorted_rows[left_mask], left_cut),
+                (rows[~go_left], sorted_rows[~left_mask], right_cut),
+            )
+            parents = [node for node, is_split in zip(nodes, split.tolist()) if is_split]
+            for i, (parent, j, t) in enumerate(zip(parents, feature.tolist(), threshold.tolist())):
+                parent.feature_index, parent.threshold = j, t
+                parent.left, parent.right = TreeNode(), TreeNode()
+                for child, (side_rows, side_sorted, cut) in zip((parent.left, parent.right), sides):
+                    start, stop = cut[i], cut[i + 1]
+                    level.append((child, side_rows[start:stop],
+                                  side_sorted[start * n_features : stop * n_features].reshape(n_features, -1)))
     return root
 
 
@@ -186,7 +258,7 @@ def predict_tree(tree: TreeNode, features: np.ndarray) -> np.ndarray:
     features = np.atleast_2d(np.asarray(features, dtype=float))
     if tree.n_features is not None and features.shape[1] != tree.n_features:
         raise ValueError(f"expected {tree.n_features} feature columns, got {features.shape[1]}")
-    out = np.empty((len(features), len(tree.value) if tree.is_leaf else 2))
+    out = np.empty((len(features), 2))
     stack = [(tree, np.arange(len(features)))]
     while stack:
         node, rows = stack.pop()

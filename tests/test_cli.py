@@ -2,6 +2,7 @@ import json
 import os
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
@@ -302,7 +303,7 @@ def test_cmd_run_jobs_2_matches_jobs_1_byte_for_byte(tmp_path):
 
     def tree(root):
         return {
-            os.path.relpath(os.path.join(d, name), root): open(os.path.join(d, name), "rb").read()
+            os.path.relpath(os.path.join(d, name), root): Path(d, name).read_bytes()
             for d, _, names in os.walk(root)
             for name in names
         }
@@ -385,4 +386,4 @@ def test_cmd_run_non_finite_loss_is_a_named_arm_failure(tmp_path):
     assert "training loss is not finite at epoch 1" in manifest["failed"][0]["error"]
     for d, _, names in os.walk(out_dir):
         for name in names:
-            assert "NaN" not in open(os.path.join(d, name)).read()
+            assert "NaN" not in Path(d, name).read_text()

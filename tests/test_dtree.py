@@ -221,6 +221,14 @@ def test_fit_rejects_non_finite_inputs(features, labels, name):
         fit_tree(features, labels)
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_fit_rejects_labels_that_are_not_two_columns(width):
+    # predict_tree returns (n, 2); a tree fit on other widths would predict garbage
+    rng = np.random.default_rng(10)
+    with pytest.raises(ValueError, match=rf"\(12, {width}\)"):
+        fit_tree(rng.normal(size=(12, 3)), rng.normal(size=(12, width)))
+
+
 def test_predict_dimension_mismatch():
     rng = np.random.default_rng(9)
     tree = fit_tree(rng.normal(size=(20, 3)), rng.normal(size=(20, 2)))

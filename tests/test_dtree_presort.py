@@ -1,19 +1,22 @@
 """The presorted tree fit against the per-node-argsort reference in oracles.py.
 
-`fit_tree` sorts every feature once at the root and filters the sorted row
-lists down the tree; `reference_fit_tree` argsorts every feature again at
-every node and ranks candidates per feature. Both scan the same cumulative
-sums in the same row order and re-check candidates with the same canonical
-children SSE, so the trees they build must be identical, bit for bit.
+`fit_tree` sorts every feature once at the root, filters the sorted row
+lists down the tree and scans all same-size nodes of a level together;
+`reference_fit_tree` argsorts every feature again at every node and ranks
+candidates per feature. Both scan the same cumulative sums in the same row
+order and settle candidates by the same canonical children SSE, so the trees
+they build must be identical, bit for bit. `fit_tree` skips scoring a
+candidate whose partition mirrors an earlier one; the last test holds the
+invariant that makes this exact.
 """
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from beamloc.dtree import TreeConfig, fit_tree, tree_to_dict
+from beamloc.dtree import TreeConfig, _partition_sse, fit_tree, tree_to_dict
 from oracles import reference_fit_tree
 
-COLUMN_KINDS = ("integer", "duplicate", "normal", "rounded", "adjacent")
+COLUMN_KINDS = ("integer", "duplicate", "mirrored", "normal", "rounded", "adjacent")
 LABEL_KINDS = ("normal", "rounded", "few_values", "constant_column")
 
 
@@ -22,6 +25,9 @@ def _column(kind, rng, n, previous):
         return rng.integers(0, int(rng.integers(1, 6)), size=n).astype(float)
     if kind == "duplicate" and previous:
         return previous[int(rng.integers(len(previous)))].copy()
+    if kind == "mirrored" and previous:
+        # every split of the earlier column reappears here with its sides swapped
+        return -previous[int(rng.integers(len(previous)))]
     if kind == "rounded":
         return np.round(rng.normal(size=n), 1)
     if kind == "adjacent":
@@ -56,6 +62,8 @@ def _labels(kind, rng, n):
          label_kind="rounded", min_samples_leaf=3, min_samples_split=7, max_depth=None, seed=1)
 @example(rows=2, column_kinds=["adjacent"], label_kind="normal",
          min_samples_leaf=1, min_samples_split=2, max_depth=None, seed=2)
+@example(rows=60, column_kinds=["integer", "mirrored", "rounded", "mirrored", "duplicate"], label_kind="few_values",
+         min_samples_leaf=1, min_samples_split=2, max_depth=None, seed=3)
 def test_fit_tree_equals_per_node_argsort_reference(
     rows, column_kinds, label_kind, min_samples_leaf, min_samples_split, max_depth, seed
 ):
@@ -70,3 +78,24 @@ def test_fit_tree_equals_per_node_argsort_reference(
     assert repr(tree_to_dict(fit_tree(features, labels, config))) == repr(
         tree_to_dict(reference_fit_tree(features, labels, config))
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(2, 60),
+    column_kind=st.sampled_from(("integer", "normal")),
+    label_scale=st.sampled_from((1e-3, 1e-1, 1.0, 1e2, 1e4)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_mirrored_partition_has_bit_equal_children_sse(rows, column_kind, label_scale, seed, data):
+    # the rows x <= t and -x <= -upper (upper the next value above t) are the
+    # same two sides with left and right swapped
+    rng = np.random.default_rng(seed)
+    x = _column(column_kind, rng, rows, [])
+    values = np.unique(x)
+    assume(len(values) >= 2)
+    at = data.draw(st.integers(0, len(values) - 2))
+    threshold, upper = values[at], values[at + 1]
+    y = rng.normal(size=(rows, 2)) * label_scale
+    assert _partition_sse(x, y, threshold).hex() == _partition_sse(-x, y, -upper).hex()
