@@ -131,9 +131,11 @@ def _best_splits(
     lower = xv[node, j, k]
     upper = xv[node, j, k + 1]
     # the midpoint of two near-adjacent floats can round up to the upper
-    # value; fall back to the lower one, same partition
-    middle = (lower + upper) / 2.0
-    cand_threshold = np.where(middle >= upper, lower, middle)
+    # value, and that of two values beyond -9e307 overflows to -inf; outside
+    # [lower, upper) fall back to the lower value, same partition
+    with np.errstate(over="ignore"):
+        middle = (lower + upper) / 2.0
+    cand_threshold = np.where((lower <= middle) & (middle < upper), middle, lower)
     size = np.bincount(node, minlength=k_nodes)
     winner = np.add.accumulate(size) - size  # each node's first candidate
     if len(node) > k_nodes:
@@ -179,7 +181,8 @@ def fit_tree(features: np.ndarray, labels: np.ndarray, config: TreeConfig | None
     the root; a split filters each sorted row list by side, which keeps it
     sorted, so no node sorts again. The tree grows one level per round, and
     a round scans all its nodes of one row count together. Raises ValueError
-    on non-finite inputs or on labels that are not (n, 2).
+    on non-finite inputs, on labels whose squared sums overflow float64, or
+    on labels that are not (n, 2).
     """
     config = config or TreeConfig()
     features = np.atleast_2d(np.asarray(features, dtype=float))
@@ -193,6 +196,11 @@ def fit_tree(features: np.ndarray, labels: np.ndarray, config: TreeConfig | None
     for name, values in (("features", features), ("labels", labels)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} contain non-finite values")
+    # the split scan squares sums of up to every label, each below
+    # (4 * n * max|label|)**2, which must stay finite
+    largest = float(np.abs(labels).max())
+    if 4.0 * len(labels) * largest > np.sqrt(np.finfo(float).max):
+        raise ValueError(f"labels too large: max |label| {largest!r} overflows float64 in the squared sums")
 
     n_features = features.shape[1]
     root = TreeNode(n_features=n_features)

@@ -8,7 +8,8 @@ RSRPs, optional serving cell ID, then one strongest beam per neighbor cell).
 
 All locations live in one columnar `FingerprintTable`, and
 `extract_features` builds every feature matrix from it in one vectorized
-pass; `FingerprintSample` is only a read-only view of one table row.
+pass over the table's ranking, which each table computes once and every
+layout reuses; `FingerprintSample` is only a read-only view of one table row.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import os
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +86,9 @@ class FingerprintTable(Sequence):
     order and -inf where a beam is inaudible. `serving_col` is each row's
     strongest serving-cell column: for generated tables the row-wise argmax,
     so ties go to the lowest (cell, beam). The table is a sequence of
-    `FingerprintSample` rows built on demand.
+    `FingerprintSample` rows built on demand. Its columns are never written
+    after construction: the first `extract_features` call ranks every row
+    once (`_ranking`), and later layouts on the same table reuse that ranking.
     """
 
     locations: np.ndarray  # (n_rows, 2)
@@ -120,7 +124,10 @@ class FingerprintTable(Sequence):
         )
 
     def take(self, rows) -> FingerprintTable:
-        """The table restricted to `rows` (indices or a boolean mask), in that order."""
+        """The table restricted to `rows` (indices or a boolean mask), in that order.
+
+        The new table is built through `__init__`, so it ranks its own rows.
+        """
         return dataclasses.replace(
             self,
             locations=self.locations[rows],
@@ -141,20 +148,64 @@ class FingerprintTable(Sequence):
         order = np.lexsort((beam_ids, cell_ids))
         col_site = np.array([site_index[ref.site_id] for ref in grid.beams])[order]
 
-        rsrp = grid.rsrp[:, order]
+        rsrp = np.take(grid.rsrp, order, axis=1)
         rsrp[~(rsrp > noise_floor)] = -np.inf
-        rows = np.arange(len(rsrp))
-        serving_col = rsrp.argmax(axis=1)
+        # no NaN is left, so the first column equal to the row maximum is the
+        # row's argmax; a row hearing nothing is all -inf and gets column 0
+        strongest = rsrp.max(axis=1)
+        serving_col = (rsrp == strongest[:, None]).argmax(axis=1)
         table = cls(
             locations=np.asarray(locations, dtype=float),
             rsrp=rsrp,
             cell_ids=cell_ids[order],
             beam_ids=beam_ids[order],
             serving_col=serving_col,
-            los=grid.site_los[rows, col_site[serving_col]].astype(bool),
+            los=grid.site_los[np.arange(len(rsrp)), col_site[serving_col]].astype(bool),
         )
-        heard = rsrp[rows, serving_col] > -np.inf
+        heard = strongest > -np.inf
         return table if heard.all() else table.take(heard)
+
+    @cached_property
+    def _ranking(self) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+        """(ranked arrays, audible serving beams, audible neighbor cells) of every row.
+
+        The ranked (n_rows, rank) arrays, in the order `extract_features`
+        describes, are named by the sources of `_layout_fields` and cover
+        every rank, so each layout reads a prefix. Computed on first use and
+        kept with the table.
+        """
+        n = len(self)
+        cells, starts, counts = np.unique(self.cell_ids, return_index=True, return_counts=True)
+        width = int(counts.max())
+        # (row, cell, slot) view of the matrix; slots follow ascending beam_id
+        slot = np.arange(len(self.cell_ids)) - np.repeat(starts, counts)
+        cell_pos = np.repeat(np.arange(len(cells)), counts)
+        if (counts == width).all():
+            cube = self.rsrp.reshape(n, len(cells), width)
+        else:
+            cube = np.full((n, len(cells), width), -np.inf)
+            cube[:, cell_pos, slot] = self.rsrp
+        slot_beam = np.zeros((len(cells), width), dtype=np.int64)
+        slot_beam[cell_pos, slot] = self.beam_ids
+
+        rows = np.arange(n)
+        serving_pos = cell_pos[self.serving_col]
+        serving_block = cube[rows, serving_pos]
+        serving_order = np.argsort(-serving_block, axis=1, kind="stable")
+        # the same first maximum as cube.argmax(axis=2), as one 2-D pass
+        best_slot = cube.reshape(-1, width).argmax(axis=1).reshape(n, len(cells))
+        best = cube.max(axis=2)
+        best[rows, serving_pos] = -np.inf
+        neighbor_order = np.argsort(-best, axis=1, kind="stable")
+        ranked = {
+            "serving_beam": slot_beam[serving_pos[:, None], serving_order],
+            "serving_rsrp": np.take_along_axis(serving_block, serving_order, axis=1),
+            "serving_cell": cells[serving_pos][:, None],
+            "neighbor_cell": cells[neighbor_order],
+            "neighbor_beam": slot_beam[neighbor_order, np.take_along_axis(best_slot, neighbor_order, axis=1)],
+            "neighbor_rsrp": np.take_along_axis(best, neighbor_order, axis=1),
+        }
+        return ranked, (serving_block > -np.inf).sum(axis=1), (best > -np.inf).sum(axis=1)
 
 
 def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None = None) -> FingerprintTable:
@@ -255,33 +306,11 @@ def extract_features(table: FingerprintTable, config: FeatureConfig) -> tuple[np
     "insufficient_serving_beams" or "insufficient_neighbors"; a one-hot ID
     outside its width raises ValueError.
     """
-    n = len(table)
-    if n == 0:
+    if len(table) == 0:
         return np.zeros((0, len(extract_features_layout(config)))), np.zeros(0, dtype=np.int64), {}
-    cells, starts, counts = np.unique(table.cell_ids, return_index=True, return_counts=True)
-    width = int(counts.max())
-    # (row, cell, slot) view of the matrix; slots follow ascending beam_id
-    slot = np.arange(len(table.cell_ids)) - np.repeat(starts, counts)
-    cell_pos = np.repeat(np.arange(len(cells)), counts)
-    if (counts == width).all():
-        cube = table.rsrp.reshape(n, len(cells), width)
-    else:
-        cube = np.full((n, len(cells), width), -np.inf)
-        cube[:, cell_pos, slot] = table.rsrp
-    slot_beam = np.zeros((len(cells), width), dtype=np.int64)
-    slot_beam[cell_pos, slot] = table.beam_ids
-
-    rows = np.arange(n)
-    serving_pos = cell_pos[table.serving_col]
-    serving_block = cube[rows, serving_pos]
-    serving_order = np.argsort(-serving_block, axis=1, kind="stable")[:, : config.n_serving_beams]
-    best_slot = cube.argmax(axis=2)
-    best = cube.max(axis=2)
-    best[rows, serving_pos] = -np.inf
-    neighbor_order = np.argsort(-best, axis=1, kind="stable")[:, : config.n_neighbor_cells]
-
-    short_serving = (serving_block > -np.inf).sum(axis=1) < config.n_serving_beams
-    short_neighbors = ~short_serving & ((best > -np.inf).sum(axis=1) < config.n_neighbor_cells)
+    ranked, serving_audible, neighbor_audible = table._ranking
+    short_serving = serving_audible < config.n_serving_beams
+    short_neighbors = ~short_serving & (neighbor_audible < config.n_neighbor_cells)
     reasons = [(reason, mask) for reason, mask in (
         ("insufficient_serving_beams", short_serving),
         ("insufficient_neighbors", short_neighbors),
@@ -290,18 +319,7 @@ def extract_features(table: FingerprintTable, config: FeatureConfig) -> tuple[np
     kept = np.flatnonzero(~(short_serving | short_neighbors))
     if len(kept) == 0:
         return np.zeros((0, len(extract_features_layout(config)))), kept, dropped
-
-    serving_order, neighbor_order = serving_order[kept], neighbor_order[kept]
-    serving_pos, best_slot = serving_pos[kept], best_slot[kept]
-    ranked = {
-        "serving_beam": slot_beam[serving_pos[:, None], serving_order],
-        "serving_rsrp": np.take_along_axis(serving_block[kept], serving_order, axis=1),
-        "serving_cell": cells[serving_pos][:, None],
-        "neighbor_cell": cells[neighbor_order],
-        "neighbor_beam": slot_beam[neighbor_order, np.take_along_axis(best_slot, neighbor_order, axis=1)],
-        "neighbor_rsrp": np.take_along_axis(best[kept], neighbor_order, axis=1),
-    }
-    return _encode(ranked, config), kept, dropped
+    return _encode({source: values[kept] for source, values in ranked.items()}, config), kept, dropped
 
 
 @dataclass
@@ -429,12 +447,15 @@ def atomic_write_text(path: str, text: str) -> None:
 def save_dataset(dataset: Dataset, csv_path: str) -> None:
     """CSV of unnormalized features + labels, JSON sidecar with everything else.
 
-    The csv module writes Python floats with repr, so a reload is bit-exact.
+    The body holds every float as its repr, so a reload is bit-exact. It is
+    formatted a column at a time into the bytes `csv.writer` would write:
+    repr fields, "," between them, "\r\n" after each row.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(list(dataset.layout) + ["label_x", "label_y"])
-    writer.writerows(np.column_stack([dataset.features, dataset.labels]).astype(float, copy=False).tolist())
+    csv.writer(buf).writerow(list(dataset.layout) + ["label_x", "label_y"])
+    table = np.column_stack([dataset.features, dataset.labels]).astype(float, copy=False)
+    columns = [map(repr, column) for column in table.T.tolist()]
+    buf.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
     atomic_write_text(csv_path, buf.getvalue())
     sidecar = {
         "layout": list(dataset.layout),

@@ -47,9 +47,9 @@ def brute_force_best_split(x: np.ndarray, y: np.ndarray):
         values = np.unique(x[:, j])
         for a, b in zip(values[:-1], values[1:]):
             thr = (a + b) / 2.0
-            if thr >= b:
-                # midpoint rounded up to the upper value; the lower value
-                # induces the same partition with a proper threshold
+            if not a <= thr < b:
+                # midpoint rounded up to the upper value, or overflowed; the
+                # lower value induces the same partition with a proper threshold
                 thr = a
             left = x[:, j] <= thr
             right = ~left
@@ -112,7 +112,7 @@ def _reference_best_split(x, y, min_leaf):
             lower = xv[boundaries[k]]
             upper = xv[boundaries[k] + 1]
             threshold = (lower + upper) / 2.0
-            if threshold >= upper:
+            if not lower <= threshold < upper:
                 threshold = lower
             children = _reference_partition_sse(x[:, j], y, threshold)
             if feature_best is None or children < feature_best[0]:

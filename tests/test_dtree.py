@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import beamloc
 from beamloc.dtree import (
     TreeConfig,
     TreeNode,
@@ -221,6 +226,13 @@ def test_fit_rejects_non_finite_inputs(features, labels, name):
         fit_tree(features, labels)
 
 
+def test_fit_rejects_labels_whose_squared_sums_overflow():
+    # 1e200 squared is inf: the split scan found no candidate and indexed past
+    # its empty candidate list
+    with pytest.raises(ValueError, match=r"labels too large: max \|label\| 1e\+200"):
+        fit_tree([[0.0], [1.0], [2.0], [3.0]], [[1e200, 0.0], [-1e200, 0.0], [1e200, 1.0], [3e199, 0.0]])
+
+
 @pytest.mark.parametrize("width", [1, 3])
 def test_fit_rejects_labels_that_are_not_two_columns(width):
     # predict_tree returns (n, 2); a tree fit on other widths would predict garbage
@@ -248,3 +260,25 @@ def test_adjacent_float_values_split_cleanly():
     tree = fit_tree(x, y)
     pred = predict_tree(tree, x)
     assert np.array_equal(pred, y)
+
+
+def test_huge_negative_features_split_without_hanging():
+    # the midpoint of -1.7e308 and -1.6e308 overflows to -inf; a -inf
+    # threshold sends every row right, and the fit would split the same node
+    # forever, so it runs (with the per-node reference) in a child process
+    # with a deadline
+    code = (
+        "from beamloc.dtree import TreeConfig, fit_tree, predict_tree, tree_to_dict\n"
+        "from oracles import reference_fit_tree\n"
+        "x, y = [[-1.7e308], [-1.6e308], [0.0]], [[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]\n"
+        "tree = fit_tree(x, y)\n"
+        "assert repr(tree_to_dict(tree)) == repr(tree_to_dict(reference_fit_tree(x, y, TreeConfig())))\n"
+        "print(repr(tree.left.threshold), predict_tree(tree, x).tolist())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beamloc.__file__)))
+    path = [src, os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    # the overflowing boundary falls back to its lower value, same partition
+    assert result.stdout.split(" ", 1) == ["-1.7e+308", "[[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]\n"]

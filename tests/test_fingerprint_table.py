@@ -6,7 +6,10 @@ one sample's RSRP dict in Python. The property test feeds both the same
 random sparse fingerprints, with RSRP ties forced within and across cells,
 and requires bit-identical features, the same kept rows, the same drop
 counts and the same one-hot error for every feature layout, on tables built
-by `FingerprintTable.from_grid` and by `table_from_samples`.
+by `FingerprintTable.from_grid` and by `table_from_samples`. A table ranks
+its rows once and reuses that ranking for every layout, so the later tests
+compare layouts in either order, sub-tables and pickles of a ranked table
+against fresh tables.
 """
 import dataclasses
 import pickle
@@ -203,3 +206,78 @@ def test_generated_table_is_a_sequence_of_samples():
     assert list(los) == [s for s in rows if s.los_to_serving]
     restored = pickle.loads(pickle.dumps(table))
     assert list(restored) == rows
+
+
+def _fresh(table):
+    """A new table over copies of `table`'s columns, with nothing computed yet."""
+    return FingerprintTable(**{f.name: getattr(table, f.name).copy() for f in dataclasses.fields(table)})
+
+
+def _outcome(table, config):
+    """extract_features as comparable bytes, or the error message it raises."""
+    try:
+        features, kept, dropped = extract_features(table, config)
+    except ValueError as err:
+        return str(err)
+    return features.tobytes(), features.shape, kept.tobytes(), dropped
+
+
+def _random_table(seed, n_rows=60):
+    rng = np.random.default_rng(seed)
+    rsrp = rng.choice(np.array(TIED_LEVELS + (NOISE_FLOOR - 1.0,) * 4), size=(n_rows, len(CELLS) * BEAMS))
+    site_los = rng.random((n_rows, len(SITES))) < 0.6
+    column_order = rng.permutation(len(CELLS) * BEAMS)
+    return FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), SITES, NOISE_FLOOR)
+
+
+CONFIGS = FEATURE_CONFIGS + NARROW_ONE_HOT
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_layouts_on_one_table_match_a_fresh_table_per_layout(order):
+    # the first call ranks the table; every later layout reuses that ranking
+    table = _random_table(11)
+    configs = CONFIGS if order == "forward" else CONFIGS[::-1]
+    assert [_outcome(table, c) for c in configs] == [_outcome(_fresh(table), c) for c in configs]
+
+
+def test_sub_tables_and_pickles_of_a_ranked_table_match_fresh_tables():
+    table = _random_table(12, n_rows=80)
+    for config in CONFIGS:
+        _outcome(table, config)  # rank the parent first
+    rows = np.random.default_rng(13).permutation(len(table))[:50]
+    subs = {
+        "filter_los": filter_los(table),
+        "take rows": table.take(rows),
+        "take mask": table.take(np.arange(len(table)) % 3 != 0),
+        "slice": table[::-2],
+    }
+    for name, sub in subs.items():
+        assert 10 <= len(sub) < len(table), name
+        for config in CONFIGS:
+            assert _outcome(sub, config) == _outcome(_fresh(sub), config), (name, config)
+    restored = pickle.loads(pickle.dumps(table))
+    for config in CONFIGS:
+        assert _outcome(restored, config) == _outcome(_fresh(table), config), config
+
+
+def test_serving_col_is_argmax_of_masked_grid():
+    rsrp = np.full((7, len(CELLS) * BEAMS), NOISE_FLOOR - 3.0)
+    rsrp[0, [3, 11, 17]] = -60.0  # tied maxima in two cells and within one
+    rsrp[1, [4, 5]] = -70.0  # tied within one cell
+    rsrp[1, 2] = np.nan
+    rsrp[2, :] = np.nan  # nothing audible: NaN everywhere
+    rsrp[3, [0, 19]] = (np.nan, -80.0)
+    rsrp[4, :] = NOISE_FLOOR  # nothing audible: at the floor is not above it
+    rsrp[5, [6, 7, 8]] = (-90.0, np.nan, -90.0)
+    rsrp[6, [19, 0]] = -75.0  # tie between the first and last column
+    site_los = np.ones((len(rsrp), len(SITES)), dtype=bool)
+    column_order = np.random.default_rng(14).permutation(len(CELLS) * BEAMS)
+    table = FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), SITES, NOISE_FLOOR)
+
+    masked = np.where(rsrp > NOISE_FLOOR, rsrp, -np.inf)
+    heard = masked.max(axis=1) > -np.inf
+    assert heard.tolist() == [True, True, False, True, False, True, True]
+    assert table.locations[:, 0].tolist() == np.flatnonzero(heard).tolist()
+    assert table.serving_col.tolist() == np.argmax(masked, axis=1)[heard].tolist() == [3, 4, 19, 6, 0]
+    assert np.array_equal(table.rsrp, masked[heard])
