@@ -3,9 +3,9 @@
 Three commands share one YAML config: `scenario` materializes the deployment
 geometry, `dataset` writes fingerprint datasets per feature layout, and `run`
 executes the experiment matrix. Exit codes: 0 on success, 1 when every
-experiment failed (or a dataset came up empty), 2 for config errors and for
-`--jobs` below 1. All files are written atomically and land under the
-configured output directory.
+experiment failed (or a dataset came up empty or could not be built), 2 for
+config errors and for `--jobs` below 1. All files are written atomically and
+land under the configured output directory.
 """
 from __future__ import annotations
 
@@ -39,25 +39,13 @@ def _feature_tag(fc: FeatureConfig) -> str:
     return tag
 
 
-def _distinct_feature_configs(config: RunConfig) -> list[FeatureConfig]:
-    configs: list[FeatureConfig] = []
-    for descriptor in config.experiments:
-        fc = descriptor.feature_config
-        if fc not in configs:
-            configs.append(fc)
-    if not configs:
-        configs.append(FeatureConfig())
-    return configs
-
-
 def _build_samples(config: RunConfig):
     """Scenario -> LoS-annotated samples, reporting the LoS fraction."""
-    scenario = build_scenario(config.scenario)
-    samples = generate_samples(scenario, config.propagation)
+    samples = generate_samples(build_scenario(config.scenario), config.propagation)
     los = filter_los(samples)
     fraction = len(los) / len(samples) if samples else 0.0
     print(f"samples: {len(samples)}  LoS fraction: {fraction:.4f}")
-    return scenario, (los if config.los_only else samples)
+    return los if config.los_only else samples
 
 
 def cmd_scenario(config: RunConfig, dry_run: bool = False) -> int:
@@ -75,7 +63,8 @@ def cmd_scenario(config: RunConfig, dry_run: bool = False) -> int:
 
 
 def cmd_dataset(config: RunConfig, dry_run: bool = False) -> int:
-    feature_configs = _distinct_feature_configs(config)
+    # one dataset per distinct layout, in order of first use
+    feature_configs = list(dict.fromkeys(d.feature_config for d in config.experiments)) or [FeatureConfig()]
     paths = [
         os.path.join(config.output_dir, "datasets", f"fingerprints_{_feature_tag(fc)}.csv")
         for fc in feature_configs
@@ -85,17 +74,23 @@ def cmd_dataset(config: RunConfig, dry_run: bool = False) -> int:
             print(f"dry run: would write {path}")
         return 0
 
-    _, samples = _build_samples(config)
+    samples = _build_samples(config)
     if not samples:
         print("error: no samples left after filtering", file=sys.stderr)
         return 1
+    failed = 0
     for fc, path in zip(feature_configs, paths):
-        dataset = build_dataset(
-            samples, fc, config.split_fraction, derive_seed(config.seed, "split", _feature_tag(fc))
-        )
+        try:
+            dataset = build_dataset(
+                samples, fc, config.split_fraction, derive_seed(config.seed, "split", _feature_tag(fc))
+            )
+        except ValueError as err:  # a layout the samples cannot fill
+            print(f"error: {path}: {err}", file=sys.stderr)
+            failed += 1
+            continue
         save_dataset(dataset, path)
         print(f"wrote {path} ({dataset.n_samples} rows, {dataset.features.shape[1]} features)")
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_run(config: RunConfig, jobs: int = 1, dry_run: bool = False) -> int:
@@ -112,7 +107,7 @@ def cmd_run(config: RunConfig, jobs: int = 1, dry_run: bool = False) -> int:
             )
         return 0
 
-    _, samples = _build_samples(config)
+    samples = _build_samples(config)
     if not samples:
         print("error: no samples left after filtering", file=sys.stderr)
         return 1

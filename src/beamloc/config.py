@@ -57,12 +57,14 @@ def _is_number(value) -> bool:
 
 def _build_dataclass(cls, values: dict, section: str, *, defaults=None):
     """Construct a config dataclass, rejecting by name unknown keys and any
-    value of the wrong type: ints, optional ints (int or null), floats (int
-    or float) and float tuples (a list of those)."""
+    value of the wrong type: bools, ints, optional ints (int or null), floats
+    (int or float) and float tuples (a list of those)."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, value in values.items():
         if key not in fields:
             raise ConfigError(f"{section}: unknown key '{key}'")
+        if fields[key].type == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{section}: {key} must be a bool, got {type(value).__name__}")
         if fields[key].type == "int" and not _is_int(value):
             raise ConfigError(f"{section}: {key} must be an int, got {type(value).__name__}")
         if fields[key].type == "int | None" and not (value is None or _is_int(value)):

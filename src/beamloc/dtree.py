@@ -64,16 +64,6 @@ def _partition_sse(x_col: np.ndarray, y: np.ndarray, threshold: float) -> float:
     return total
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Lowest-children-SSE split of (x, y), or None if no candidate separates it.
-
-    The one-node call of the scan `fit_tree` runs on every group of nodes.
-    """
-    sorted_rows = np.argsort(x, axis=0, kind="stable").T
-    feature, threshold = _best_splits(x, y, np.arange(len(x))[None], sorted_rows[None], min_leaf)
-    return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
-
-
 def _best_splits(
     features: np.ndarray, labels: np.ndarray, rows: np.ndarray, sorted_rows: np.ndarray, min_leaf: int
 ):
@@ -281,49 +271,20 @@ def predict_tree(tree: TreeNode, features: np.ndarray) -> np.ndarray:
     return out
 
 
-def tree_depth(tree: TreeNode) -> int:
-    depth = 0
+def _walk(tree: TreeNode):
+    """Every node of the tree with its depth (the root's is 0), without recursion."""
     stack = [(tree, 0)]
     while stack:
-        node, d = stack.pop()
-        depth = max(depth, d)
+        node, depth = stack.pop()
+        yield node, depth
         if not node.is_leaf:
-            stack.append((node.left, d + 1))
-            stack.append((node.right, d + 1))
-    return depth
+            stack.append((node.left, depth + 1))
+            stack.append((node.right, depth + 1))
+
+
+def tree_depth(tree: TreeNode) -> int:
+    return max(depth for _, depth in _walk(tree))
 
 
 def leaf_nodes(tree: TreeNode) -> list[TreeNode]:
-    leaves = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            leaves.append(node)
-        else:
-            stack.extend((node.left, node.right))
-    return leaves
-
-
-def tree_to_dict(tree: TreeNode) -> dict:
-    """Nested plain-dict form of the tree, built without recursion."""
-    rendered: dict[int, dict] = {}
-    order = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if not node.is_leaf:
-            stack.extend((node.left, node.right))
-    for node in reversed(order):
-        if node.is_leaf:
-            rendered[id(node)] = {"value": [float(v) for v in node.value], "count": node.count}
-        else:
-            rendered[id(node)] = {
-                "feature_index": node.feature_index,
-                "threshold": node.threshold,
-                "count": node.count,
-                "left": rendered[id(node.left)],
-                "right": rendered[id(node.right)],
-            }
-    return rendered[id(tree)]
+    return [node for node, _ in _walk(tree) if node.is_leaf]

@@ -45,15 +45,11 @@ REPORT_PERCENTILES = (50, 80, 90)
 
 @dataclass(frozen=True)
 class ErrorStats:
-    """Eq-style summary: mean, population std (divisor N), and the samples."""
+    """Eq-style summary: mean, population std (divisor N), and sample count."""
 
     mean: float
     std: float
     n: int
-    errors: np.ndarray
-
-    def summary(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "n": self.n}
 
 
 def euclidean_errors(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -64,23 +60,22 @@ def euclidean_errors(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return np.sqrt(((pred - truth) ** 2).sum(axis=1))
 
 
-def error_stats(errors) -> ErrorStats:
+def _error_samples(errors) -> np.ndarray:
+    """The errors as a flat float array; ValueError if there are none."""
     errors = np.asarray(errors, dtype=float).ravel()
     if len(errors) == 0:
         raise ValueError("empty error list")
-    return ErrorStats(
-        mean=float(np.mean(errors)),
-        std=float(np.std(errors)),
-        n=len(errors),
-        errors=errors,
-    )
+    return errors
+
+
+def error_stats(errors) -> ErrorStats:
+    errors = _error_samples(errors)
+    return ErrorStats(mean=float(np.mean(errors)), std=float(np.std(errors)), n=len(errors))
 
 
 def error_cdf(errors) -> list[tuple[float, float]]:
     """Empirical CDF sampled at the sorted unique error values."""
-    errors = np.asarray(errors, dtype=float).ravel()
-    if len(errors) == 0:
-        raise ValueError("empty error list")
+    errors = _error_samples(errors)
     values, counts = np.unique(errors, return_counts=True)
     fractions = np.cumsum(counts) / len(errors)
     return [(float(v), float(f)) for v, f in zip(values, fractions)]
@@ -88,9 +83,7 @@ def error_cdf(errors) -> list[tuple[float, float]]:
 
 def percentile_nearest_rank(errors, p: float) -> float:
     """Smallest value with at least p percent of the samples at or below it."""
-    errors = np.sort(np.asarray(errors, dtype=float).ravel())
-    if len(errors) == 0:
-        raise ValueError("empty error list")
+    errors = np.sort(_error_samples(errors))
     if not 0 < p <= 100:
         raise ValueError("percentile must be in (0, 100]")
     rank = int(np.ceil(p / 100.0 * len(errors)))
@@ -149,8 +142,8 @@ class EvalReport:
         doc = {
             "experiment_id": self.experiment_id,
             "descriptor": self.descriptor,
-            "train": self.train_stats.summary(),
-            "test": self.test_stats.summary(),
+            "train": dataclasses.asdict(self.train_stats),
+            "test": dataclasses.asdict(self.test_stats),
             "cdf": [[v, f] for v, f in self.cdf],
             "percentiles": self.percentiles,
             "model": self.model_info,

@@ -10,6 +10,8 @@ All locations live in one columnar `FingerprintTable`, and
 `extract_features` builds every feature matrix from it in one vectorized
 pass over the table's ranking, which each table computes once and every
 layout reuses; `FingerprintSample` is only a read-only view of one table row.
+`save_dataset` writes each dataset as a CSV plus a JSON sidecar; the program
+never reads them back.
 """
 from __future__ import annotations
 
@@ -466,28 +468,6 @@ def save_dataset(dataset: Dataset, csv_path: str) -> None:
         "provenance": dataset.provenance,
     }
     atomic_write_text(_sidecar_path(csv_path), json.dumps(sidecar, indent=2, sort_keys=True))
-
-
-def load_dataset(csv_path: str) -> Dataset:
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        body = [[float(v) for v in row] for row in reader]
-    if header[-2:] != ["label_x", "label_y"]:
-        raise ValueError(f"{csv_path} does not look like a saved dataset")
-    data = np.asarray(body, dtype=float)
-    with open(_sidecar_path(csv_path)) as fh:
-        sidecar = json.load(fh)
-    return Dataset(
-        features=data[:, :-2],
-        labels=data[:, -2:],
-        layout=tuple(sidecar["layout"]),
-        train_idx=np.asarray(sidecar["train_idx"], dtype=int),
-        test_idx=np.asarray(sidecar["test_idx"], dtype=int),
-        mean=np.array([float(v) for v in sidecar["mean"]]),
-        std=np.array([float(v) for v in sidecar["std"]]),
-        provenance=sidecar["provenance"],
-    )
 
 
 def _sidecar_path(csv_path: str) -> str:

@@ -4,7 +4,8 @@ Direct-ray analytic model: geometric line-of-sight against building
 footprints, log-distance path loss at the carrier frequency, and a parabolic
 (in dB) directional beam pattern. Optional lognormal shadow fading is drawn
 from a stateless per-(location, site) hash so results never depend on
-evaluation order or parallelism.
+evaluation order or parallelism. LoS and beam gain exist only in vectorized
+form: one site's links, one sector's beams at a time.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import segment_rect_crossing, wrap_deg
-from .scenario import Beam, Scenario, Sector, Site, check_finite_fields
+from .scenario import Scenario, Sector, Site, check_finite_fields
 from .seeds import derive_seed
 
 DEFAULT_UE_HEIGHT = 1.5
@@ -72,14 +73,6 @@ def _blocked_mask(p: tuple[float, float, float], targets: np.ndarray, target_hei
     return blocked
 
 
-def line_of_sight(p: tuple[float, float, float], q: tuple[float, float, float], buildings) -> bool:
-    """True iff no building blocks the direct segment between two 3-D points."""
-    if p[:2] == q[:2] and p[2] == q[2]:
-        raise ValueError("line_of_sight requires distinct endpoints")
-    mask = _blocked_mask(p, np.array([q[:2]]), q[2], buildings)
-    return not bool(mask[0])
-
-
 def _site_link_arrays(site: Site, locations: np.ndarray, scenario: Scenario, config: PropagationConfig):
     """Vectorized direct-path geometry from one site to every location."""
     locations = np.asarray(locations, dtype=float)
@@ -113,18 +106,6 @@ def path_loss(d3d: np.ndarray, los: np.ndarray, freq_ghz: float, config: Propaga
 def _pattern_term(offset, beamwidth):
     """Quadratic rolloff 12*(|wrap(offset)| / beamwidth)**2 in dB along one axis."""
     return 12.0 * (np.abs(wrap_deg(np.asarray(offset, dtype=float))) / beamwidth) ** 2
-
-
-def antenna_gain(beam: Beam, azimuth_off, elevation_off):
-    """Parabolic-in-dB pattern: peak gain minus a quadratic rolloff, floored
-    at front_to_back below the peak. Offsets are degrees from the steering
-    direction; scalars or arrays."""
-    azimuth_term = _pattern_term(azimuth_off, beam.azimuth_beamwidth)
-    rolloff = azimuth_term + _pattern_term(elevation_off, beam.elevation_beamwidth)
-    gain = beam.peak_gain - np.minimum(rolloff, beam.front_to_back)
-    if np.isscalar(azimuth_off) and np.isscalar(elevation_off):
-        return float(gain)
-    return gain
 
 
 _MIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -203,11 +184,12 @@ def _distinct(keys: list) -> tuple[list, list[int]]:
 def _sector_block(sector: Sector, azimuth, elevation, loss, shadow, noise_floor: float, out: np.ndarray) -> None:
     """Write the sector's (locations, beams) RSRP block into `out`.
 
-    Each pattern term is computed once per distinct (steer, beamwidth) pair
-    and gathered per beam; the per-element operations and their order are
-    those of antenna_gain evaluated beam by beam on wrapped offsets. The
-    azimuth offset is wrapped once: wrap_deg returns its own outputs
-    unchanged, bit for bit, so a second wrap would change nothing.
+    A beam's gain is its peak gain minus the summed azimuth and elevation
+    rolloff, floored at front_to_back below the peak. Each rolloff term is
+    computed once per distinct (steer, beamwidth) pair and gathered per
+    beam, in the per-element order of a beam-by-beam evaluation on wrapped
+    offsets. The azimuth offset is wrapped once: wrap_deg returns its own
+    outputs unchanged, bit for bit, so a second wrap would change nothing.
     """
     beams = sector.beams
     az_keys, az_of_beam = _distinct(

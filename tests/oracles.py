@@ -1,12 +1,21 @@
-"""Independent brute-force references used by unit and acceptance tests.
+"""Independent brute-force references used by unit and acceptance tests, and
+the test-only entry points into the library.
 
-These deliberately avoid the library's own geometry and math helpers so that
-agreement is evidence, not tautology.
+The references deliberately avoid the library's own geometry and math
+helpers so that agreement is evidence, not tautology. The entry points at
+the end of the file are the opposite: thin one-item or read-back wrappers
+around the library's own code (`line_of_sight`, `_best_split`,
+`tree_to_dict`, `load_dataset`), which the pipeline never needs and the
+tests hold against the references.
 """
+import csv
+import json
+
 import numpy as np
 
-from beamloc.fingerprint import FingerprintTable
-from beamloc.propagation import BeamRef, RsrpGrid, _site_link_arrays, path_loss, shadow_fading
+from beamloc.dtree import _best_splits
+from beamloc.fingerprint import Dataset, FingerprintTable, _sidecar_path
+from beamloc.propagation import BeamRef, RsrpGrid, _blocked_mask, _site_link_arrays, path_loss, shadow_fading
 from beamloc.seeds import derive_seed
 
 
@@ -357,3 +366,70 @@ def reference_extract_features(sample, config) -> np.ndarray:
             raise ValueError(f"{name}={value} outside one-hot cardinality {width}")
         values += [float(k == value) for k in range(width)]
     return np.array(values)
+
+
+def line_of_sight(p, q, buildings) -> bool:
+    """True iff no building blocks the direct segment between two 3-D points:
+    `rsrp_grid`'s blocking test for one segment."""
+    if p[:2] == q[:2] and p[2] == q[2]:
+        raise ValueError("line_of_sight requires distinct endpoints")
+    mask = _blocked_mask(p, np.array([q[:2]]), q[2], buildings)
+    return not bool(mask[0])
+
+
+def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
+    """Lowest-children-SSE split of (x, y), or None if no candidate separates it.
+
+    The one-node call of the scan `fit_tree` runs on every group of nodes.
+    """
+    sorted_rows = np.argsort(x, axis=0, kind="stable").T
+    feature, threshold = _best_splits(x, y, np.arange(len(x))[None], sorted_rows[None], min_leaf)
+    return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
+
+
+def tree_to_dict(tree) -> dict:
+    """Nested plain-dict form of a `beamloc.dtree.TreeNode` tree, built
+    without recursion."""
+    rendered: dict[int, dict] = {}
+    order = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if not node.is_leaf:
+            stack.extend((node.left, node.right))
+    for node in reversed(order):
+        if node.is_leaf:
+            rendered[id(node)] = {"value": [float(v) for v in node.value], "count": node.count}
+        else:
+            rendered[id(node)] = {
+                "feature_index": node.feature_index,
+                "threshold": node.threshold,
+                "count": node.count,
+                "left": rendered[id(node.left)],
+                "right": rendered[id(node.right)],
+            }
+    return rendered[id(tree)]
+
+
+def load_dataset(csv_path: str) -> Dataset:
+    """Read back a CSV and sidecar written by `beamloc.fingerprint.save_dataset`."""
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        body = [[float(v) for v in row] for row in reader]
+    if header[-2:] != ["label_x", "label_y"]:
+        raise ValueError(f"{csv_path} does not look like a saved dataset")
+    data = np.asarray(body, dtype=float)
+    with open(_sidecar_path(csv_path)) as fh:
+        sidecar = json.load(fh)
+    return Dataset(
+        features=data[:, :-2],
+        labels=data[:, -2:],
+        layout=tuple(sidecar["layout"]),
+        train_idx=np.asarray(sidecar["train_idx"], dtype=int),
+        test_idx=np.asarray(sidecar["test_idx"], dtype=int),
+        mean=np.array([float(v) for v in sidecar["mean"]]),
+        std=np.array([float(v) for v in sidecar["std"]]),
+        provenance=sidecar["provenance"],
+    )

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from beamloc.cli import main
-from beamloc.dtree import _best_split
 from beamloc.evaluation import (
     ExperimentDescriptor,
     error_stats,
@@ -39,11 +38,11 @@ from beamloc.mlp import (
     init_model,
     train,
 )
-from beamloc.propagation import PropagationConfig, line_of_sight
+from beamloc.propagation import PropagationConfig
 from beamloc.scenario import Building, ScenarioConfig, build_scenario
 
 from conftest import record_criterion
-from oracles import brute_force_best_split, dense_los_oracle, table_from_samples
+from oracles import _best_split, brute_force_best_split, dense_los_oracle, line_of_sight, table_from_samples
 from test_mlp import finite_difference_grads
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")

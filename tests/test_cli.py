@@ -128,6 +128,25 @@ def test_cmd_dataset_prints_los_fraction_and_writes_csv(capsys, tmp_path):
     assert "fingerprints_s2_n0_cid.csv.meta.json" in files
 
 
+def test_cmd_dataset_names_each_unbuildable_layout_and_writes_the_rest(capsys, tmp_path):
+    # one site has three cells, so no row has four neighbor cells; and some
+    # serving beam or cell ID is at least 1, outside a one-hot width of 1
+    doc = base_doc(str(tmp_path / "out"))
+    doc["experiments"] += [
+        {"id": "four-neighbors", "model": "dtree", "features": {"n_serving_beams": 2, "n_neighbor_cells": 4}},
+        {"id": "one-hot-width-1", "model": "dtree",
+         "features": {"n_serving_beams": 2, "n_neighbor_cells": 0, "id_encoding": "one_hot",
+                      "one_hot_cells": 1, "one_hot_beams": 1}},
+    ]
+    assert main(["dataset", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    datasets = tmp_path / "out" / "datasets"
+    assert f"error: {datasets / 'fingerprints_s2_n4_cid.csv'}: need at least 10 usable samples, got 0\n" in err
+    onehot = re.escape(str(datasets / "fingerprints_s2_n0_cid_onehot.csv"))
+    assert re.search(rf"^error: {onehot}: \w+=\d+ outside one-hot cardinality 1$", err, re.MULTILINE)
+    assert sorted(os.listdir(datasets)) == ["fingerprints_s2_n0_cid.csv", "fingerprints_s2_n0_cid.csv.meta.json"]
+
+
 def test_cmd_run_writes_reports_under_out_dir(capsys, tmp_path):
     out_dir = tmp_path / "out"
     path = write_config(tmp_path, base_doc(str(out_dir)))
@@ -216,9 +235,17 @@ def test_cmd_run_no_experiments_exits_2(capsys, tmp_path):
         (lambda doc: doc["experiments"][0].update(tree={"max_depth": 1.5}),
          r"experiments\[tree\].tree: max_depth must be an int or null, got float"),
         (lambda doc: doc.update(output_dir=5), r"top level: output_dir must be a string"),
+        (lambda doc: doc["experiments"][0]["features"].update(include_serving_cell_id="false"),
+         r"experiments\[tree\].features: include_serving_cell_id must be a bool, got str"),
+        (lambda doc: doc["experiments"][0]["features"].update(include_serving_cell_id=0),
+         r"experiments\[tree\].features: include_serving_cell_id must be a bool, got int"),
+        (lambda doc: doc["scenario"].update(with_buildings=3), r"scenario: with_buildings must be a bool, got int"),
+        (lambda doc: doc["scenario"].update(with_buildings=None),
+         r"scenario: with_buildings must be a bool, got NoneType"),
     ],
     ids=["top-seed", "min-cell-size", "hidden-layers", "hidden-layers-zero", "experiment-seed-bool",
-         "experiment-seed-float", "dataclass-int-field", "max-depth-bool", "max-depth-float", "output-dir-int"],
+         "experiment-seed-float", "dataclass-int-field", "max-depth-bool", "max-depth-float", "output-dir-int",
+         "cell-id-str", "cell-id-int", "with-buildings-int", "with-buildings-null"],
 )
 def test_config_rejects_bool_and_float_for_int(tmp_path, edit, message):
     doc = base_doc(str(tmp_path / "out"))

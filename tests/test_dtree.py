@@ -9,15 +9,13 @@ import beamloc
 from beamloc.dtree import (
     TreeConfig,
     TreeNode,
-    _best_split,
     fit_tree,
     leaf_nodes,
     predict_tree,
     tree_depth,
-    tree_to_dict,
 )
 
-from oracles import brute_force_best_split
+from oracles import _best_split, brute_force_best_split, tree_to_dict
 
 
 def _random_instance(rng, n=None, d=None):
@@ -268,8 +266,8 @@ def test_huge_negative_features_split_without_hanging():
     # forever, so it runs (with the per-node reference) in a child process
     # with a deadline
     code = (
-        "from beamloc.dtree import TreeConfig, fit_tree, predict_tree, tree_to_dict\n"
-        "from oracles import reference_fit_tree\n"
+        "from beamloc.dtree import TreeConfig, fit_tree, predict_tree\n"
+        "from oracles import reference_fit_tree, tree_to_dict\n"
         "x, y = [[-1.7e308], [-1.6e308], [0.0]], [[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]\n"
         "tree = fit_tree(x, y)\n"
         "assert repr(tree_to_dict(tree)) == repr(tree_to_dict(reference_fit_tree(x, y, TreeConfig())))\n"

@@ -13,8 +13,8 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from beamloc.dtree import TreeConfig, _partition_sse, fit_tree, tree_to_dict
-from oracles import reference_fit_tree
+from beamloc.dtree import TreeConfig, _partition_sse, fit_tree
+from oracles import reference_fit_tree, tree_to_dict
 
 COLUMN_KINDS = ("integer", "duplicate", "mirrored", "normal", "rounded", "adjacent")
 LABEL_KINDS = ("normal", "rounded", "few_values", "constant_column")

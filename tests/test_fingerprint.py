@@ -12,14 +12,13 @@ from beamloc.fingerprint import (
     extract_features_layout,
     filter_los,
     generate_samples,
-    load_dataset,
     normalize,
     partition_by_cell,
     save_dataset,
 )
 from beamloc.propagation import PropagationConfig
 from beamloc.scenario import Beam, Scenario, ScenarioConfig, Sector, Site, build_scenario, enumerate_locations
-from oracles import select_serving, table_from_samples
+from oracles import load_dataset, select_serving, table_from_samples
 
 
 def _sample(rsrp, location=(0.0, 0.0), los=True):

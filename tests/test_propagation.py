@@ -5,15 +5,14 @@ import pytest
 
 from beamloc.propagation import (
     PropagationConfig,
-    antenna_gain,
-    line_of_sight,
+    _sector_block,
     path_loss,
     rsrp_grid,
     shadow_fading,
 )
 from beamloc.scenario import Beam, Building, Scenario, ScenarioConfig, Sector, build_scenario
 
-from oracles import dense_los_oracle
+from oracles import dense_los_oracle, line_of_sight
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -65,6 +64,21 @@ def _beam(**kwargs):
     defaults = dict(beam_id=0, steer_azimuth=0.0, steer_elevation=0.0, array_gain=10.0)
     defaults.update(kwargs)
     return Beam(**defaults)
+
+
+def antenna_gain(beam, azimuth_off, elevation_off):
+    """A beam's pattern at offsets in degrees (scalars or arrays), as
+    `_sector_block` writes it. The beam and its sector point at 0 degrees,
+    the sector has no transmit power, and the links have no loss, no
+    shadowing and no noise floor, so the block it writes is the gain, bit for
+    bit."""
+    assert beam.steer_azimuth == beam.steer_elevation == 0.0
+    sector = Sector(cell_id=0, boresight_azimuth=0.0, tx_power=0.0, beams=(beam,))
+    az, el = (np.ravel(np.asarray(v, dtype=float)) for v in np.broadcast_arrays(azimuth_off, elevation_off))
+    zeros = np.zeros(len(az))
+    out = np.empty((len(az), 1))
+    _sector_block(sector, az, el, zeros, zeros, -np.inf, out)
+    return float(out[0, 0]) if np.isscalar(azimuth_off) and np.isscalar(elevation_off) else out[:, 0]
 
 
 def test_antenna_gain_boresight_is_peak():
@@ -179,12 +193,13 @@ def test_beam_rsrp_composition():
     elevation = np.degrees(np.arctan2(dz, d2d))
     distance = math.sqrt(d2d**2 + dz**2)
     free_space = 20.0 * math.log10(4.0 * math.pi * distance * scenario.carrier_frequency * 1e9 / SPEED_OF_LIGHT)
-    expected = (
-        sector.tx_power
-        + antenna_gain(beam, azimuth - sector.boresight_azimuth - beam.steer_azimuth,
-                       elevation - beam.steer_elevation)
-        - free_space
-    )
+    # parabolic pattern: both offsets lie well inside (-180, 180], so no wrap
+    azimuth_off = azimuth - sector.boresight_azimuth - beam.steer_azimuth
+    elevation_off = elevation - beam.steer_elevation
+    rolloff = 12.0 * (azimuth_off / beam.azimuth_beamwidth) ** 2
+    rolloff += 12.0 * (elevation_off / beam.elevation_beamwidth) ** 2
+    gain = beam.peak_gain - min(rolloff, beam.front_to_back)
+    expected = sector.tx_power + gain - free_space
     grid = rsrp_grid(scenario, np.array([location]), cfg)
     assert grid.beams[0].beam_id == beam.beam_id
     # the module's free-space constant is rounded to 0.01 dB

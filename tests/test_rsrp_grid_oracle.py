@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamloc.fingerprint import Dataset, load_dataset, save_dataset
+from beamloc.fingerprint import Dataset, save_dataset
 from beamloc.propagation import PROPAGATION_MODELS, PropagationConfig, rsrp_grid
 from beamloc.scenario import Beam, Building, Scenario, Sector, Site, synthesize_beam_grid
-from oracles import reference_rsrp_grid
+from oracles import load_dataset, reference_rsrp_grid
 
 # Small pools so that duplicate steers are common; boresight + steer crosses
 # +-180 degrees for many pairs, and -0.0 meets 0.0 as a dictionary key.

@@ -1,0 +1,58 @@
+"""`src/beamloc` holds only what the program runs.
+
+Every top-level function and class in the package must be referenced by
+code in `src/`, in `perfbench/` or by a console-script entry point in
+`pyproject.toml`. A helper that only tests call belongs in `tests/oracles.py`,
+and a second implementation of a job belongs nowhere. Code references are
+names, attributes and imported names, matched by bare name; strings and
+comments do not count, and neither does a definition's reference to itself.
+"""
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    found = set()
+    for statement in tree.body:
+        own = statement.name if isinstance(statement, DEFINITIONS) else None
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def unreferenced_definitions(root: Path) -> list[str]:
+    """`module.name` of each top-level definition in `root`'s package that no
+    program code references."""
+    modules = {path: _parse(path) for path in sorted((root / "src" / "beamloc").glob("*.py"))}
+    program = [*modules.values(), *map(_parse, sorted((root / "perfbench").glob("*.py")))]
+    references = set().union(*map(_referenced_names, program))
+    # console scripts: name = "module:function"
+    references |= set(re.findall(r'=\s*"[\w.]+:(\w+)"', (root / "pyproject.toml").read_text()))
+    return [
+        f"{path.stem}.{node.name}"
+        for path, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, DEFINITIONS) and node.name not in references
+    ]
+
+
+def test_every_src_definition_is_used_by_the_program():
+    unused = unreferenced_definitions(ROOT)
+    assert not unused, f"no program code references {', '.join(unused)}"
