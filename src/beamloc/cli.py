@@ -35,7 +35,7 @@ def _feature_tag(fc: FeatureConfig) -> str:
     cid = "cid" if fc.include_serving_cell_id else "nocid"
     tag = f"s{fc.n_serving_beams}_n{fc.n_neighbor_cells}_{cid}"
     if fc.id_encoding == "one_hot":
-        tag += "_onehot"
+        tag += f"_onehot_c{fc.one_hot_cells}_b{fc.one_hot_beams}"
     return tag
 
 
@@ -63,14 +63,12 @@ def cmd_scenario(config: RunConfig, dry_run: bool = False) -> int:
 
 
 def cmd_dataset(config: RunConfig, dry_run: bool = False) -> int:
-    # one dataset per distinct layout, in order of first use
-    feature_configs = list(dict.fromkeys(d.feature_config for d in config.experiments)) or [FeatureConfig()]
-    paths = [
-        os.path.join(config.output_dir, "datasets", f"fingerprints_{_feature_tag(fc)}.csv")
-        for fc in feature_configs
-    ]
+    # one dataset per output file, in order of first use
+    layouts: dict[str, FeatureConfig] = {}
+    for fc in [d.feature_config for d in config.experiments] or [FeatureConfig()]:
+        layouts.setdefault(os.path.join(config.output_dir, "datasets", f"fingerprints_{_feature_tag(fc)}.csv"), fc)
     if dry_run:
-        for path in paths:
+        for path in layouts:
             print(f"dry run: would write {path}")
         return 0
 
@@ -79,7 +77,7 @@ def cmd_dataset(config: RunConfig, dry_run: bool = False) -> int:
         print("error: no samples left after filtering", file=sys.stderr)
         return 1
     failed = 0
-    for fc, path in zip(feature_configs, paths):
+    for path, fc in layouts.items():
         try:
             dataset = build_dataset(
                 samples, fc, config.split_fraction, derive_seed(config.seed, "split", _feature_tag(fc))

@@ -29,7 +29,6 @@ from .fingerprint import (
     FeatureConfig,
     atomic_write_text,
     build_dataset,
-    extract_features_layout,
     normalize,
     partition_by_cell,
 )
@@ -155,19 +154,17 @@ class EvalReport:
 
 
 def prepare_data(samples, descriptor: ExperimentDescriptor, split_fraction: float = 0.9, min_cell_size: int = 50):
-    """Datasets for one descriptor: pooled, or one per serving cell."""
+    """The arm's parts, [(seed labels, Dataset)]: the pooled ("net",) dataset,
+    or one ("cell", id) dataset per kept serving cell in ascending id order.
+    """
     if descriptor.topology == "network_level":
-        return build_dataset(samples, descriptor.feature_config, split_fraction,
-                             derive_seed(descriptor.seed, "split"))
-    return partition_by_cell(samples, descriptor.feature_config, split_fraction,
-                             derive_seed(descriptor.seed, "partition"), min_size=min_cell_size)
-
-
-def _expected_layout(descriptor: ExperimentDescriptor) -> tuple[str, ...]:
-    fc = descriptor.feature_config
-    if descriptor.topology == "cell_specific":
-        fc = dataclasses.replace(fc, include_serving_cell_id=False)
-    return extract_features_layout(fc)
+        return [(("net",), build_dataset(samples, descriptor.feature_config, split_fraction,
+                                         derive_seed(descriptor.seed, "split")))]
+    cells = partition_by_cell(samples, descriptor.feature_config, split_fraction,
+                              derive_seed(descriptor.seed, "partition"), min_size=min_cell_size)
+    if not cells:
+        raise ValueError("cell_specific topology received no per-cell datasets")
+    return [(("cell", cell_id), cells[cell_id]) for cell_id in sorted(cells)]
 
 
 def _fit_and_predict(dataset: Dataset, descriptor: ExperimentDescriptor, *seed_labels):
@@ -214,29 +211,14 @@ def _centroid_errors(dataset: Dataset) -> np.ndarray:
     return euclidean_errors(np.tile(centroid, (len(dataset.test_idx), 1)), dataset.labels[dataset.test_idx])
 
 
-def run_experiment(data, descriptor: ExperimentDescriptor) -> EvalReport:
+def run_experiment(parts, descriptor: ExperimentDescriptor) -> EvalReport:
     """Train and evaluate one experiment arm.
 
-    `data` is the object prepare_data returned for this descriptor: a single
-    Dataset for network-level topology, a cell_id -> Dataset map for
-    cell-specific. Each part (the pooled dataset, or one cell's) trains its
-    own model under its own seed labels; test errors are pooled across parts
-    (cells sorted by id) so topologies are compared on one test population.
+    `parts` is what prepare_data returned for this descriptor. Each part (the
+    pooled dataset, or one cell's) trains its own model under its own seed
+    labels; test errors are pooled across parts (cells sorted by id) so
+    topologies are compared on one test population.
     """
-    expected = _expected_layout(descriptor)
-    if descriptor.topology == "network_level":
-        if data.layout != expected:
-            raise ValueError(f"dataset layout {data.layout} does not match descriptor features {expected}")
-        parts = [(("net",), data)]
-    else:
-        if not data:
-            raise ValueError("cell_specific topology received no per-cell datasets")
-        parts = []
-        for cell_id in sorted(data):
-            if data[cell_id].layout != expected:
-                raise ValueError(f"cell {cell_id} layout does not match descriptor features")
-            parts.append((("cell", cell_id), data[cell_id]))
-
     train_parts, test_parts, baseline_parts, infos = [], [], [], []
     for seed_labels, dataset in parts:
         pred, info = _fit_and_predict(dataset, descriptor, *seed_labels)
@@ -281,8 +263,8 @@ def run_experiment(data, descriptor: ExperimentDescriptor) -> EvalReport:
 
 
 def _run_one(samples, descriptor: ExperimentDescriptor, split_fraction: float, min_cell_size: int) -> EvalReport:
-    data = prepare_data(samples, descriptor, split_fraction, min_cell_size)
-    return run_experiment(data, descriptor)
+    parts = prepare_data(samples, descriptor, split_fraction, min_cell_size)
+    return run_experiment(parts, descriptor)
 
 
 def run_matrix(

@@ -139,17 +139,14 @@ class FingerprintTable(Sequence):
         )
 
     @classmethod
-    def from_grid(cls, locations, grid: RsrpGrid, site_ids, noise_floor: float) -> FingerprintTable:
+    def from_grid(cls, locations, grid: RsrpGrid, noise_floor: float) -> FingerprintTable:
         """Rows of the beams strictly above `noise_floor`; rows hearing none are left out.
 
-        `site_ids` names the columns of `grid.site_los`, in order.
+        The table is the one place that decides audibility: a beam at or
+        below the floor (or NaN) becomes -inf here. Grid columns may come in
+        any order; the table sorts them by (cell_id, beam_id).
         """
-        site_index = {site_id: i for i, site_id in enumerate(site_ids)}
-        cell_ids = np.array([ref.cell_id for ref in grid.beams], dtype=np.int64)
-        beam_ids = np.array([ref.beam_id for ref in grid.beams], dtype=np.int64)
-        order = np.lexsort((beam_ids, cell_ids))
-        col_site = np.array([site_index[ref.site_id] for ref in grid.beams])[order]
-
+        order = np.lexsort((grid.beam_ids, grid.cell_ids))
         rsrp = np.take(grid.rsrp, order, axis=1)
         rsrp[~(rsrp > noise_floor)] = -np.inf
         # no NaN is left, so the first column equal to the row maximum is the
@@ -159,10 +156,10 @@ class FingerprintTable(Sequence):
         table = cls(
             locations=np.asarray(locations, dtype=float),
             rsrp=rsrp,
-            cell_ids=cell_ids[order],
-            beam_ids=beam_ids[order],
+            cell_ids=grid.cell_ids[order],
+            beam_ids=grid.beam_ids[order],
             serving_col=serving_col,
-            los=grid.site_los[np.arange(len(rsrp)), col_site[serving_col]].astype(bool),
+            los=grid.site_los[np.arange(len(rsrp)), grid.site_col[order][serving_col]].astype(bool),
         )
         heard = strongest > -np.inf
         return table if heard.all() else table.take(heard)
@@ -222,9 +219,7 @@ def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None =
     if len(locations) == 0:
         raise ValueError("scenario has no street locations to sample")
     grid = rsrp_grid(scenario, locations, prop_config)
-    table = FingerprintTable.from_grid(
-        locations, grid, [site.id for site in scenario.sites], prop_config.noise_floor
-    )
+    table = FingerprintTable.from_grid(locations, grid, prop_config.noise_floor)
     if len(table) < len(locations):
         log.warning("dropped %d locations with no beam above the noise floor", len(locations) - len(table))
     return table
@@ -414,7 +409,9 @@ def partition_by_cell(
 
     The serving-cell ID feature is constant within a group, so it is removed
     from the per-cell layouts. Groups smaller than min_size are skipped and
-    logged. Each group gets its own seeded split and normalization stats.
+    logged; a kept group that cannot build its dataset raises ValueError
+    naming the cell. Each group gets its own seeded split and normalization
+    stats.
     """
     config = dataclasses.replace(config, include_serving_cell_id=False)
     serving = table.serving_cell
@@ -425,9 +422,12 @@ def partition_by_cell(
         if len(members) < min_size:
             log.warning("skipping cell %d: %d samples < min_size %d", cell_id, len(members), min_size)
             continue
-        datasets[cell_id] = build_dataset(
-            table.take(members), config, split_fraction, derive_seed(seed, "cell", cell_id)
-        )
+        try:
+            datasets[cell_id] = build_dataset(
+                table.take(members), config, split_fraction, derive_seed(seed, "cell", cell_id)
+            )
+        except ValueError as err:
+            raise ValueError(f"cell {cell_id}: {err}") from err
     return datasets
 
 

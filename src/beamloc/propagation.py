@@ -31,6 +31,7 @@ class PropagationConfig:
     same free-space loss plus 10*n*log10(d) on links without line of sight,
     with n = `nlos_extra_loss_exponent`; it is not the 3GPP TR 38.901 UMi
     street-canyon model, only named after the urban-micro setting.
+    `noise_floor` is read by the fingerprint table, not by `rsrp_grid`.
     """
 
     model: str = "free_space"
@@ -153,24 +154,20 @@ def shadow_fading(seed: int, site_id: int, locations: np.ndarray, sigma: float) 
 
 
 @dataclass(frozen=True)
-class BeamRef:
-    """Global identity of one matrix column."""
-
-    site_id: int
-    cell_id: int
-    beam_id: int
-
-
-@dataclass(frozen=True)
 class RsrpGrid:
-    """Per-location, per-beam RSRP with the column identities and LoS map.
+    """Per-location, per-beam raw RSRP with the column identities and LoS map.
 
-    rsrp has shape (n_locations, n_beams); site_los has shape
-    (n_locations, n_sites) with columns ordered like scenario.sites.
+    rsrp has shape (n_locations, n_beams) and holds every beam's RSRP, however
+    weak; which beams are audible is decided when the grid becomes a
+    fingerprint table. Column j belongs to beam beam_ids[j] of cell
+    cell_ids[j], on the site in column site_col[j] of site_los, which has
+    shape (n_locations, n_sites) with columns ordered like scenario.sites.
     """
 
     rsrp: np.ndarray
-    beams: tuple[BeamRef, ...]
+    cell_ids: np.ndarray  # (n_beams,)
+    beam_ids: np.ndarray  # (n_beams,)
+    site_col: np.ndarray  # (n_beams,)
     site_los: np.ndarray
 
 
@@ -181,7 +178,7 @@ def _distinct(keys: list) -> tuple[list, list[int]]:
     return list(index), inverse
 
 
-def _sector_block(sector: Sector, azimuth, elevation, loss, shadow, noise_floor: float, out: np.ndarray) -> None:
+def _sector_block(sector: Sector, azimuth, elevation, loss, shadow, out: np.ndarray) -> None:
     """Write the sector's (locations, beams) RSRP block into `out`.
 
     A beam's gain is its peak gain minus the summed azimuth and elevation
@@ -205,10 +202,11 @@ def _sector_block(sector: Sector, azimuth, elevation, loss, shadow, noise_floor:
     rolloff += el_term[:, el_of_beam]
     np.minimum(rolloff, np.array([b.front_to_back for b in beams], dtype=float), out=rolloff)
     gain = np.subtract(np.array([b.peak_gain for b in beams], dtype=float), rolloff, out=rolloff)
+    # composed in the contiguous buffer: only the last pass writes the
+    # strided column slice `out`, which is slower to update in place
     rsrp = np.add(sector.tx_power, gain, out=gain)
     rsrp -= loss[:, None]
-    rsrp += shadow[:, None]
-    np.maximum(rsrp, noise_floor, out=out)
+    np.add(rsrp, shadow[:, None], out=out)
 
 
 def rsrp_grid(scenario: Scenario, locations: np.ndarray, config: PropagationConfig | None = None) -> RsrpGrid:
@@ -220,15 +218,16 @@ def rsrp_grid(scenario: Scenario, locations: np.ndarray, config: PropagationConf
     config = config or PropagationConfig()
     locations = np.asarray(locations, dtype=float)
     shadow_seed = derive_seed(scenario.rng_seed, "shadow")
-    refs = tuple(
-        BeamRef(site_id=site.id, cell_id=sector.cell_id, beam_id=beam.beam_id)
-        for site in scenario.sites
+    columns = [
+        (si, sector.cell_id, beam.beam_id)
+        for si, site in enumerate(scenario.sites)
         for sector in site.sectors
         for beam in sector.beams
-    )
-    if not refs:
+    ]
+    if not columns:
         raise ValueError("scenario has no beams")
-    rsrp = np.empty((len(locations), len(refs)))
+    site_col, cell_ids, beam_ids = np.array(columns, dtype=np.int64).T
+    rsrp = np.empty((len(locations), len(columns)))
     site_los = np.zeros((len(locations), len(scenario.sites)), dtype=bool)
     column = 0
     for si, site in enumerate(scenario.sites):
@@ -240,6 +239,6 @@ def rsrp_grid(scenario: Scenario, locations: np.ndarray, config: PropagationConf
             if not sector.beams:
                 continue
             end = column + len(sector.beams)
-            _sector_block(sector, azimuth, elevation, loss, shadow, config.noise_floor, rsrp[:, column:end])
+            _sector_block(sector, azimuth, elevation, loss, shadow, rsrp[:, column:end])
             column = end
-    return RsrpGrid(rsrp=rsrp, beams=refs, site_los=site_los)
+    return RsrpGrid(rsrp=rsrp, cell_ids=cell_ids, beam_ids=beam_ids, site_col=site_col, site_los=site_los)

@@ -15,7 +15,7 @@ import numpy as np
 
 from beamloc.dtree import _best_splits
 from beamloc.fingerprint import Dataset, FingerprintTable, _sidecar_path
-from beamloc.propagation import BeamRef, RsrpGrid, _blocked_mask, _site_link_arrays, path_loss, shadow_fading
+from beamloc.propagation import RsrpGrid, _blocked_mask, _site_link_arrays, path_loss, shadow_fading
 from beamloc.seeds import derive_seed
 
 
@@ -253,10 +253,13 @@ def reference_rsrp_grid(scenario, locations, config):
     parabolic pattern evaluated once per beam, one column per beam, stacked
     at the end. Link geometry, LoS, path loss and shadow fading are the
     library's; the pattern and the RSRP composition are written out here.
+    Every value is clamped at `config.noise_floor`, which `rsrp_grid` does
+    not do: a beam at the floor and a beam below it must give the same
+    fingerprint table.
     """
     locations = np.asarray(locations, dtype=float)
     shadow_seed = derive_seed(scenario.rng_seed, "shadow")
-    columns, refs = [], []
+    columns, ids = [], []
     site_los = np.zeros((len(locations), len(scenario.sites)), dtype=bool)
     for si, site in enumerate(scenario.sites):
         d3d, azimuth, elevation, los = _site_link_arrays(site, locations, scenario, config)
@@ -272,8 +275,10 @@ def reference_rsrp_grid(scenario, locations, config):
                 gain = beam.peak_gain - np.minimum(rolloff, beam.front_to_back)
                 rsrp = sector.tx_power + gain - loss + shadow
                 columns.append(np.maximum(rsrp, config.noise_floor))
-                refs.append(BeamRef(site_id=site.id, cell_id=sector.cell_id, beam_id=beam.beam_id))
-    return RsrpGrid(rsrp=np.column_stack(columns), beams=tuple(refs), site_los=site_los)
+                ids.append((sector.cell_id, beam.beam_id, si))
+    cell_ids, beam_ids, site_col = np.array(ids, dtype=np.int64).T
+    return RsrpGrid(rsrp=np.column_stack(columns), cell_ids=cell_ids, beam_ids=beam_ids, site_col=site_col,
+                    site_los=site_los)
 
 
 class FeatureExtractionError(ValueError):

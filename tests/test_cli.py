@@ -142,9 +142,37 @@ def test_cmd_dataset_names_each_unbuildable_layout_and_writes_the_rest(capsys, t
     err = capsys.readouterr().err
     datasets = tmp_path / "out" / "datasets"
     assert f"error: {datasets / 'fingerprints_s2_n4_cid.csv'}: need at least 10 usable samples, got 0\n" in err
-    onehot = re.escape(str(datasets / "fingerprints_s2_n0_cid_onehot.csv"))
+    onehot = re.escape(str(datasets / "fingerprints_s2_n0_cid_onehot_c1_b1.csv"))
     assert re.search(rf"^error: {onehot}: \w+=\d+ outside one-hot cardinality 1$", err, re.MULTILINE)
     assert sorted(os.listdir(datasets)) == ["fingerprints_s2_n0_cid.csv", "fingerprints_s2_n0_cid.csv.meta.json"]
+
+
+def test_cmd_dataset_writes_one_file_per_one_hot_width_and_each_file_once(capsys, tmp_path):
+    # one-hot layouts that differ only in their widths get a file each; a
+    # numeric layout ignores the widths, so a second one with other widths
+    # names the first one's file and is not written again
+    doc = base_doc(str(tmp_path / "out"))
+    doc["experiments"] += [
+        {"id": f"one-hot-{cells}", "model": "dtree",
+         "features": {"n_serving_beams": 2, "n_neighbor_cells": 0, "id_encoding": "one_hot",
+                      "one_hot_cells": cells, "one_hot_beams": 8}}
+        for cells in (3, 4)
+    ]
+    doc["experiments"].append({"id": "numeric-widths", "model": "dtree",
+                               "features": {"n_serving_beams": 2, "n_neighbor_cells": 0, "one_hot_cells": 5}})
+    assert main(["dataset", "--config", write_config(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    datasets = tmp_path / "out" / "datasets"
+    assert sorted(os.listdir(datasets)) == [
+        f"fingerprints_s2_n0_cid{tag}.csv{meta}"
+        for tag in ("", "_onehot_c3_b8", "_onehot_c4_b8") for meta in ("", ".meta.json")
+    ]
+    assert len(re.findall(r"^wrote ", out, re.MULTILINE)) == 3
+    for tag, width in (("_onehot_c3_b8", 21), ("_onehot_c4_b8", 22)):
+        header = (datasets / f"fingerprints_s2_n0_cid{tag}.csv").read_text().splitlines()[0]
+        assert len(header.split(",")) == width + 2  # features, then label_x and label_y
+    meta = json.loads((datasets / "fingerprints_s2_n0_cid.csv.meta.json").read_text())
+    assert meta["provenance"]["feature_config"]["one_hot_cells"] == 0
 
 
 def test_cmd_run_writes_reports_under_out_dir(capsys, tmp_path):

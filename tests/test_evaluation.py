@@ -120,15 +120,20 @@ def test_descriptor_validation():
 def test_prepare_data_shapes(samples):
     fc = FeatureConfig(n_serving_beams=3, n_neighbor_cells=0)
     net = ExperimentDescriptor(experiment_id="net", feature_config=fc, topology="network_level")
-    dataset = prepare_data(samples, net)
-    assert dataset.features.shape[1] == 7
+    parts = prepare_data(samples, net)
+    assert [labels for labels, _ in parts] == [("net",)]
+    assert parts[0][1].features.shape[1] == 7
 
     cells = ExperimentDescriptor(experiment_id="cs", feature_config=fc, topology="cell_specific")
     parts = prepare_data(samples, cells, min_cell_size=10)
-    assert isinstance(parts, dict)
+    labels = [labels for labels, _ in parts]
     assert len(parts) >= 2
-    for dataset in parts.values():
+    assert [kind for kind, _ in labels] == ["cell"] * len(parts)
+    assert [cell_id for _, cell_id in labels] == sorted({int(c) for c in samples.serving_cell})
+    for _, dataset in parts:
         assert dataset.features.shape[1] == 6
+    with pytest.raises(ValueError, match="no per-cell datasets"):
+        prepare_data(samples, cells, min_cell_size=10**6)
 
 
 def test_run_experiment_mlp_network(samples):
@@ -187,14 +192,6 @@ def test_run_experiment_cell_specific_pools_test_errors(samples):
     assert abs(report.test_stats.std**2 - (second - mean**2)) < 1e-9
 
 
-def test_run_experiment_rejects_layout_mismatch(samples):
-    fc_a = FeatureConfig(n_serving_beams=3, n_neighbor_cells=0)
-    fc_b = FeatureConfig(n_serving_beams=4, n_neighbor_cells=0)
-    data = prepare_data(samples, ExperimentDescriptor(experiment_id="a", feature_config=fc_a))
-    with pytest.raises(ValueError):
-        run_experiment(data, ExperimentDescriptor(experiment_id="b", feature_config=fc_b))
-
-
 def test_run_experiment_is_deterministic(samples):
     fc = FeatureConfig(n_serving_beams=3, n_neighbor_cells=1)
     desc = ExperimentDescriptor(
@@ -230,7 +227,7 @@ def test_run_matrix_contains_failures_and_continues(samples, jobs):
     reports, failures = run_matrix(samples, [good, bad], min_cell_size=10**6, jobs=jobs)
     assert [r.experiment_id for r in reports] == ["good"]
     assert [f["experiment_id"] for f in failures] == ["bad"]
-    assert failures[0]["error"]
+    assert failures[0]["error"] == "cell_specific topology received no per-cell datasets"
 
 
 def test_run_matrix_parallel_matches_serial(samples):

@@ -351,6 +351,18 @@ def test_partition_by_cell_min_size_skips():
     assert len(parts) == sum(1 for v in by_cell.values() if v >= threshold)
 
 
+def test_partition_by_cell_names_the_cell_that_cannot_build_its_dataset():
+    # cell 4 passes min_size with 12 rows, but only 8 hear the two serving
+    # beams the layout needs; cell 1 builds its dataset
+    full = [_sample({(1, 0): -60.0, (1, 1): -61.0}, location=(float(i), 0.0)) for i in range(12)]
+    short = [_sample({(4, 0): -60.0, (4, 1): -61.0}, location=(float(i), 1.0)) for i in range(8)]
+    short += [_sample({(4, 0): -60.0}, location=(float(i), 2.0)) for i in range(4)]
+    table = table_from_samples(full + short)
+    with pytest.raises(ValueError, match=r"^cell 4: need at least 10 usable samples, got 8$"):
+        partition_by_cell(table, FeatureConfig(n_serving_beams=2), min_size=10)
+    assert list(partition_by_cell(table, FeatureConfig(n_serving_beams=1), min_size=10)) == [1, 4]
+
+
 def test_save_load_round_trip(tmp_path):
     dataset = build_dataset(_synthetic_samples(50), FeatureConfig(n_neighbor_cells=2), seed=11)
     path = tmp_path / "fingerprints.csv"

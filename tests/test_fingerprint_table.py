@@ -30,7 +30,7 @@ from beamloc.fingerprint import (
     generate_samples,
     partition_by_cell,
 )
-from beamloc.propagation import BeamRef, PropagationConfig, RsrpGrid
+from beamloc.propagation import PropagationConfig, RsrpGrid
 from beamloc.scenario import ScenarioConfig, build_scenario
 from oracles import FeatureExtractionError, reference_extract_features, select_serving, table_from_samples
 
@@ -83,10 +83,11 @@ SITES = (3, 0, 1)  # site_los column order; every _site(cell) is listed
 
 def _grid(rsrp, site_los, column_order):
     """RsrpGrid with columns in `column_order` and one location per row at (row, 0)."""
-    keys = [(cell, beam) for cell in CELLS for beam in range(BEAMS)]
-    beams = tuple(BeamRef(site_id=_site(keys[k][0]), cell_id=keys[k][0], beam_id=keys[k][1]) for k in column_order)
+    keys = np.array([(cell, beam) for cell in CELLS for beam in range(BEAMS)])[column_order]
+    site_col = np.array([SITES.index(_site(cell)) for cell in keys[:, 0]])
     locations = np.column_stack([np.arange(len(rsrp), dtype=float), np.zeros(len(rsrp))])
-    return locations, RsrpGrid(rsrp=rsrp[:, column_order], beams=beams, site_los=site_los)
+    return locations, RsrpGrid(rsrp=rsrp[:, column_order], cell_ids=keys[:, 0], beam_ids=keys[:, 1],
+                               site_col=site_col, site_los=site_los)
 
 
 def _samples(rsrp, site_los):
@@ -146,7 +147,7 @@ def _assert_paths_agree(table, samples, config):
 def test_table_and_per_row_paths_agree(data, column_seed):
     rsrp, site_los = data
     column_order = np.random.default_rng(column_seed).permutation(len(CELLS) * BEAMS)
-    generated = FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), SITES, NOISE_FLOOR)
+    generated = FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), NOISE_FLOOR)
     samples = _samples(rsrp, site_los)
 
     assert len(generated) == len(samples)
@@ -164,7 +165,7 @@ def test_table_and_per_row_paths_agree(data, column_seed):
 @given(data=fingerprint_rows())
 def test_partition_by_cell_matches_per_row_groups(data):
     rsrp, site_los = data
-    table = FingerprintTable.from_grid(*_grid(rsrp, site_los, np.arange(len(CELLS) * BEAMS)), SITES, NOISE_FLOOR)
+    table = FingerprintTable.from_grid(*_grid(rsrp, site_los, np.arange(len(CELLS) * BEAMS)), NOISE_FLOOR)
     samples = _samples(rsrp, site_los)
     config = FeatureConfig(n_serving_beams=1, n_neighbor_cells=0)  # no row is dropped
     parts = partition_by_cell(table, config, min_size=10)
@@ -227,7 +228,7 @@ def _random_table(seed, n_rows=60):
     rsrp = rng.choice(np.array(TIED_LEVELS + (NOISE_FLOOR - 1.0,) * 4), size=(n_rows, len(CELLS) * BEAMS))
     site_los = rng.random((n_rows, len(SITES))) < 0.6
     column_order = rng.permutation(len(CELLS) * BEAMS)
-    return FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), SITES, NOISE_FLOOR)
+    return FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), NOISE_FLOOR)
 
 
 CONFIGS = FEATURE_CONFIGS + NARROW_ONE_HOT
@@ -273,7 +274,7 @@ def test_serving_col_is_argmax_of_masked_grid():
     rsrp[6, [19, 0]] = -75.0  # tie between the first and last column
     site_los = np.ones((len(rsrp), len(SITES)), dtype=bool)
     column_order = np.random.default_rng(14).permutation(len(CELLS) * BEAMS)
-    table = FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), SITES, NOISE_FLOOR)
+    table = FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), NOISE_FLOOR)
 
     masked = np.where(rsrp > NOISE_FLOOR, rsrp, -np.inf)
     heard = masked.max(axis=1) > -np.inf

@@ -5,9 +5,11 @@ per-value references.
 pair of a sector and writes the sector's block straight into the result;
 `reference_rsrp_grid` evaluates the pattern beam by beam. Both apply the same
 element-wise operations in the same order, so the grids must be identical,
-bit for bit. `save_dataset` hands Python floats to the csv module, which
-writes them with repr, so its bytes must equal a writer that calls repr on
-every value.
+bit for bit, wherever the reference's clamp at the noise floor leaves a
+value alone; `rsrp_grid` writes raw RSRP, so the fingerprint tables built
+from the two grids must be identical everywhere. `save_dataset` hands
+Python floats to the csv module, which writes them with repr, so its bytes
+must equal a writer that calls repr on every value.
 """
 import csv
 import dataclasses
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamloc.fingerprint import Dataset, save_dataset
+from beamloc.fingerprint import Dataset, FingerprintTable, save_dataset
 from beamloc.propagation import PROPAGATION_MODELS, PropagationConfig, rsrp_grid
 from beamloc.scenario import Beam, Building, Scenario, Sector, Site, synthesize_beam_grid
 from oracles import load_dataset, reference_rsrp_grid
@@ -122,9 +124,24 @@ def test_rsrp_grid_matches_beam_by_beam_reference(case):
     got = rsrp_grid(scenario, locations, config)
     want = reference_rsrp_grid(scenario, locations, config)
     assert got.rsrp.shape == want.rsrp.shape
-    assert np.array_equal(got.rsrp, want.rsrp)
+    assert np.array_equal(np.maximum(got.rsrp, config.noise_floor), want.rsrp)
     assert np.array_equal(got.site_los, want.site_los)
-    assert got.beams == want.beams
+    for name in ("cell_ids", "beam_ids", "site_col"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_case())
+def test_table_from_raw_grid_matches_table_from_floored_reference(case):
+    # the table alone decides audibility: the raw grid and the reference's
+    # clamped grid must give the same table, bit for bit
+    scenario, locations, config = case
+    got = FingerprintTable.from_grid(locations, rsrp_grid(scenario, locations, config), config.noise_floor)
+    want = FingerprintTable.from_grid(locations, reference_rsrp_grid(scenario, locations, config),
+                                      config.noise_floor)
+    for name in ("locations", "rsrp", "cell_ids", "beam_ids", "serving_col", "los"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_rsrp_grid_rejects_a_scenario_without_beams():
