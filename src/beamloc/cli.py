@@ -40,12 +40,14 @@ def _feature_tag(fc: FeatureConfig) -> str:
 
 
 def _build_samples(config: RunConfig):
-    """Scenario -> LoS-annotated samples, reporting the LoS fraction."""
+    """Scenario -> LoS-annotated samples, reporting the LoS fraction.
+
+    `filter_los` consumes the full table, so the fraction is printed first.
+    """
     samples = generate_samples(build_scenario(config.scenario), config.propagation)
-    los = filter_los(samples)
-    fraction = len(los) / len(samples) if samples else 0.0
+    fraction = int(samples.los.sum()) / len(samples) if samples else 0.0
     print(f"samples: {len(samples)}  LoS fraction: {fraction:.4f}")
-    return los if config.los_only else samples
+    return filter_los(samples) if config.los_only else samples
 
 
 def cmd_scenario(config: RunConfig, dry_run: bool = False) -> int:
@@ -101,7 +103,7 @@ def cmd_run(config: RunConfig, jobs: int = 1, dry_run: bool = False) -> int:
             arch = "x".join(str(w) for w in descriptor.hidden_layers) if descriptor.model_kind == "mlp" else "tree"
             print(
                 f"dry run: {descriptor.experiment_id}: {descriptor.model_kind} {arch} "
-                f"{descriptor.topology} s{fc.n_serving_beams}+n{fc.n_neighbor_cells} seed={descriptor.seed}"
+                f"{descriptor.topology} {_feature_tag(fc)} seed={descriptor.seed}"
             )
         return 0
 

@@ -10,6 +10,8 @@ All locations live in one columnar `FingerprintTable`, and
 `extract_features` builds every feature matrix from it in one vectorized
 pass over the table's ranking, which each table computes once and every
 layout reuses; `FingerprintSample` is only a read-only view of one table row.
+The table is built in the RSRP grid's own buffer and LoS filtering moves rows
+within it, so a run allocates one location x beam matrix.
 `save_dataset` writes each dataset as a CSV plus a JSON sidecar; the program
 never reads them back.
 """
@@ -35,6 +37,11 @@ from .seeds import derive_seed
 log = logging.getLogger(__name__)
 
 ID_ENCODINGS = ("numeric", "one_hot")
+# the deepest ranks a layout can read; `_ranking` keeps no more than these
+MAX_SERVING_BEAMS = 8
+MAX_NEIGHBOR_CELLS = 4
+# `_move_to_front` moves about this many bytes of an array's rows at a time
+MOVE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -70,10 +77,10 @@ class FeatureConfig:
     one_hot_beams: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n_serving_beams <= 8:
-            raise ValueError("n_serving_beams must be in 1..8")
-        if not 0 <= self.n_neighbor_cells <= 4:
-            raise ValueError("n_neighbor_cells must be in 0..4")
+        if not 1 <= self.n_serving_beams <= MAX_SERVING_BEAMS:
+            raise ValueError(f"n_serving_beams must be in 1..{MAX_SERVING_BEAMS}")
+        if not 0 <= self.n_neighbor_cells <= MAX_NEIGHBOR_CELLS:
+            raise ValueError(f"n_neighbor_cells must be in 0..{MAX_NEIGHBOR_CELLS}")
         if self.id_encoding not in ID_ENCODINGS:
             raise ValueError(f"id_encoding must be one of {ID_ENCODINGS}")
         if self.id_encoding == "one_hot" and (self.one_hot_cells < 1 or self.one_hot_beams < 1):
@@ -88,9 +95,11 @@ class FingerprintTable(Sequence):
     order and -inf where a beam is inaudible. `serving_col` is each row's
     strongest serving-cell column: for generated tables the row-wise argmax,
     so ties go to the lowest (cell, beam). The table is a sequence of
-    `FingerprintSample` rows built on demand. Its columns are never written
-    after construction: the first `extract_features` call ranks every row
-    once (`_ranking`), and later layouts on the same table reuse that ranking.
+    `FingerprintSample` rows built on demand. A table's columns are never
+    written while it is in use: the first `extract_features` call ranks every
+    row once (`_ranking`), and later layouts on the same table reuse that
+    ranking. `from_grid` and `filter_los` consume their input instead of
+    copying it, and the input is not read again.
     """
 
     locations: np.ndarray  # (n_rows, 2)
@@ -143,35 +152,40 @@ class FingerprintTable(Sequence):
         """Rows of the beams strictly above `noise_floor`; rows hearing none are left out.
 
         The table is the one place that decides audibility: a beam at or
-        below the floor (or NaN) becomes -inf here. Grid columns may come in
-        any order; the table sorts them by (cell_id, beam_id).
+        below the floor (or NaN) becomes -inf here. Consumes `grid`: its
+        `rsrp` is floored in place and becomes the table's `rsrp` (rows
+        hearing none are moved out in place too), so the grid's matrix is
+        the only location x beam matrix. Grid columns must already be in
+        (cell_id, beam_id) order, as `rsrp_grid` writes them; the table
+        rejects any other order.
         """
-        order = np.lexsort((grid.beam_ids, grid.cell_ids))
-        rsrp = np.take(grid.rsrp, order, axis=1)
-        rsrp[~(rsrp > noise_floor)] = -np.inf
+        rsrp = grid.rsrp
+        mask = rsrp > noise_floor  # one bool buffer for both passes below
+        np.copyto(rsrp, -np.inf, where=np.logical_not(mask, out=mask))
         # no NaN is left, so the first column equal to the row maximum is the
         # row's argmax; a row hearing nothing is all -inf and gets column 0
         strongest = rsrp.max(axis=1)
-        serving_col = (rsrp == strongest[:, None]).argmax(axis=1)
+        serving_col = np.equal(rsrp, strongest[:, None], out=mask).argmax(axis=1)
         table = cls(
-            locations=np.asarray(locations, dtype=float),
+            locations=np.array(locations, dtype=float),
             rsrp=rsrp,
-            cell_ids=grid.cell_ids[order],
-            beam_ids=grid.beam_ids[order],
+            cell_ids=grid.cell_ids,
+            beam_ids=grid.beam_ids,
             serving_col=serving_col,
-            los=grid.site_los[np.arange(len(rsrp)), grid.site_col[order][serving_col]].astype(bool),
+            los=grid.site_los[np.arange(len(rsrp)), grid.site_col[serving_col]].astype(bool),
         )
         heard = strongest > -np.inf
-        return table if heard.all() else table.take(heard)
+        return table if heard.all() else _keep_rows(table, np.flatnonzero(heard))
 
     @cached_property
     def _ranking(self) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
         """(ranked arrays, audible serving beams, audible neighbor cells) of every row.
 
         The ranked (n_rows, rank) arrays, in the order `extract_features`
-        describes, are named by the sources of `_layout_fields` and cover
-        every rank, so each layout reads a prefix. Computed on first use and
-        kept with the table.
+        describes, are named by the sources of `_layout_fields` and keep the
+        first MAX_SERVING_BEAMS serving and MAX_NEIGHBOR_CELLS neighbor ranks,
+        so each layout reads a prefix. The audible counts cover every rank.
+        Computed on first use and kept with the table.
         """
         n = len(self)
         cells, starts, counts = np.unique(self.cell_ids, return_index=True, return_counts=True)
@@ -190,12 +204,12 @@ class FingerprintTable(Sequence):
         rows = np.arange(n)
         serving_pos = cell_pos[self.serving_col]
         serving_block = cube[rows, serving_pos]
-        serving_order = np.argsort(-serving_block, axis=1, kind="stable")
+        serving_order = np.argsort(-serving_block, axis=1, kind="stable")[:, :MAX_SERVING_BEAMS]
         # the same first maximum as cube.argmax(axis=2), as one 2-D pass
         best_slot = cube.reshape(-1, width).argmax(axis=1).reshape(n, len(cells))
         best = cube.max(axis=2)
         best[rows, serving_pos] = -np.inf
-        neighbor_order = np.argsort(-best, axis=1, kind="stable")
+        neighbor_order = np.argsort(-best, axis=1, kind="stable")[:, :MAX_NEIGHBOR_CELLS]
         ranked = {
             "serving_beam": slot_beam[serving_pos[:, None], serving_order],
             "serving_rsrp": np.take_along_axis(serving_block, serving_order, axis=1),
@@ -226,8 +240,36 @@ def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None =
 
 
 def filter_los(table: FingerprintTable) -> FingerprintTable:
-    """Keep exactly the rows with line of sight to their serving cell."""
-    return table.take(table.los)
+    """Keep exactly the rows with line of sight to their serving cell.
+
+    Consumes `table`: the kept rows move to the front of its own arrays and
+    the result's columns are views of them, so no second matrix is allocated.
+    Read what is needed of `table` (its length, its LoS count) before the call.
+    """
+    return _keep_rows(table, np.flatnonzero(table.los))
+
+
+def _keep_rows(table: FingerprintTable, rows: np.ndarray) -> FingerprintTable:
+    """`table` restricted to the increasing `rows`, built in `table`'s own arrays."""
+    return dataclasses.replace(table, **{
+        name: _move_to_front(getattr(table, name), rows) for name in ("locations", "rsrp", "serving_col", "los")
+    })
+
+
+def _move_to_front(array: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Write `array[rows]` over `array[:len(rows)]` in place; return that leading view.
+
+    Rows move in blocks of about MOVE_BLOCK_BYTES, gathered before they are
+    written. `rows` is increasing, so rows[i] >= i: every block's source rows
+    lie at or after its target rows, and no row is overwritten before it is
+    read. A block whose rows are already in place is skipped.
+    """
+    step = max(1, MOVE_BLOCK_BYTES // max(1, array[:1].nbytes))
+    for start in range(0, len(rows), step):
+        source = rows[start:start + step]
+        if source[-1] != start + len(source) - 1:
+            array[start:start + len(source)] = array[source]
+    return array[:len(rows)]
 
 
 def _layout_fields(config: FeatureConfig) -> list[tuple[str, str | None, str, int]]:

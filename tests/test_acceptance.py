@@ -6,8 +6,6 @@ three study trends, the trivial-baseline margin, deterministic CLI output,
 and the fixed feature layouts. One verdict line per criterion is printed in
 the pytest summary.
 """
-import dataclasses
-import json
 import os
 import statistics
 import time

@@ -9,6 +9,7 @@ import yaml
 
 from beamloc.cli import main
 from beamloc.config import ConfigError, load_run_config
+from beamloc.fingerprint import generate_samples
 from beamloc.scenario import build_scenario
 
 TINY = os.path.join(os.path.dirname(__file__), "..", "configs", "tiny.yaml")
@@ -202,6 +203,58 @@ def test_cmd_run_dry_run_lists_experiments(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "tree" in out and "dry run" in out
     assert not (tmp_path / "out").exists()
+
+
+def test_cmd_run_dry_run_names_each_layout_by_its_feature_tag(capsys, tmp_path):
+    # the three layouts differ only in the cell ID field and one-hot widths
+    doc = base_doc(str(tmp_path / "out"))
+    one_hot = {"n_serving_beams": 2, "n_neighbor_cells": 0, "id_encoding": "one_hot", "one_hot_beams": 8}
+    doc["experiments"] = [
+        {"id": "tree", "model": "dtree", "features": {"n_serving_beams": 2, "n_neighbor_cells": 0,
+                                                      "include_serving_cell_id": False}},
+        {"id": "tree-c3", "model": "dtree", "features": {**one_hot, "one_hot_cells": 3}},
+        {"id": "tree-c4", "model": "dtree", "features": {**one_hot, "one_hot_cells": 4}},
+    ]
+    assert main(["run", "--config", write_config(tmp_path, doc), "--dry-run"]) == 0
+    layouts = [line.split()[-2] for line in capsys.readouterr().out.splitlines()]
+    assert layouts == ["s2_n0_nocid", "s2_n0_cid_onehot_c3_b8", "s2_n0_cid_onehot_c4_b8"]
+
+
+def _files(root):
+    return {
+        os.path.relpath(os.path.join(d, name), root): Path(d, name).read_bytes()
+        for d, _, names in os.walk(root)
+        for name in names
+    }
+
+
+@pytest.mark.parametrize("edits", [
+    {},
+    # two sites and 8 dB shadow fading: some rows are served without line of sight
+    {"scenario": {"site_cols": 2, "grid_resolution_m": 4.0}, "propagation": {"shadow_fading_sigma": 8.0}},
+], ids=["tiny", "tiny-nlos"])
+def test_los_only_false_keeps_every_heard_row_and_reruns_byte_identically(capsys, tmp_path, edits):
+    doc = yaml.safe_load(Path(TINY).read_text())
+    doc["dataset"]["los_only"] = False
+    for section, values in edits.items():
+        doc[section].update(values)
+    path = write_config(tmp_path, doc)
+    config = load_run_config(path)
+    heard = generate_samples(build_scenario(config.scenario), config.propagation)
+    assert (heard.los.sum() < len(heard)) == bool(edits)
+    for command in ("dataset", "run"):
+        for rerun in ("a", "b"):
+            assert main([command, "--config", path, "--out", str(tmp_path / f"{command}-{rerun}")]) == 0
+        assert _files(tmp_path / f"{command}-a") == _files(tmp_path / f"{command}-b")
+    out = capsys.readouterr().out
+    assert out.count(f"samples: {len(heard)}  LoS fraction: {heard.los.sum() / len(heard):.4f}\n") == 4
+    datasets = tmp_path / "dataset-a" / "datasets"
+    rows = len((datasets / "fingerprints_s3_n1_cid.csv").read_text().splitlines()) - 1
+    meta = json.loads((datasets / "fingerprints_s3_n1_cid.csv.meta.json").read_text())
+    assert rows + sum(meta["provenance"]["dropped"].values()) == len(heard)
+    for arm in ("mlp-tiny", "tree-tiny"):
+        report = json.loads((tmp_path / "run-a" / "reports" / f"{arm}.json").read_text())
+        assert report["train"]["n"] + report["test"]["n"] == rows
 
 
 def test_cmd_run_partial_failure_exits_0(capsys, tmp_path):

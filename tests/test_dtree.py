@@ -8,7 +8,6 @@ import pytest
 import beamloc
 from beamloc.dtree import (
     TreeConfig,
-    TreeNode,
     fit_tree,
     leaf_nodes,
     predict_tree,

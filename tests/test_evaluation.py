@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamloc.evaluation import (
-    ErrorStats,
     ExperimentDescriptor,
     comparison_rows,
     error_cdf,
@@ -89,6 +90,16 @@ def test_error_cdf_monotone_and_complete():
     fractions = [f for _, f in cdf]
     assert values == sorted(values)
     assert fractions == sorted(fractions)
+    assert fractions[-1] == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(errors=st.lists(st.one_of(st.sampled_from([0.0, 1.5, 2.0]), st.floats(0.0, 1e6)), min_size=1, max_size=300))
+def test_error_cdf_is_non_decreasing_and_ends_at_exactly_one(errors):
+    # repeated values are common, so steps of more than one sample occur
+    values, fractions = zip(*error_cdf(errors))
+    assert list(values) == sorted(set(errors))
+    assert all(0.0 < a <= b for a, b in zip(fractions, fractions[1:]))
     assert fractions[-1] == 1.0
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from beamloc.fingerprint import (
-    Dataset,
     FeatureConfig,
     FingerprintSample,
     build_dataset,
@@ -16,7 +15,6 @@ from beamloc.fingerprint import (
     partition_by_cell,
     save_dataset,
 )
-from beamloc.propagation import PropagationConfig
 from beamloc.scenario import Beam, Scenario, ScenarioConfig, Sector, Site, build_scenario, enumerate_locations
 from oracles import load_dataset, select_serving, table_from_samples
 

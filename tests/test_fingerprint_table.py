@@ -20,6 +20,9 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from beamloc.fingerprint import (
+    MAX_NEIGHBOR_CELLS,
+    MAX_SERVING_BEAMS,
+    MOVE_BLOCK_BYTES,
     FeatureConfig,
     FingerprintSample,
     FingerprintTable,
@@ -30,8 +33,8 @@ from beamloc.fingerprint import (
     generate_samples,
     partition_by_cell,
 )
-from beamloc.propagation import PropagationConfig, RsrpGrid
-from beamloc.scenario import ScenarioConfig, build_scenario
+from beamloc.propagation import PropagationConfig, RsrpGrid, rsrp_grid
+from beamloc.scenario import ScenarioConfig, build_scenario, enumerate_locations
 from oracles import FeatureExtractionError, reference_extract_features, select_serving, table_from_samples
 
 CELLS = (0, 2, 3, 7)  # not contiguous, so cell ids are not column positions
@@ -81,12 +84,12 @@ def _site(cell):
 SITES = (3, 0, 1)  # site_los column order; every _site(cell) is listed
 
 
-def _grid(rsrp, site_los, column_order):
-    """RsrpGrid with columns in `column_order` and one location per row at (row, 0)."""
-    keys = np.array([(cell, beam) for cell in CELLS for beam in range(BEAMS)])[column_order]
+def _grid(rsrp, site_los):
+    """RsrpGrid over a copy of `rsrp`, columns in (cell, beam) order, one location per row at (row, 0)."""
+    keys = np.array([(cell, beam) for cell in CELLS for beam in range(BEAMS)])
     site_col = np.array([SITES.index(_site(cell)) for cell in keys[:, 0]])
     locations = np.column_stack([np.arange(len(rsrp), dtype=float), np.zeros(len(rsrp))])
-    return locations, RsrpGrid(rsrp=rsrp[:, column_order], cell_ids=keys[:, 0], beam_ids=keys[:, 1],
+    return locations, RsrpGrid(rsrp=rsrp.copy(), cell_ids=keys[:, 0], beam_ids=keys[:, 1],
                                site_col=site_col, site_los=site_los)
 
 
@@ -143,11 +146,10 @@ def _assert_paths_agree(table, samples, config):
 
 
 @settings(max_examples=30, deadline=None, phases=PHASES, suppress_health_check=[HealthCheck.too_slow])
-@given(data=fingerprint_rows(), column_seed=st.integers(0, 2**16))
-def test_table_and_per_row_paths_agree(data, column_seed):
+@given(data=fingerprint_rows())
+def test_table_and_per_row_paths_agree(data):
     rsrp, site_los = data
-    column_order = np.random.default_rng(column_seed).permutation(len(CELLS) * BEAMS)
-    generated = FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), NOISE_FLOOR)
+    generated = FingerprintTable.from_grid(*_grid(rsrp, site_los), NOISE_FLOOR)
     samples = _samples(rsrp, site_los)
 
     assert len(generated) == len(samples)
@@ -165,7 +167,7 @@ def test_table_and_per_row_paths_agree(data, column_seed):
 @given(data=fingerprint_rows())
 def test_partition_by_cell_matches_per_row_groups(data):
     rsrp, site_los = data
-    table = FingerprintTable.from_grid(*_grid(rsrp, site_los, np.arange(len(CELLS) * BEAMS)), NOISE_FLOOR)
+    table = FingerprintTable.from_grid(*_grid(rsrp, site_los), NOISE_FLOOR)
     samples = _samples(rsrp, site_los)
     config = FeatureConfig(n_serving_beams=1, n_neighbor_cells=0)  # no row is dropped
     parts = partition_by_cell(table, config, min_size=10)
@@ -227,8 +229,7 @@ def _random_table(seed, n_rows=60):
     rng = np.random.default_rng(seed)
     rsrp = rng.choice(np.array(TIED_LEVELS + (NOISE_FLOOR - 1.0,) * 4), size=(n_rows, len(CELLS) * BEAMS))
     site_los = rng.random((n_rows, len(SITES))) < 0.6
-    column_order = rng.permutation(len(CELLS) * BEAMS)
-    return FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), NOISE_FLOOR)
+    return FingerprintTable.from_grid(*_grid(rsrp, site_los), NOISE_FLOOR)
 
 
 CONFIGS = FEATURE_CONFIGS + NARROW_ONE_HOT
@@ -242,13 +243,18 @@ def test_layouts_on_one_table_match_a_fresh_table_per_layout(order):
     assert [_outcome(table, c) for c in configs] == [_outcome(_fresh(table), c) for c in configs]
 
 
-def test_sub_tables_and_pickles_of_a_ranked_table_match_fresh_tables():
-    table = _random_table(12, n_rows=80)
+def _ranked(table):
     for config in CONFIGS:
-        _outcome(table, config)  # rank the parent first
+        _outcome(table, config)
+    return table
+
+
+def test_sub_tables_and_pickles_of_a_ranked_table_match_fresh_tables():
+    table = _ranked(_random_table(12, n_rows=80))  # rank the parent first
     rows = np.random.default_rng(13).permutation(len(table))[:50]
     subs = {
-        "filter_los": filter_los(table),
+        # filter_los consumes its input, so it filters a ranked table of its own
+        "filter_los": filter_los(_ranked(_random_table(12, n_rows=80))),
         "take rows": table.take(rows),
         "take mask": table.take(np.arange(len(table)) % 3 != 0),
         "slice": table[::-2],
@@ -273,8 +279,7 @@ def test_serving_col_is_argmax_of_masked_grid():
     rsrp[5, [6, 7, 8]] = (-90.0, np.nan, -90.0)
     rsrp[6, [19, 0]] = -75.0  # tie between the first and last column
     site_los = np.ones((len(rsrp), len(SITES)), dtype=bool)
-    column_order = np.random.default_rng(14).permutation(len(CELLS) * BEAMS)
-    table = FingerprintTable.from_grid(*_grid(rsrp, site_los, column_order), NOISE_FLOOR)
+    table = FingerprintTable.from_grid(*_grid(rsrp, site_los), NOISE_FLOOR)
 
     masked = np.where(rsrp > NOISE_FLOOR, rsrp, -np.inf)
     heard = masked.max(axis=1) > -np.inf
@@ -282,3 +287,65 @@ def test_serving_col_is_argmax_of_masked_grid():
     assert table.locations[:, 0].tolist() == np.flatnonzero(heard).tolist()
     assert table.serving_col.tolist() == np.argmax(masked, axis=1)[heard].tolist() == [3, 4, 19, 6, 0]
     assert np.array_equal(table.rsrp, masked[heard])
+
+
+def test_generated_table_is_built_in_the_grid_buffer():
+    scenario = build_scenario(ScenarioConfig(site_rows=1, site_cols=2, grid_resolution_m=10.0))
+    locations = enumerate_locations(scenario)
+    grid = rsrp_grid(scenario, locations, PropagationConfig())
+    raw = grid.rsrp.copy()
+    table = FingerprintTable.from_grid(locations, grid, -140.0)
+    assert np.shares_memory(table.rsrp, grid.rsrp)
+    assert np.array_equal(table.rsrp, np.where(raw > -140.0, raw, -np.inf))
+    assert not np.shares_memory(table.locations, locations)
+
+
+def test_table_with_unheard_rows_stays_in_the_grid_buffer():
+    rsrp = np.full((5, len(CELLS) * BEAMS), NOISE_FLOOR - 1.0)
+    rsrp[[0, 3, 4], 2] = -70.0
+    locations, grid = _grid(rsrp, np.ones((len(rsrp), len(SITES)), dtype=bool))
+    table = FingerprintTable.from_grid(locations, grid, NOISE_FLOOR)
+    assert table.locations[:, 0].tolist() == [0.0, 3.0, 4.0]
+    assert np.shares_memory(table.rsrp, grid.rsrp)
+
+
+def test_from_grid_rejects_columns_out_of_order():
+    # the grid's columns become the table's as they are, so a shuffled grid is refused by name
+    locations, grid = _grid(np.full((3, len(CELLS) * BEAMS), -70.0), np.ones((3, len(SITES)), dtype=bool))
+    order = np.random.default_rng(14).permutation(len(CELLS) * BEAMS)
+    shuffled = RsrpGrid(rsrp=grid.rsrp[:, order], cell_ids=grid.cell_ids[order], beam_ids=grid.beam_ids[order],
+                        site_col=grid.site_col[order], site_los=grid.site_los)
+    with pytest.raises(ValueError, match=r"strictly increasing \(cell_id, beam_id\) order"):
+        FingerprintTable.from_grid(locations, shuffled, NOISE_FLOOR)
+
+
+@pytest.mark.parametrize("n_rows", [60, 3 * MOVE_BLOCK_BYTES // (len(CELLS) * BEAMS * 8) + 7])
+def test_filter_los_returns_views_of_its_input(n_rows):
+    # the larger table spans several move blocks of the RSRP matrix
+    table = _random_table(15, n_rows=n_rows)
+    expected = _fresh(table).take(table.los)
+    assert 0 < len(expected) < len(table)
+    kept = filter_los(table)
+    for name in ("locations", "rsrp", "serving_col", "los"):
+        assert np.shares_memory(getattr(kept, name), getattr(table, name)), name
+        assert np.array_equal(getattr(kept, name), getattr(expected, name)), name
+    for config in CONFIGS:
+        assert _outcome(kept, config) == _outcome(expected, config), config
+
+
+def test_ranking_keeps_only_the_ranks_a_layout_reads():
+    # 6 cells of 32 beams: 32 serving ranks and 5 neighbor ranks exist
+    table = generate_samples(build_scenario(ScenarioConfig(site_rows=1, site_cols=2, grid_resolution_m=10.0)))
+    assert np.unique(table.cell_ids, return_counts=True)[1].tolist() == [32] * 6
+    ranked, serving_audible, neighbor_audible = table._ranking
+    widths = {source: values.shape[1] for source, values in ranked.items()}
+    assert widths == {"serving_beam": MAX_SERVING_BEAMS, "serving_rsrp": MAX_SERVING_BEAMS, "serving_cell": 1,
+                      "neighbor_cell": MAX_NEIGHBOR_CELLS, "neighbor_beam": MAX_NEIGHBOR_CELLS,
+                      "neighbor_rsrp": MAX_NEIGHBOR_CELLS}
+    assert serving_audible.max() > MAX_SERVING_BEAMS and neighbor_audible.max() > MAX_NEIGHBOR_CELLS
+    deepest = FeatureConfig(n_serving_beams=MAX_SERVING_BEAMS, n_neighbor_cells=MAX_NEIGHBOR_CELLS)
+    assert _outcome(table, deepest) == _outcome(_fresh(table), deepest)
+    with pytest.raises(ValueError, match=f"n_serving_beams must be in 1..{MAX_SERVING_BEAMS}"):
+        FeatureConfig(n_serving_beams=MAX_SERVING_BEAMS + 1)
+    with pytest.raises(ValueError, match=f"n_neighbor_cells must be in 0..{MAX_NEIGHBOR_CELLS}"):
+        FeatureConfig(n_neighbor_cells=MAX_NEIGHBOR_CELLS + 1)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from beamloc.mlp import (
     MlpArchitecture,
-    MlpModel,
     TrainConfig,
     backward,
     forward,

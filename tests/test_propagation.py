@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamloc.propagation import (
     PropagationConfig,
@@ -10,7 +12,7 @@ from beamloc.propagation import (
     rsrp_grid,
     shadow_fading,
 )
-from beamloc.scenario import Beam, Building, Scenario, ScenarioConfig, Sector, build_scenario
+from beamloc.scenario import Beam, Building, Scenario, ScenarioConfig, Sector, build_scenario, enumerate_locations
 
 from oracles import dense_los_oracle, line_of_sight
 
@@ -248,6 +250,42 @@ def test_rsrp_grid_subset_invariance():
     subset = rsrp_grid(scenario, locations[[2, 0]], cfg).rsrp
     assert np.array_equal(subset[0], full[2])
     assert np.array_equal(subset[1], full[0])
+
+
+coordinate = st.floats(-1e4, 1e4, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    site_id=st.integers(0, 2**16),
+    sigma=st.floats(0.1, 20.0),
+    locations=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_shadow_fading_ignores_location_order_and_subset(seed, site_id, sigma, locations, data):
+    locations = np.array(locations)
+    picks = data.draw(st.lists(st.integers(0, len(locations) - 1), max_size=40), label="picks")
+    full = shadow_fading(seed, site_id, locations, sigma)
+    assert shadow_fading(seed, site_id, locations[picks].reshape(-1, 2), sigma).tobytes() == full[picks].tobytes()
+
+
+@pytest.fixture(scope="module")
+def shadowed_lattice():
+    """(scenario, its street lattice, the lattice's grid) with 6 dB shadow fading."""
+    scenario = build_scenario(ScenarioConfig(site_rows=1, site_cols=2, grid_resolution_m=20.0))
+    locations = enumerate_locations(scenario)
+    return scenario, locations, rsrp_grid(scenario, locations, PropagationConfig(shadow_fading_sigma=6.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_rsrp_grid_rows_ignore_location_order_and_subset(shadowed_lattice, data):
+    scenario, locations, full = shadowed_lattice
+    picks = data.draw(st.lists(st.integers(0, len(locations) - 1), min_size=1, max_size=60), label="picks")
+    subset = rsrp_grid(scenario, locations[picks], PropagationConfig(shadow_fading_sigma=6.0))
+    assert subset.rsrp.tobytes() == full.rsrp[picks].tobytes()
+    assert subset.site_los.tobytes() == full.site_los[picks].tobytes()
 
 
 def test_shadow_shared_within_site_preserves_beam_differences():

@@ -6,6 +6,9 @@ code in `src/`, in `perfbench/` or by a console-script entry point in
 and a second implementation of a job belongs nowhere. Code references are
 names, attributes and imported names, matched by bare name; strings and
 comments do not count, and neither does a definition's reference to itself.
+
+Every name a file in `tests/` imports must be read by an expression in that
+file, or be imported from that file by another one.
 """
 import ast
 import re
@@ -56,3 +59,32 @@ def unreferenced_definitions(root: Path) -> list[str]:
 def test_every_src_definition_is_used_by_the_program():
     unused = unreferenced_definitions(ROOT)
     assert not unused, f"no program code references {', '.join(unused)}"
+
+
+def unread_test_imports(root: Path) -> list[str]:
+    """`file:line: name` of each name a test file imports and nothing reads."""
+    modules = {path.stem: _parse(path) for path in sorted((root / "tests").glob("*.py"))}
+    # a name another test file imports from this one counts as read there
+    reexported = {
+        (node.module, alias.name)
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in modules
+        for alias in node.names
+    }
+    unread = []
+    for stem, tree in modules.items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read and (stem, name) not in reexported:
+                    unread.append(f"tests/{stem}.py:{node.lineno}: {name}")
+    return unread
+
+
+def test_every_test_import_is_read():
+    unread = unread_test_imports(ROOT)
+    assert not unread, "imported and never read: " + ", ".join(unread)
