@@ -40,10 +40,7 @@ def _feature_tag(fc: FeatureConfig) -> str:
 
 
 def _build_samples(config: RunConfig):
-    """Scenario -> LoS-annotated samples, reporting the LoS fraction.
-
-    `filter_los` consumes the full table, so the fraction is printed first.
-    """
+    """Scenario -> LoS-annotated samples, reporting the LoS fraction of every heard row."""
     samples = generate_samples(build_scenario(config.scenario), config.propagation)
     fraction = int(samples.los.sum()) / len(samples) if samples else 0.0
     print(f"samples: {len(samples)}  LoS fraction: {fraction:.4f}")

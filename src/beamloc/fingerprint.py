@@ -6,14 +6,15 @@ the owner of the globally strongest beam, keep LoS locations, and flatten
 each fingerprint into a fixed-layout feature vector (serving beam IDs and
 RSRPs, optional serving cell ID, then one strongest beam per neighbor cell).
 
-All locations live in one columnar `FingerprintTable`, and
-`extract_features` builds every feature matrix from it in one vectorized
-pass over the table's ranking, which each table computes once and every
-layout reuses; `FingerprintSample` is only a read-only view of one table row.
-The table is built in the RSRP grid's own buffer and LoS filtering moves rows
-within it, so a run allocates one location x beam matrix.
-`save_dataset` writes each dataset as a CSV plus a JSON sidecar; the program
-never reads them back.
+All locations live in one columnar `FingerprintTable`, which keeps only
+each row's ranking: the ranks a feature layout can read, not the location
+x beam matrix they come from. `generate_samples` evaluates the RSRP grid one
+block of locations at a time (at most GRID_BLOCK_BYTES of grid) and ranks
+each block before the next one is evaluated, so no grid of the whole
+lattice exists. `extract_features` builds every feature matrix from the
+ranked columns in one vectorized pass; `FingerprintSample` is only a
+read-only view of one table row. `save_dataset` writes each dataset as a CSV
+plus a JSON sidecar; the program never reads them back.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import os
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +37,11 @@ from .seeds import derive_seed
 log = logging.getLogger(__name__)
 
 ID_ENCODINGS = ("numeric", "one_hot")
-# the deepest ranks a layout can read; `_ranking` keeps no more than these
+# the deepest ranks a layout can read; a table keeps no more than these
 MAX_SERVING_BEAMS = 8
 MAX_NEIGHBOR_CELLS = 4
-# `_move_to_front` moves about this many bytes of an array's rows at a time
-MOVE_BLOCK_BYTES = 1 << 20
+# `generate_samples` evaluates at most this many bytes of RSRP grid at a time
+GRID_BLOCK_BYTES = 6 << 20
 
 
 @dataclass(frozen=True)
@@ -89,34 +89,32 @@ class FeatureConfig:
 
 @dataclass(frozen=True, eq=False)
 class FingerprintTable(Sequence):
-    """Every location's fingerprint as columns, one row per location.
+    """Every location's ranked fingerprint as columns, one row per location.
 
-    `rsrp` is dense, (n_rows, n_beams), with columns in (cell_id, beam_id)
-    order and -inf where a beam is inaudible. `serving_col` is each row's
-    strongest serving-cell column: for generated tables the row-wise argmax,
-    so ties go to the lowest (cell, beam). The table is a sequence of
-    `FingerprintSample` rows built on demand. A table's columns are never
-    written while it is in use: the first `extract_features` call ranks every
-    row once (`_ranking`), and later layouts on the same table reuse that
-    ranking. `from_grid` and `filter_los` consume their input instead of
-    copying it, and the input is not read again.
+    A row holds its location, its LoS flag (line of sight to the serving
+    cell's site) and the ranks `rank_rows` computes: the serving cell, its
+    strongest audible beams (up to MAX_SERVING_BEAMS, ranked by RSRP
+    descending, ties to the lower beam_id), the strongest other cells (up to
+    MAX_NEIGHBOR_CELLS, ranked by their best beam's RSRP, ties to the lower
+    cell_id) with that best beam, and how many serving beams and neighbor
+    cells the row hears in all. A rank the row does not hear has RSRP -inf.
+    The table holds no location x beam matrix, so a sub-table (`take`,
+    `filter_los`, slicing) slices these arrays and never ranks again. It is
+    a sequence of `FingerprintSample` rows built on demand; a row's sample
+    holds its ranked audible beams only: the serving cell's strongest beams
+    and each ranked neighbor cell's best beam.
     """
 
     locations: np.ndarray  # (n_rows, 2)
-    rsrp: np.ndarray  # (n_rows, n_beams)
-    cell_ids: np.ndarray  # (n_beams,)
-    beam_ids: np.ndarray  # (n_beams,)
-    serving_col: np.ndarray  # (n_rows,)
-    los: np.ndarray  # (n_rows,) line of sight to the serving cell's site
-
-    def __post_init__(self):
-        cell_step, beam_step = np.diff(self.cell_ids), np.diff(self.beam_ids)
-        if not np.all((cell_step > 0) | ((cell_step == 0) & (beam_step > 0))):
-            raise ValueError("table columns must be in strictly increasing (cell_id, beam_id) order")
-
-    @property
-    def serving_cell(self) -> np.ndarray:
-        return self.cell_ids[self.serving_col]
+    los: np.ndarray  # (n_rows,)
+    serving_cell: np.ndarray  # (n_rows,)
+    serving_beam: np.ndarray  # (n_rows, serving ranks)
+    serving_rsrp: np.ndarray  # (n_rows, serving ranks)
+    neighbor_cell: np.ndarray  # (n_rows, neighbor ranks)
+    neighbor_beam: np.ndarray  # (n_rows, neighbor ranks)
+    neighbor_rsrp: np.ndarray  # (n_rows, neighbor ranks)
+    serving_audible: np.ndarray  # (n_rows,) audible beams of the serving cell
+    neighbor_audible: np.ndarray  # (n_rows,) audible cells besides the serving one
 
     def __len__(self) -> int:
         return len(self.locations)
@@ -125,100 +123,91 @@ class FingerprintTable(Sequence):
         if isinstance(index, slice):
             return self.take(np.arange(len(self))[index])
         row = range(len(self))[index]
-        cols = np.flatnonzero(self.rsrp[row] > -np.inf)
-        keys = zip(self.cell_ids[cols].tolist(), self.beam_ids[cols].tolist())
+        cell = int(self.serving_cell[row])
+        serving = self.serving_rsrp[row] > -np.inf
+        neighbors = self.neighbor_rsrp[row] > -np.inf
+        keys = [(cell, beam) for beam in self.serving_beam[row, serving].tolist()]
+        keys += zip(self.neighbor_cell[row, neighbors].tolist(), self.neighbor_beam[row, neighbors].tolist())
+        values = self.serving_rsrp[row, serving].tolist() + self.neighbor_rsrp[row, neighbors].tolist()
         return FingerprintSample(
             location=tuple(self.locations[row].tolist()),
-            rsrp=dict(zip(keys, self.rsrp[row, cols].tolist())),
-            serving_cell=int(self.cell_ids[self.serving_col[row]]),
+            rsrp=dict(zip(keys, values)),
+            serving_cell=cell,
             los_to_serving=bool(self.los[row]),
         )
 
     def take(self, rows) -> FingerprintTable:
-        """The table restricted to `rows` (indices or a boolean mask), in that order.
-
-        The new table is built through `__init__`, so it ranks its own rows.
-        """
-        return dataclasses.replace(
-            self,
-            locations=self.locations[rows],
-            rsrp=self.rsrp[rows],
-            serving_col=self.serving_col[rows],
-            los=self.los[rows],
-        )
+        """The table restricted to `rows` (indices or a boolean mask), in that order."""
+        return FingerprintTable(**{f.name: getattr(self, f.name)[rows] for f in dataclasses.fields(self)})
 
     @classmethod
     def from_grid(cls, locations, grid: RsrpGrid, noise_floor: float) -> FingerprintTable:
         """Rows of the beams strictly above `noise_floor`; rows hearing none are left out.
 
         The table is the one place that decides audibility: a beam at or
-        below the floor (or NaN) becomes -inf here. Consumes `grid`: its
-        `rsrp` is floored in place and becomes the table's `rsrp` (rows
-        hearing none are moved out in place too), so the grid's matrix is
-        the only location x beam matrix. Grid columns must already be in
-        (cell_id, beam_id) order, as `rsrp_grid` writes them; the table
-        rejects any other order.
+        below the floor (or NaN) is inaudible. The grid is only read.
         """
-        rsrp = grid.rsrp
-        mask = rsrp > noise_floor  # one bool buffer for both passes below
-        np.copyto(rsrp, -np.inf, where=np.logical_not(mask, out=mask))
-        # no NaN is left, so the first column equal to the row maximum is the
-        # row's argmax; a row hearing nothing is all -inf and gets column 0
-        strongest = rsrp.max(axis=1)
-        serving_col = np.equal(rsrp, strongest[:, None], out=mask).argmax(axis=1)
+        ranked = rank_rows(grid.rsrp, grid.cell_ids, grid.beam_ids, noise_floor)
+        # columns are in (cell, beam) order, so this is the serving cell's first column
+        site = grid.site_col[np.searchsorted(grid.cell_ids, ranked["serving_cell"])]
         table = cls(
             locations=np.array(locations, dtype=float),
-            rsrp=rsrp,
-            cell_ids=grid.cell_ids,
-            beam_ids=grid.beam_ids,
-            serving_col=serving_col,
-            los=grid.site_los[np.arange(len(rsrp)), grid.site_col[serving_col]].astype(bool),
+            los=grid.site_los[np.arange(len(site)), site].astype(bool),
+            **ranked,
         )
-        heard = strongest > -np.inf
-        return table if heard.all() else _keep_rows(table, np.flatnonzero(heard))
+        heard = table.serving_audible > 0
+        return table if heard.all() else table.take(heard)
 
-    @cached_property
-    def _ranking(self) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-        """(ranked arrays, audible serving beams, audible neighbor cells) of every row.
 
-        The ranked (n_rows, rank) arrays, in the order `extract_features`
-        describes, are named by the sources of `_layout_fields` and keep the
-        first MAX_SERVING_BEAMS serving and MAX_NEIGHBOR_CELLS neighbor ranks,
-        so each layout reads a prefix. The audible counts cover every rank.
-        Computed on first use and kept with the table.
-        """
-        n = len(self)
-        cells, starts, counts = np.unique(self.cell_ids, return_index=True, return_counts=True)
-        width = int(counts.max())
-        # (row, cell, slot) view of the matrix; slots follow ascending beam_id
-        slot = np.arange(len(self.cell_ids)) - np.repeat(starts, counts)
-        cell_pos = np.repeat(np.arange(len(cells)), counts)
-        if (counts == width).all():
-            cube = self.rsrp.reshape(n, len(cells), width)
-        else:
-            cube = np.full((n, len(cells), width), -np.inf)
-            cube[:, cell_pos, slot] = self.rsrp
-        slot_beam = np.zeros((len(cells), width), dtype=np.int64)
-        slot_beam[cell_pos, slot] = self.beam_ids
+def rank_rows(rsrp, cell_ids, beam_ids, noise_floor: float, serving_cell=None) -> dict[str, np.ndarray]:
+    """The ranked columns of a `FingerprintTable`, one row per row of `rsrp`.
 
-        rows = np.arange(n)
-        serving_pos = cell_pos[self.serving_col]
-        serving_block = cube[rows, serving_pos]
-        serving_order = np.argsort(-serving_block, axis=1, kind="stable")[:, :MAX_SERVING_BEAMS]
-        # the same first maximum as cube.argmax(axis=2), as one 2-D pass
-        best_slot = cube.reshape(-1, width).argmax(axis=1).reshape(n, len(cells))
-        best = cube.max(axis=2)
-        best[rows, serving_pos] = -np.inf
-        neighbor_order = np.argsort(-best, axis=1, kind="stable")[:, :MAX_NEIGHBOR_CELLS]
-        ranked = {
-            "serving_beam": slot_beam[serving_pos[:, None], serving_order],
-            "serving_rsrp": np.take_along_axis(serving_block, serving_order, axis=1),
-            "serving_cell": cells[serving_pos][:, None],
-            "neighbor_cell": cells[neighbor_order],
-            "neighbor_beam": slot_beam[neighbor_order, np.take_along_axis(best_slot, neighbor_order, axis=1)],
-            "neighbor_rsrp": np.take_along_axis(best, neighbor_order, axis=1),
-        }
-        return ranked, (serving_block > -np.inf).sum(axis=1), (best > -np.inf).sum(axis=1)
+    `rsrp` is a dense (rows, beams) block whose columns are in strictly
+    increasing (cell_id, beam_id) order; a beam strictly above `noise_floor`
+    is audible. The serving cell is `serving_cell` where given, else the
+    owner of the row's strongest audible beam (ties to the lowest
+    (cell, beam)). A row hearing nothing gets the lowest cell and no audible
+    rank. Only one cell's columns are masked at a time, so no copy of
+    `rsrp` is made.
+    """
+    cell_step, beam_step = np.diff(cell_ids), np.diff(beam_ids)
+    if not np.all((cell_step > 0) | ((cell_step == 0) & (beam_step > 0))):
+        raise ValueError("grid columns must be in strictly increasing (cell_id, beam_id) order")
+    n = len(rsrp)
+    rows = np.arange(n)
+    cells, starts, counts = np.unique(cell_ids, return_index=True, return_counts=True)
+    best = np.empty((n, len(cells)))
+    best_col = np.empty((n, len(cells)), dtype=np.int64)
+    for pos, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
+        audible = rsrp[:, start:start + count]
+        audible = np.where(audible > noise_floor, audible, -np.inf)
+        slot = audible.argmax(axis=1)  # first maximum: the lowest beam_id
+        best_col[:, pos] = start + slot
+        best[:, pos] = audible[rows, slot]
+    if serving_cell is None:
+        serving_pos = best.argmax(axis=1)  # first maximum: the lowest cell
+    else:
+        serving_pos = np.searchsorted(cells, serving_cell)
+
+    # the serving cell's columns, clipped to the grid; slots past the cell are inaudible
+    slots = np.arange(counts.max(initial=0))
+    serving_cols = np.minimum(starts[serving_pos][:, None] + slots, len(cell_ids) - 1)
+    values = rsrp[rows[:, None], serving_cols]
+    in_cell = slots < counts[serving_pos][:, None]
+    serving_block = np.where(in_cell & (values > noise_floor), values, -np.inf)
+    serving_order = np.argsort(-serving_block, axis=1, kind="stable")[:, :MAX_SERVING_BEAMS]
+    best[rows, serving_pos] = -np.inf
+    neighbor_order = np.argsort(-best, axis=1, kind="stable")[:, :MAX_NEIGHBOR_CELLS]
+    return {
+        "serving_cell": cells[serving_pos],
+        "serving_beam": beam_ids[np.take_along_axis(serving_cols, serving_order, axis=1)],
+        "serving_rsrp": np.take_along_axis(serving_block, serving_order, axis=1),
+        "neighbor_cell": cells[neighbor_order],
+        "neighbor_beam": beam_ids[np.take_along_axis(best_col, neighbor_order, axis=1)],
+        "neighbor_rsrp": np.take_along_axis(best, neighbor_order, axis=1),
+        "serving_audible": (serving_block > -np.inf).sum(axis=1),
+        "neighbor_audible": (best > -np.inf).sum(axis=1),
+    }
 
 
 def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None = None) -> FingerprintTable:
@@ -226,50 +215,34 @@ def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None =
 
     The fingerprint keeps every beam strictly above the noise floor. Rare
     locations hearing no beam at all (possible with an aggressive floor) are
-    dropped and counted in the log.
+    dropped and counted in the log. The grid is evaluated on consecutive
+    blocks of locations, each at most GRID_BLOCK_BYTES of grid, and each
+    block is ranked into table rows before the next is evaluated. A grid
+    value depends only on its own location, so the table does not depend
+    on the block size.
     """
     prop_config = prop_config or PropagationConfig()
     locations = enumerate_locations(scenario)
     if len(locations) == 0:
         raise ValueError("scenario has no street locations to sample")
-    grid = rsrp_grid(scenario, locations, prop_config)
-    table = FingerprintTable.from_grid(locations, grid, prop_config.noise_floor)
+    n_beams = sum(len(sector.beams) for site in scenario.sites for sector in site.sectors)
+    step = max(1, GRID_BLOCK_BYTES // (max(1, n_beams) * np.dtype(float).itemsize))
+    blocks = [
+        FingerprintTable.from_grid(block, rsrp_grid(scenario, block, prop_config), prop_config.noise_floor)
+        for block in (locations[start:start + step] for start in range(0, len(locations), step))
+    ]
+    table = FingerprintTable(**{
+        f.name: np.concatenate([getattr(block, f.name) for block in blocks])
+        for f in dataclasses.fields(FingerprintTable)
+    })
     if len(table) < len(locations):
         log.warning("dropped %d locations with no beam above the noise floor", len(locations) - len(table))
     return table
 
 
 def filter_los(table: FingerprintTable) -> FingerprintTable:
-    """Keep exactly the rows with line of sight to their serving cell.
-
-    Consumes `table`: the kept rows move to the front of its own arrays and
-    the result's columns are views of them, so no second matrix is allocated.
-    Read what is needed of `table` (its length, its LoS count) before the call.
-    """
-    return _keep_rows(table, np.flatnonzero(table.los))
-
-
-def _keep_rows(table: FingerprintTable, rows: np.ndarray) -> FingerprintTable:
-    """`table` restricted to the increasing `rows`, built in `table`'s own arrays."""
-    return dataclasses.replace(table, **{
-        name: _move_to_front(getattr(table, name), rows) for name in ("locations", "rsrp", "serving_col", "los")
-    })
-
-
-def _move_to_front(array: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Write `array[rows]` over `array[:len(rows)]` in place; return that leading view.
-
-    Rows move in blocks of about MOVE_BLOCK_BYTES, gathered before they are
-    written. `rows` is increasing, so rows[i] >= i: every block's source rows
-    lie at or after its target rows, and no row is overwritten before it is
-    read. A block whose rows are already in place is skipped.
-    """
-    step = max(1, MOVE_BLOCK_BYTES // max(1, array[:1].nbytes))
-    for start in range(0, len(rows), step):
-        source = rows[start:start + step]
-        if source[-1] != start + len(source) - 1:
-            array[start:start + len(source)] = array[source]
-    return array[:len(rows)]
+    """Keep exactly the rows with line of sight to their serving cell."""
+    return table.take(table.los)
 
 
 def _layout_fields(config: FeatureConfig) -> list[tuple[str, str | None, str, int]]:
@@ -277,12 +250,12 @@ def _layout_fields(config: FeatureConfig) -> list[tuple[str, str | None, str, in
 
     The id kind is "beam" or "cell" for an ID field, which one-hot encoding
     expands, and None for an RSRP. Each field reads column `rank` of the
-    ranked array named `source`.
+    table's ranked column named `source`, or the whole column if `rank` is None.
     """
     fields = [(f"serving_beam_id_{r + 1}", "beam", "serving_beam", r) for r in range(config.n_serving_beams)]
     fields += [(f"serving_rsrp_{r + 1}", None, "serving_rsrp", r) for r in range(config.n_serving_beams)]
     if config.include_serving_cell_id:
-        fields.append(("serving_cell_id", "cell", "serving_cell", 0))
+        fields.append(("serving_cell_id", "cell", "serving_cell", None))
     for r in range(config.n_neighbor_cells):
         fields += [
             (f"neighbor{r + 1}_cell_id", "cell", "neighbor_cell", r),
@@ -308,13 +281,18 @@ def extract_features_layout(config: FeatureConfig) -> tuple[str, ...]:
     return tuple(layout)
 
 
-def _encode(ranked: dict[str, np.ndarray], config: FeatureConfig) -> np.ndarray:
-    """Feature matrix, one row per row of the ranked (n_rows, rank) arrays."""
+def _field_values(table: FingerprintTable, source: str, rank: int | None) -> np.ndarray:
+    values = getattr(table, source)
+    return values if rank is None else values[:, rank]
+
+
+def _encode(table: FingerprintTable, config: FeatureConfig) -> np.ndarray:
+    """Feature matrix, one row per table row."""
     if config.id_encoding == "one_hot":
-        _check_one_hot(ranked, config)
+        _check_one_hot(table, config)
     columns = []
     for _, kind, source, rank in _layout_fields(config):
-        values = ranked[source][:, rank]
+        values = _field_values(table, source, rank)
         dim = _one_hot_dim(kind, config)
         if dim is None:
             columns.append(values.astype(float)[:, None])
@@ -323,9 +301,9 @@ def _encode(ranked: dict[str, np.ndarray], config: FeatureConfig) -> np.ndarray:
     return np.hstack(columns)
 
 
-def _check_one_hot(ranked: dict[str, np.ndarray], config: FeatureConfig) -> None:
+def _check_one_hot(table: FingerprintTable, config: FeatureConfig) -> None:
     """Raise for the first ID (row-major, in layout order) outside its one-hot width."""
-    ids = [(name, ranked[source][:, rank], _one_hot_dim(kind, config))
+    ids = [(name, _field_values(table, source, rank), _one_hot_dim(kind, config))
            for name, kind, source, rank in _layout_fields(config) if kind is not None]
     bad = np.column_stack([(values < 0) | (values >= dim) for _, values, dim in ids])
     if bad.any():
@@ -347,9 +325,8 @@ def extract_features(table: FingerprintTable, config: FeatureConfig) -> tuple[np
     """
     if len(table) == 0:
         return np.zeros((0, len(extract_features_layout(config)))), np.zeros(0, dtype=np.int64), {}
-    ranked, serving_audible, neighbor_audible = table._ranking
-    short_serving = serving_audible < config.n_serving_beams
-    short_neighbors = ~short_serving & (neighbor_audible < config.n_neighbor_cells)
+    short_serving = table.serving_audible < config.n_serving_beams
+    short_neighbors = ~short_serving & (table.neighbor_audible < config.n_neighbor_cells)
     reasons = [(reason, mask) for reason, mask in (
         ("insufficient_serving_beams", short_serving),
         ("insufficient_neighbors", short_neighbors),
@@ -358,7 +335,7 @@ def extract_features(table: FingerprintTable, config: FeatureConfig) -> tuple[np
     kept = np.flatnonzero(~(short_serving | short_neighbors))
     if len(kept) == 0:
         return np.zeros((0, len(extract_features_layout(config)))), kept, dropped
-    return _encode({source: values[kept] for source, values in ranked.items()}, config), kept, dropped
+    return _encode(table.take(kept), config), kept, dropped
 
 
 @dataclass

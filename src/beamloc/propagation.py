@@ -189,9 +189,9 @@ def _sector_block(sector: Sector, azimuth, elevation, loss, shadow, out: np.ndar
     outputs unchanged, bit for bit, so a second wrap would change nothing.
     """
     beams = sector.beams
-    az_keys, az_of_beam = _distinct(
-        [(wrap_deg(sector.boresight_azimuth + b.steer_azimuth), b.azimuth_beamwidth) for b in beams]
-    )
+    # wrap_deg works element by element, so one call wraps every beam's steer
+    steer = wrap_deg(sector.boresight_azimuth + np.array([b.steer_azimuth for b in beams], dtype=float))
+    az_keys, az_of_beam = _distinct(list(zip(steer.tolist(), [b.azimuth_beamwidth for b in beams])))
     el_keys, el_of_beam = _distinct([(b.steer_elevation, b.elevation_beamwidth) for b in beams])
     az_steer, az_width = np.array(az_keys, dtype=float).T
     el_steer, el_width = np.array(el_keys, dtype=float).T

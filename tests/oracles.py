@@ -14,7 +14,15 @@ import json
 import numpy as np
 
 from beamloc.dtree import _best_splits
-from beamloc.fingerprint import Dataset, FingerprintTable, _sidecar_path
+from beamloc.fingerprint import (
+    MAX_NEIGHBOR_CELLS,
+    MAX_SERVING_BEAMS,
+    Dataset,
+    FingerprintSample,
+    FingerprintTable,
+    _sidecar_path,
+    rank_rows,
+)
 from beamloc.propagation import RsrpGrid, _blocked_mask, _site_link_arrays, path_loss, shadow_fading
 from beamloc.seeds import derive_seed
 
@@ -297,25 +305,38 @@ def select_serving(sample_rsrp: dict) -> int:
     return min(key for key, value in sample_rsrp.items() if value == best)[0]
 
 
+def reference_ranked_sample(sample):
+    """The sample as a table row shows it: the serving cell's strongest
+    beams (RSRP descending, ties to lower beam_id) and the best beam (ties to
+    lower beam_id) of each of the strongest other cells (best RSRP
+    descending, ties to lower cell_id), ranked in Python from the dict."""
+    serving = sorted(((-value, beam) for (cell, beam), value in sample.rsrp.items() if cell == sample.serving_cell))
+    best = {}
+    for (cell, beam), value in sorted(sample.rsrp.items()):
+        if cell != sample.serving_cell and (cell not in best or value > best[cell][1]):
+            best[cell] = (beam, value)
+    neighbors = sorted(best.items(), key=lambda item: (-item[1][1], item[0]))[:MAX_NEIGHBOR_CELLS]
+    rsrp = {(sample.serving_cell, beam): -value for value, beam in serving[:MAX_SERVING_BEAMS]}
+    rsrp.update({(cell, beam): value for cell, (beam, value) in neighbors})
+    return FingerprintSample(sample.location, rsrp, sample.serving_cell, sample.los_to_serving)
+
+
 def table_from_samples(samples) -> FingerprintTable:
-    """Stack hand-built `FingerprintSample`s into a table; each row keeps its
-    sample's serving cell, even where another cell is stronger."""
+    """Stack hand-built `FingerprintSample`s into a table, ranked by the
+    library's `rank_rows`; each row keeps its sample's serving cell, even
+    where another cell is stronger."""
     samples = list(samples)
     keys = sorted({key for sample in samples for key in sample.rsrp})
     column = {key: k for k, key in enumerate(keys)}
     rsrp = np.full((len(samples), len(keys)), -np.inf)
     for row, sample in enumerate(samples):
         rsrp[row, [column[key] for key in sample.rsrp]] = list(sample.rsrp.values())
-    cell_ids = np.array([cell for cell, _ in keys], dtype=np.int64)
+    keys = np.array(keys, dtype=np.int64).reshape(-1, 2)
     serving = np.array([sample.serving_cell for sample in samples], dtype=np.int64)
-    in_serving_cell = np.where(cell_ids == serving[:, None], rsrp, -np.inf)
     return FingerprintTable(
         locations=np.array([sample.location for sample in samples], dtype=float).reshape(-1, 2),
-        rsrp=rsrp,
-        cell_ids=cell_ids,
-        beam_ids=np.array([beam for _, beam in keys], dtype=np.int64),
-        serving_col=in_serving_cell.argmax(axis=1) if samples else np.zeros(0, dtype=np.int64),
         los=np.array([sample.los_to_serving for sample in samples], dtype=bool),
+        **rank_rows(rsrp, keys[:, 0], keys[:, 1], -np.inf, serving_cell=serving),
     )
 
 

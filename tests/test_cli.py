@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import beamloc.fingerprint
 from beamloc.cli import main
 from beamloc.config import ConfigError, load_run_config
 from beamloc.fingerprint import generate_samples
@@ -255,6 +256,22 @@ def test_los_only_false_keeps_every_heard_row_and_reruns_byte_identically(capsys
     for arm in ("mlp-tiny", "tree-tiny"):
         report = json.loads((tmp_path / "run-a" / "reports" / f"{arm}.json").read_text())
         assert report["train"]["n"] + report["test"]["n"] == rows
+
+
+def test_row_blocks_leave_dataset_and_run_outputs_byte_identical(capsys, monkeypatch, tmp_path):
+    doc = yaml.safe_load(Path(TINY).read_text())
+    doc["scenario"].update(site_cols=2, grid_resolution_m=4.0)
+    doc["propagation"]["shadow_fading_sigma"] = 8.0
+    path = write_config(tmp_path, doc)
+    for command in ("dataset", "run"):
+        assert main([command, "--config", path, "--out", str(tmp_path / f"{command}-one-block")]) == 0
+    beams = sum(len(cell.beams) for cell in build_scenario(load_run_config(path).scenario).cells)
+    monkeypatch.setattr(beamloc.fingerprint, "GRID_BLOCK_BYTES", 7 * beams * 8)  # seven rows per block
+    for command in ("dataset", "run"):
+        assert main([command, "--config", path, "--out", str(tmp_path / f"{command}-blocks")]) == 0
+        assert _files(tmp_path / f"{command}-blocks") == _files(tmp_path / f"{command}-one-block")
+    out = capsys.readouterr().out
+    assert "LoS fraction: 1.0000" not in out
 
 
 def test_cmd_run_partial_failure_exits_0(capsys, tmp_path):

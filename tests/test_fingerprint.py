@@ -16,7 +16,7 @@ from beamloc.fingerprint import (
     save_dataset,
 )
 from beamloc.scenario import Beam, Scenario, ScenarioConfig, Sector, Site, build_scenario, enumerate_locations
-from oracles import load_dataset, select_serving, table_from_samples
+from oracles import load_dataset, reference_ranked_sample, select_serving, table_from_samples
 
 
 def _sample(rsrp, location=(0.0, 0.0), los=True):
@@ -106,10 +106,10 @@ def test_filter_los():
     ]
     kept = filter_los(table_from_samples(flagged))
     assert len(kept) == 3
-    assert list(kept) == [s for s in flagged if s.los_to_serving]
+    assert list(kept) == [reference_ranked_sample(s) for s in flagged if s.los_to_serving]
     assert len(filter_los(table_from_samples([]))) == 0
     all_los = [FingerprintSample(s.location, s.rsrp, s.serving_cell, True) for s in samples]
-    assert list(filter_los(table_from_samples(all_los))) == all_los
+    assert list(filter_los(table_from_samples(all_los))) == list(map(reference_ranked_sample, all_los))
 
 
 def test_feature_lengths():

@@ -2,27 +2,30 @@
 
 `extract_features` builds every feature matrix from a `FingerprintTable` in
 one vectorized pass; `reference_extract_features` (tests/oracles.py) ranks
-one sample's RSRP dict in Python. The property test feeds both the same
+one sample's RSRP dict in Python. The property tests feed both the same
 random sparse fingerprints, with RSRP ties forced within and across cells,
-and requires bit-identical features, the same kept rows, the same drop
+and require bit-identical features, the same kept rows, the same drop
 counts and the same one-hot error for every feature layout, on tables built
-by `FingerprintTable.from_grid` and by `table_from_samples`. A table ranks
-its rows once and reuses that ranking for every layout, so the later tests
-compare layouts in either order, sub-tables and pickles of a ranked table
-against fresh tables.
+by `FingerprintTable.from_grid` and by `table_from_samples`. A table keeps
+only each row's ranking, so its rows read back as the ranked samples of
+`reference_ranked_sample`, and the features of the full fingerprints must
+come out of the ranks alone. `generate_samples` ranks the RSRP grid one row
+block at a time; the later tests hold the table to the one-block table and
+bound the memory the blocks take.
 """
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+import beamloc.fingerprint
 from beamloc.fingerprint import (
     MAX_NEIGHBOR_CELLS,
     MAX_SERVING_BEAMS,
-    MOVE_BLOCK_BYTES,
     FeatureConfig,
     FingerprintSample,
     FingerprintTable,
@@ -32,10 +35,18 @@ from beamloc.fingerprint import (
     filter_los,
     generate_samples,
     partition_by_cell,
+    rank_rows,
 )
 from beamloc.propagation import PropagationConfig, RsrpGrid, rsrp_grid
 from beamloc.scenario import ScenarioConfig, build_scenario, enumerate_locations
-from oracles import FeatureExtractionError, reference_extract_features, select_serving, table_from_samples
+from beamloc.seeds import derive_seed
+from oracles import (
+    FeatureExtractionError,
+    reference_extract_features,
+    reference_ranked_sample,
+    select_serving,
+    table_from_samples,
+)
 
 CELLS = (0, 2, 3, 7)  # not contiguous, so cell ids are not column positions
 BEAMS = 5
@@ -93,8 +104,12 @@ def _grid(rsrp, site_los):
                                site_col=site_col, site_los=site_los)
 
 
-def _samples(rsrp, site_los):
-    """Per-row samples straight from the matrix, serving cell by select_serving."""
+def _samples(rsrp, site_los, ranked=True):
+    """Per-row samples straight from the matrix, serving cell by select_serving.
+
+    A ranked sample keeps the beams a table row keeps (`reference_ranked_sample`);
+    otherwise the sample holds every audible beam.
+    """
     keys = [(cell, beam) for cell in CELLS for beam in range(BEAMS)]
     samples = []
     for i, row in enumerate(rsrp):
@@ -102,7 +117,8 @@ def _samples(rsrp, site_los):
         if fingerprint:
             serving = select_serving(fingerprint)
             los = bool(site_los[i, SITES.index(_site(serving))])
-            samples.append(FingerprintSample((float(i), 0.0), fingerprint, serving, los))
+            sample = FingerprintSample((float(i), 0.0), fingerprint, serving, los)
+            samples.append(reference_ranked_sample(sample) if ranked else sample)
     return samples
 
 
@@ -163,6 +179,19 @@ def test_table_and_per_row_paths_agree(data):
         _assert_paths_agree(stacked, samples, config)
 
 
+@settings(max_examples=20, deadline=None, phases=PHASES, suppress_health_check=[HealthCheck.too_slow])
+@given(data=fingerprint_rows())
+def test_ranks_alone_give_the_features_of_the_full_fingerprints(data):
+    # the reference reads each sample's whole fingerprint, the table only its ranks
+    rsrp, site_los = data
+    generated = FingerprintTable.from_grid(*_grid(rsrp, site_los), NOISE_FLOOR)
+    full = _samples(rsrp, site_los, ranked=False)
+    assert list(generated) == [reference_ranked_sample(s) for s in full]
+    for config in FEATURE_CONFIGS + NARROW_ONE_HOT:
+        _assert_paths_agree(generated, full, config)
+        _assert_paths_agree(table_from_samples(full), full, config)
+
+
 @settings(max_examples=15, deadline=None, phases=PHASES)
 @given(data=fingerprint_rows())
 def test_partition_by_cell_matches_per_row_groups(data):
@@ -184,35 +213,43 @@ def test_from_samples_keeps_given_serving_cell():
     sample = FingerprintSample((1.0, 2.0), {(0, 0): -70.0, (0, 1): -65.0, (4, 3): -50.0}, 0, True)
     table = table_from_samples([sample])
     assert table.serving_cell.tolist() == [0]
-    assert (table.cell_ids[table.serving_col], table.beam_ids[table.serving_col]) == ([0], [1])
+    assert table.serving_beam[:, 0].tolist() == [1]
     assert table[0] == sample
 
 
 def test_table_rejects_columns_out_of_order():
-    table = table_from_samples([FingerprintSample((0.0, 0.0), {(0, 0): -60.0, (1, 0): -70.0}, 0, True)])
+    rsrp = np.array([[-60.0, -70.0]])
+    assert rank_rows(rsrp, np.array([0, 1]), np.array([0, 0]), -np.inf)["serving_cell"].tolist() == [0]
     with pytest.raises(ValueError, match="increasing"):
-        dataclasses.replace(table, cell_ids=table.cell_ids[::-1].copy())
+        rank_rows(rsrp, np.array([1, 0]), np.array([0, 0]), -np.inf)
+
+
+def _tiny_nlos():
+    """configs/tiny.yaml's scenario with two sites and 8 dB shadow fading: some rows are served without LoS."""
+    config = ScenarioConfig(site_rows=1, site_cols=2, beams_per_sector=8, elevation_steers_deg=(-6.0,),
+                            grid_resolution_m=4.0, seed=derive_seed(7, "scenario"))
+    return build_scenario(config), PropagationConfig(shadow_fading_sigma=8.0)
 
 
 def test_generated_table_is_a_sequence_of_samples():
-    scenario = build_scenario(ScenarioConfig(site_rows=1, site_cols=2, grid_resolution_m=10.0))
-    table = generate_samples(scenario, PropagationConfig())
+    table = generate_samples(*_tiny_nlos())
     assert len(table) == len(table.locations) > 0
-    assert np.all(np.diff(table.cell_ids * 1000 + table.beam_ids) > 0)  # (cell, beam) column order
+    assert 0 < table.los.sum() < len(table)
     rows = list(table)
     assert [s.serving_cell for s in rows] == [select_serving(s.rsrp) for s in rows]
     assert table[-1] == rows[-1]
     assert list(table[1:3]) == rows[1:3]
     with pytest.raises(IndexError):
         table[len(table)]
-    los = filter_los(table)
-    assert list(los) == [s for s in rows if s.los_to_serving]
     restored = pickle.loads(pickle.dumps(table))
     assert list(restored) == rows
+    los = filter_los(table)
+    assert list(los) == [s for s in rows if s.los_to_serving]
+    assert list(table) == rows  # filtering leaves its input as it was
 
 
 def _fresh(table):
-    """A new table over copies of `table`'s columns, with nothing computed yet."""
+    """A new table over copies of `table`'s columns."""
     return FingerprintTable(**{f.name: getattr(table, f.name).copy() for f in dataclasses.fields(table)})
 
 
@@ -253,8 +290,7 @@ def test_sub_tables_and_pickles_of_a_ranked_table_match_fresh_tables():
     table = _ranked(_random_table(12, n_rows=80))  # rank the parent first
     rows = np.random.default_rng(13).permutation(len(table))[:50]
     subs = {
-        # filter_los consumes its input, so it filters a ranked table of its own
-        "filter_los": filter_los(_ranked(_random_table(12, n_rows=80))),
+        "filter_los": filter_los(table),
         "take rows": table.take(rows),
         "take mask": table.take(np.arange(len(table)) % 3 != 0),
         "slice": table[::-2],
@@ -285,28 +321,15 @@ def test_serving_col_is_argmax_of_masked_grid():
     heard = masked.max(axis=1) > -np.inf
     assert heard.tolist() == [True, True, False, True, False, True, True]
     assert table.locations[:, 0].tolist() == np.flatnonzero(heard).tolist()
-    assert table.serving_col.tolist() == np.argmax(masked, axis=1)[heard].tolist() == [3, 4, 19, 6, 0]
-    assert np.array_equal(table.rsrp, masked[heard])
-
-
-def test_generated_table_is_built_in_the_grid_buffer():
-    scenario = build_scenario(ScenarioConfig(site_rows=1, site_cols=2, grid_resolution_m=10.0))
-    locations = enumerate_locations(scenario)
-    grid = rsrp_grid(scenario, locations, PropagationConfig())
-    raw = grid.rsrp.copy()
-    table = FingerprintTable.from_grid(locations, grid, -140.0)
-    assert np.shares_memory(table.rsrp, grid.rsrp)
-    assert np.array_equal(table.rsrp, np.where(raw > -140.0, raw, -np.inf))
-    assert not np.shares_memory(table.locations, locations)
-
-
-def test_table_with_unheard_rows_stays_in_the_grid_buffer():
-    rsrp = np.full((5, len(CELLS) * BEAMS), NOISE_FLOOR - 1.0)
-    rsrp[[0, 3, 4], 2] = -70.0
-    locations, grid = _grid(rsrp, np.ones((len(rsrp), len(SITES)), dtype=bool))
-    table = FingerprintTable.from_grid(locations, grid, NOISE_FLOOR)
-    assert table.locations[:, 0].tolist() == [0.0, 3.0, 4.0]
-    assert np.shares_memory(table.rsrp, grid.rsrp)
+    serving_col = np.argmax(masked, axis=1)[heard]
+    assert serving_col.tolist() == [3, 4, 19, 6, 0]
+    # column c is beam c % BEAMS of cell CELLS[c // BEAMS]
+    assert table.serving_cell.tolist() == [CELLS[c // BEAMS] for c in serving_col] == [0, 0, 7, 2, 0]
+    assert table.serving_beam[:, 0].tolist() == (serving_col % BEAMS).tolist() == [3, 4, 4, 1, 0]
+    assert table.serving_rsrp[:, 0].tolist() == masked.max(axis=1)[heard].tolist()
+    per_cell = (masked[heard] > -np.inf).reshape(-1, len(CELLS), BEAMS).sum(axis=2)
+    assert table.serving_audible.tolist() == per_cell[np.arange(len(serving_col)), serving_col // BEAMS].tolist()
+    assert table.neighbor_audible.tolist() == ((per_cell > 0).sum(axis=1) - 1).tolist() == [2, 1, 0, 0, 1]
 
 
 def test_from_grid_rejects_columns_out_of_order():
@@ -319,33 +342,85 @@ def test_from_grid_rejects_columns_out_of_order():
         FingerprintTable.from_grid(locations, shuffled, NOISE_FLOOR)
 
 
-@pytest.mark.parametrize("n_rows", [60, 3 * MOVE_BLOCK_BYTES // (len(CELLS) * BEAMS * 8) + 7])
-def test_filter_los_returns_views_of_its_input(n_rows):
-    # the larger table spans several move blocks of the RSRP matrix
-    table = _random_table(15, n_rows=n_rows)
-    expected = _fresh(table).take(table.los)
-    assert 0 < len(expected) < len(table)
-    kept = filter_los(table)
-    for name in ("locations", "rsrp", "serving_col", "los"):
-        assert np.shares_memory(getattr(kept, name), getattr(table, name)), name
-        assert np.array_equal(getattr(kept, name), getattr(expected, name)), name
-    for config in CONFIGS:
-        assert _outcome(kept, config) == _outcome(expected, config), config
-
-
 def test_ranking_keeps_only_the_ranks_a_layout_reads():
     # 6 cells of 32 beams: 32 serving ranks and 5 neighbor ranks exist
-    table = generate_samples(build_scenario(ScenarioConfig(site_rows=1, site_cols=2, grid_resolution_m=10.0)))
-    assert np.unique(table.cell_ids, return_counts=True)[1].tolist() == [32] * 6
-    ranked, serving_audible, neighbor_audible = table._ranking
-    widths = {source: values.shape[1] for source, values in ranked.items()}
-    assert widths == {"serving_beam": MAX_SERVING_BEAMS, "serving_rsrp": MAX_SERVING_BEAMS, "serving_cell": 1,
-                      "neighbor_cell": MAX_NEIGHBOR_CELLS, "neighbor_beam": MAX_NEIGHBOR_CELLS,
-                      "neighbor_rsrp": MAX_NEIGHBOR_CELLS}
-    assert serving_audible.max() > MAX_SERVING_BEAMS and neighbor_audible.max() > MAX_NEIGHBOR_CELLS
+    scenario = build_scenario(ScenarioConfig(site_rows=1, site_cols=2, grid_resolution_m=10.0))
+    assert [len(cell.beams) for cell in scenario.cells] == [32] * 6
+    table = generate_samples(scenario)
+    widths = {name: getattr(table, name).shape[1:] for name in (
+        "serving_cell", "serving_beam", "serving_rsrp", "neighbor_cell", "neighbor_beam", "neighbor_rsrp")}
+    assert widths == {"serving_cell": (), "serving_beam": (MAX_SERVING_BEAMS,), "serving_rsrp": (MAX_SERVING_BEAMS,),
+                      "neighbor_cell": (MAX_NEIGHBOR_CELLS,), "neighbor_beam": (MAX_NEIGHBOR_CELLS,),
+                      "neighbor_rsrp": (MAX_NEIGHBOR_CELLS,)}
+    assert table.serving_audible.max() > MAX_SERVING_BEAMS and table.neighbor_audible.max() > MAX_NEIGHBOR_CELLS
+    # the deepest layout from the ranks equals the reference on every audible beam
+    locations = enumerate_locations(scenario)
+    grid = rsrp_grid(scenario, locations, PropagationConfig())
+    keys = list(zip(grid.cell_ids.tolist(), grid.beam_ids.tolist()))
+    full = []
+    for location, row in zip(locations, grid.rsrp):
+        fingerprint = {key: value for key, value in zip(keys, row.tolist()) if value > -140.0}
+        full.append(FingerprintSample(tuple(location.tolist()), fingerprint, select_serving(fingerprint), True))
+    assert len(full) == len(table)
     deepest = FeatureConfig(n_serving_beams=MAX_SERVING_BEAMS, n_neighbor_cells=MAX_NEIGHBOR_CELLS)
-    assert _outcome(table, deepest) == _outcome(_fresh(table), deepest)
+    rows, kept, dropped, _ = _per_row(full, deepest)
+    features, table_kept, table_dropped = extract_features(table, deepest)
+    assert len(kept) > 0 and features.tobytes() == np.vstack(rows).tobytes()
+    assert (table_kept.tolist(), table_dropped) == (kept, dropped)
     with pytest.raises(ValueError, match=f"n_serving_beams must be in 1..{MAX_SERVING_BEAMS}"):
         FeatureConfig(n_serving_beams=MAX_SERVING_BEAMS + 1)
     with pytest.raises(ValueError, match=f"n_neighbor_cells must be in 0..{MAX_NEIGHBOR_CELLS}"):
         FeatureConfig(n_neighbor_cells=MAX_NEIGHBOR_CELLS + 1)
+
+
+def _block_bytes(scenario, rows):
+    """GRID_BLOCK_BYTES that holds `rows` rows of `scenario`'s grid."""
+    return rows * sum(len(cell.beams) for cell in scenario.cells) * np.dtype(float).itemsize
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_row_blocks_give_the_one_block_table(monkeypatch, rows):
+    scenario, prop = _tiny_nlos()
+    prop = dataclasses.replace(prop, noise_floor=-60.0)  # some rows hear no beam
+    whole = generate_samples(scenario, prop)
+    assert 0 < len(whole) < len(enumerate_locations(scenario))
+    assert _block_bytes(scenario, len(enumerate_locations(scenario))) <= beamloc.fingerprint.GRID_BLOCK_BYTES
+    monkeypatch.setattr(beamloc.fingerprint, "GRID_BLOCK_BYTES", _block_bytes(scenario, rows))
+    blocked = generate_samples(scenario, prop)
+    for f in dataclasses.fields(whole):
+        a, b = getattr(blocked, f.name), getattr(whole, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+
+
+def test_each_grid_call_holds_one_block_and_the_calls_cover_every_location_in_order(monkeypatch):
+    scenario, prop = _tiny_nlos()
+    block = _block_bytes(scenario, 7)
+    calls = []
+
+    def recorder(*args):
+        grid = rsrp_grid(*args)
+        calls.append((args[1], grid.rsrp.nbytes))
+        return grid
+
+    monkeypatch.setattr(beamloc.fingerprint, "GRID_BLOCK_BYTES", block)
+    monkeypatch.setattr(beamloc.fingerprint, "rsrp_grid", recorder)
+    generate_samples(scenario, prop)
+    locations = enumerate_locations(scenario)
+    assert len(calls) == -(-len(locations) // 7) > 1
+    assert all(0 < nbytes <= block for _, nbytes in calls)
+    assert np.concatenate([seen for seen, _ in calls]).tobytes() == locations.tobytes()
+
+
+def test_generation_never_holds_half_the_whole_grid(monkeypatch):
+    # the 8-site deployment (768 beams) on an 8 m lattice: about 4 MB of grid
+    scenario = build_scenario(ScenarioConfig(grid_resolution_m=8.0))
+    grid_bytes = _block_bytes(scenario, len(enumerate_locations(scenario)))
+    monkeypatch.setattr(beamloc.fingerprint, "GRID_BLOCK_BYTES", grid_bytes // 4)
+    tracemalloc.start()
+    try:
+        table = generate_samples(scenario, PropagationConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 0
+    assert peak < grid_bytes / 2

@@ -139,7 +139,7 @@ def test_table_from_raw_grid_matches_table_from_floored_reference(case):
     got = FingerprintTable.from_grid(locations, rsrp_grid(scenario, locations, config), config.noise_floor)
     want = FingerprintTable.from_grid(locations, reference_rsrp_grid(scenario, locations, config),
                                       config.noise_floor)
-    for name in ("locations", "rsrp", "cell_ids", "beam_ids", "serving_col", "los"):
+    for name in (f.name for f in dataclasses.fields(got)):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
