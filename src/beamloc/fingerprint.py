@@ -159,16 +159,15 @@ class FingerprintTable(Sequence):
         return table if heard.all() else table.take(heard)
 
 
-def rank_rows(rsrp, cell_ids, beam_ids, noise_floor: float, serving_cell=None) -> dict[str, np.ndarray]:
+def rank_rows(rsrp, cell_ids, beam_ids, noise_floor: float) -> dict[str, np.ndarray]:
     """The ranked columns of a `FingerprintTable`, one row per row of `rsrp`.
 
     `rsrp` is a dense (rows, beams) block whose columns are in strictly
     increasing (cell_id, beam_id) order; a beam strictly above `noise_floor`
-    is audible. The serving cell is `serving_cell` where given, else the
-    owner of the row's strongest audible beam (ties to the lowest
-    (cell, beam)). A row hearing nothing gets the lowest cell and no audible
-    rank. Only one cell's columns are masked at a time, so no copy of
-    `rsrp` is made.
+    is audible. The serving cell is the owner of the row's strongest audible
+    beam (ties to the lowest (cell, beam)). A row hearing nothing gets the
+    lowest cell and no audible rank. Only one cell's columns are masked at a
+    time, so no copy of `rsrp` is made.
     """
     cell_step, beam_step = np.diff(cell_ids), np.diff(beam_ids)
     if not np.all((cell_step > 0) | ((cell_step == 0) & (beam_step > 0))):
@@ -184,10 +183,7 @@ def rank_rows(rsrp, cell_ids, beam_ids, noise_floor: float, serving_cell=None) -
         slot = audible.argmax(axis=1)  # first maximum: the lowest beam_id
         best_col[:, pos] = start + slot
         best[:, pos] = audible[rows, slot]
-    if serving_cell is None:
-        serving_pos = best.argmax(axis=1)  # first maximum: the lowest cell
-    else:
-        serving_pos = np.searchsorted(cells, serving_cell)
+    serving_pos = best.argmax(axis=1)  # first maximum: the lowest cell
 
     # the serving cell's columns, clipped to the grid; slots past the cell are inaudible
     slots = np.arange(counts.max(initial=0))

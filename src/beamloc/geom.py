@@ -53,7 +53,7 @@ def segment_rect_crossing(p0, targets: np.ndarray, min_corner, max_corner):
         parallel = da == 0.0
         # Parallel segments intersect the open slab only if strictly inside it.
         ok &= ~parallel | ((pa > lo) & (pa < hi))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t1 = (lo - pa) / da
             t2 = (hi - pa) / da
         t_lo = np.minimum(t1, t2)

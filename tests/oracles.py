@@ -323,21 +323,27 @@ def reference_ranked_sample(sample):
 
 def table_from_samples(samples) -> FingerprintTable:
     """Stack hand-built `FingerprintSample`s into a table, ranked by the
-    library's `rank_rows`; each row keeps its sample's serving cell, even
-    where another cell is stronger."""
+    library's `rank_rows`. Raises ValueError naming each row whose sample's
+    serving cell is not the owner of its strongest beam (ties to the lowest
+    (cell, beam), the rule of `select_serving`)."""
     samples = list(samples)
-    keys = sorted({key for sample in samples for key in sample.rsrp})
+    # with no samples there is no cell to rank; one placeholder column gives the zero-row table
+    keys = sorted({key for sample in samples for key in sample.rsrp}) or [(0, 0)]
     column = {key: k for k, key in enumerate(keys)}
     rsrp = np.full((len(samples), len(keys)), -np.inf)
     for row, sample in enumerate(samples):
         rsrp[row, [column[key] for key in sample.rsrp]] = list(sample.rsrp.values())
-    keys = np.array(keys, dtype=np.int64).reshape(-1, 2)
-    serving = np.array([sample.serving_cell for sample in samples], dtype=np.int64)
-    return FingerprintTable(
+    keys = np.array(keys, dtype=np.int64)
+    table = FingerprintTable(
         locations=np.array([sample.location for sample in samples], dtype=float).reshape(-1, 2),
         los=np.array([sample.los_to_serving for sample in samples], dtype=bool),
-        **rank_rows(rsrp, keys[:, 0], keys[:, 1], -np.inf, serving_cell=serving),
+        **rank_rows(rsrp, keys[:, 0], keys[:, 1], -np.inf),
     )
+    given = np.array([sample.serving_cell for sample in samples], dtype=np.int64)
+    wrong = np.flatnonzero(table.serving_cell != given).tolist()
+    if wrong:
+        raise ValueError(f"rows {wrong}: the serving cell does not own the strongest beam")
+    return table
 
 
 def reference_extract_features(sample, config) -> np.ndarray:

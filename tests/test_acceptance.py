@@ -18,8 +18,7 @@ from beamloc.evaluation import (
     ExperimentDescriptor,
     error_stats,
     euclidean_errors,
-    prepare_data,
-    run_experiment,
+    run_matrix,
 )
 from beamloc.fingerprint import (
     FeatureConfig,
@@ -174,15 +173,18 @@ def trend_results():
         "cells_3_2_deep": dict(feature_config=FC_3_2, topology="cell_specific", model_kind="mlp", hidden_layers=(64, 64)),
         "tree_3_2": dict(feature_config=FC_3_2, topology="network_level", model_kind="dtree"),
     }
+    descriptors = [
+        ExperimentDescriptor(experiment_id=f"{name}-seed{seed}", train_config=TREND_TRAIN, seed=seed, **kwargs)
+        for seed in TREND_SEEDS
+        for name, kwargs in arms.items()
+    ]
+    reports, failures = run_matrix(samples, descriptors, 0.9, 50, jobs=os.cpu_count())
+    assert failures == []
     results = {name: {"test_mean": [], "baseline": []} for name in arms}
-    for seed in TREND_SEEDS:
-        for name, kwargs in arms.items():
-            descriptor = ExperimentDescriptor(
-                experiment_id=f"{name}-seed{seed}", train_config=TREND_TRAIN, seed=seed, **kwargs
-            )
-            report = run_experiment(prepare_data(samples, descriptor, 0.9, 50), descriptor)
-            results[name]["test_mean"].append(report.test_stats.mean)
-            results[name]["baseline"].append(report.baseline_test_mean)
+    for report in reports:
+        name = report.experiment_id.rsplit("-seed", 1)[0]
+        results[name]["test_mean"].append(report.test_stats.mean)
+        results[name]["baseline"].append(report.baseline_test_mean)
     results["elapsed"] = time.time() - t0
     return results
 

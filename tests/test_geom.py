@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,14 @@ def test_segment_fully_inside():
 def test_segment_stops_short_of_rect():
     hit, _, _ = segment_rect_crossing((-2.0, 0.5), np.array([[-1.0, 0.5]]), (0.0, 0.0), (1.0, 1.0))
     assert not hit[0]
+
+
+def test_segment_whose_slab_division_overflows_misses_without_a_warning():
+    # (20 - 0) / 5e-324 overflows to inf; clipped to [0, 1], the segment ends before the slab
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hit, _, _ = segment_rect_crossing((0.0, 0.0), [[5e-324, 50.0]], (20.0, 10.0), (30.0, 100.0))
+    assert hit.tolist() == [False]
 
 
 def test_segment_batch_shapes():

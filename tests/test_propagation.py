@@ -1,3 +1,16 @@
+"""Propagation against closed forms, dense line-of-sight sampling and the
+beam-by-beam RSRP reference in oracles.py.
+
+Path loss is held to Friis' formula and the antenna pattern to its 3 dB
+and back-lobe points. `rsrp_grid` computes each pattern term once per
+distinct (steer, beamwidth) pair of a sector and writes the sector's block
+straight into the result; `reference_rsrp_grid` evaluates the pattern beam
+by beam. Both apply the same element-wise operations in the same order, so
+the grids must be identical, bit for bit, wherever the reference's clamp at
+the noise floor leaves a value alone; `rsrp_grid` writes raw RSRP, so the
+fingerprint tables built from the two grids must be identical everywhere.
+"""
+import dataclasses
 import math
 
 import numpy as np
@@ -5,16 +18,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamloc.fingerprint import FingerprintTable
 from beamloc.propagation import (
+    PROPAGATION_MODELS,
     PropagationConfig,
     _sector_block,
     path_loss,
     rsrp_grid,
     shadow_fading,
 )
-from beamloc.scenario import Beam, Building, Scenario, ScenarioConfig, Sector, build_scenario, enumerate_locations
+from beamloc.scenario import (
+    Beam,
+    Building,
+    Scenario,
+    ScenarioConfig,
+    Sector,
+    Site,
+    build_scenario,
+    enumerate_locations,
+    synthesize_beam_grid,
+)
+from oracles import dense_los_oracle, line_of_sight, reference_rsrp_grid
 
-from oracles import dense_los_oracle, line_of_sight
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -163,19 +188,12 @@ def test_los_matches_dense_sampling_oracle():
         assert line_of_sight(p, q, buildings) == dense_los_oracle(p, q, buildings)
 
 
-def _one_site_scenario(tx_power=30.0):
-    sector = Sector(cell_id=0, boresight_azimuth=0.0, tx_power=tx_power, beams=(_beam(),))
-    site_cfg = ScenarioConfig(site_rows=1, site_cols=1, with_buildings=False)
-    site = build_scenario(site_cfg).sites[0]
-    site = type(site)(id=0, position=(0.0, 0.0), height=10.0, sectors=(sector,))
-    return Scenario(
-        buildings=(),
-        sites=(site,),
-        carrier_frequency=28.0,
-        area=(200.0, 200.0),
-        grid_resolution=1.0,
-        rng_seed=0,
-    )
+def _one_site_scenario(tx_power=30.0, height=10.0, beams=(_beam(),)):
+    """One sector of `beams` pointing at 0 degrees, on one site at the origin; no buildings."""
+    sector = Sector(cell_id=0, boresight_azimuth=0.0, tx_power=tx_power, beams=beams)
+    site = Site(id=0, position=(0.0, 0.0), height=height, sectors=(sector,))
+    return Scenario(buildings=(), sites=(site,), carrier_frequency=28.0, area=(2000.0, 200.0),
+                    grid_resolution=1.0, rng_seed=0)
 
 
 def test_beam_rsrp_composition():
@@ -209,12 +227,7 @@ def test_beam_rsrp_composition():
 
 def test_rsrp_decreases_along_boresight():
     # site and UE at equal height so the link stays exactly on boresight
-    sector = Sector(cell_id=0, boresight_azimuth=0.0, beams=(_beam(),))
-    site = type(build_scenario(ScenarioConfig(site_rows=1, site_cols=1, with_buildings=False)).sites[0])(
-        id=0, position=(0.0, 0.0), height=1.5, sectors=(sector,)
-    )
-    scenario = Scenario(buildings=(), sites=(site,), carrier_frequency=28.0, area=(2000.0, 10.0),
-                        grid_resolution=1.0, rng_seed=0)
+    scenario = _one_site_scenario(height=1.5)
     locations = np.array([[d, 0.0] for d in (2, 5, 20, 100, 700)])
     values = rsrp_grid(scenario, locations, PropagationConfig()).rsrp[:, 0]
     assert np.all(values[:-1] > values[1:])
@@ -312,3 +325,127 @@ def test_shadow_moments():
     draws = shadow_fading(42, 3, locations, 4.0)
     assert abs(float(np.mean(draws))) < 0.15
     assert float(np.std(draws)) == pytest.approx(4.0, abs=0.15)
+
+
+# Small pools so that duplicate steers are common; boresight + steer crosses
+# +-180 degrees for many pairs, and -0.0 meets 0.0 as a dictionary key.
+AZIMUTHS = (-0.0, 0.0, 45.0, -60.0, 90.0, 170.0, -170.0, 179.5, 180.0, -180.0, 200.0)
+ELEVATIONS = (-0.0, 0.0, -3.0, -12.0, 7.5)
+BEAMWIDTHS = (10.0, 65.0, 65, 120.0, 179.9)
+FRONT_TO_BACK = (0.0, 20.0, 30, 45.5)
+BORESIGHTS = (0.0, 120.0, -120.0, 170.0, -170.0, 180.0, -180.0, 240.0, 359.0)
+
+BUILDINGS = (
+    Building((40.0, 40.0), (80.0, 70.0), 25.0),
+    Building((120.0, 10.0), (150.0, 90.0), 8.0),
+)
+
+
+def _angle(pool, low, high):
+    return st.one_of(st.sampled_from(pool), st.floats(low, high, allow_nan=False))
+
+
+@st.composite
+def _hand_beams(draw):
+    count = draw(st.integers(1, 6))
+    return tuple(
+        Beam(
+            beam_id=i,
+            steer_azimuth=draw(_angle(AZIMUTHS, -400.0, 400.0)),
+            steer_elevation=draw(_angle(ELEVATIONS, -90.0, 90.0)),
+            azimuth_beamwidth=draw(st.sampled_from(BEAMWIDTHS)),
+            elevation_beamwidth=draw(st.sampled_from(BEAMWIDTHS)),
+            element_gain=draw(st.sampled_from((0.0, 8.0, 5))),
+            front_to_back=draw(st.sampled_from(FRONT_TO_BACK)),
+            array_gain=draw(st.floats(0.0, 15.0)),
+        )
+        for i in range(count)
+    )
+
+
+@st.composite
+def _sector(draw, cell_id):
+    sector = Sector(
+        cell_id=cell_id,
+        boresight_azimuth=draw(_angle(BORESIGHTS, -400.0, 400.0)),
+        mechanical_downtilt=draw(st.floats(0.0, 15.0)),
+        tx_power=draw(st.sampled_from((30.0, 46.0, 23))),
+    )
+    if draw(st.booleans()):
+        beams = draw(_hand_beams())
+    else:
+        rows = draw(st.lists(st.sampled_from(ELEVATIONS), min_size=1, max_size=4))
+        count = draw(st.sampled_from((1, len(rows), 2 * len(rows), 4 * len(rows))))
+        beams = tuple(
+            synthesize_beam_grid(
+                sector,
+                count,
+                elevation_steers=tuple(rows),
+                azimuth_beamwidth_deg=draw(st.sampled_from(BEAMWIDTHS)),
+                front_to_back_db=draw(st.sampled_from(FRONT_TO_BACK)),
+            )
+        )
+    return dataclasses.replace(sector, beams=beams)
+
+
+@st.composite
+def _case(draw):
+    n_sites = draw(st.integers(1, 3))
+    sites = []
+    for site_id in range(n_sites):
+        n_sectors = draw(st.integers(1, 3))
+        sectors = tuple(draw(_sector(site_id * 3 + s)) for s in range(n_sectors))
+        position = (draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 100.0)))
+        sites.append(Site(id=site_id, position=position, height=draw(st.floats(3.0, 30.0)), sectors=sectors))
+    scenario = Scenario(
+        buildings=BUILDINGS if draw(st.booleans()) else (),
+        sites=tuple(sites),
+        carrier_frequency=draw(st.sampled_from((3.5, 28.0, 60.0))),
+        area=(200.0, 100.0),
+        grid_resolution=1.0,
+        rng_seed=draw(st.integers(0, 2**16)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    locations = rng.uniform((-20.0, -20.0), (220.0, 120.0), size=(draw(st.integers(1, 25)), 2))
+    if draw(st.booleans()):
+        # a location right under a site: zero horizontal distance
+        locations = np.vstack([locations, [sites[0].position]])
+    config = PropagationConfig(
+        model=draw(st.sampled_from(PROPAGATION_MODELS)),
+        shadow_fading_sigma=draw(st.sampled_from((0.0, 4.0, 9.5))),
+        # -50 dBm clamps most links, -200 dBm none
+        noise_floor=draw(st.sampled_from((-200.0, -105.0, -80.0, -50.0))),
+    )
+    return scenario, locations, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_case())
+def test_rsrp_grid_matches_beam_by_beam_reference(case):
+    scenario, locations, config = case
+    got = rsrp_grid(scenario, locations, config)
+    want = reference_rsrp_grid(scenario, locations, config)
+    assert got.rsrp.shape == want.rsrp.shape
+    assert np.array_equal(np.maximum(got.rsrp, config.noise_floor), want.rsrp)
+    assert np.array_equal(got.site_los, want.site_los)
+    for name in ("cell_ids", "beam_ids", "site_col"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_case())
+def test_table_from_raw_grid_matches_table_from_floored_reference(case):
+    # the table alone decides audibility: the raw grid and the reference's
+    # clamped grid must give the same table, bit for bit
+    scenario, locations, config = case
+    got = FingerprintTable.from_grid(locations, rsrp_grid(scenario, locations, config), config.noise_floor)
+    want = FingerprintTable.from_grid(locations, reference_rsrp_grid(scenario, locations, config),
+                                      config.noise_floor)
+    for name in (f.name for f in dataclasses.fields(got)):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_rsrp_grid_rejects_a_scenario_without_beams():
+    with pytest.raises(ValueError, match="no beams"):
+        rsrp_grid(_one_site_scenario(beams=()), np.array([[1.0, 2.0]]))

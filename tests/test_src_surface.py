@@ -8,7 +8,9 @@ names, attributes and imported names, matched by bare name; strings and
 comments do not count, and neither does a definition's reference to itself.
 
 Every name a file in `tests/` imports must be read by an expression in that
-file, or be imported from that file by another one.
+file, or be imported from that file by another one, and each
+`tests/test_<name>.py` other than the acceptance and surface checks holds
+the tests of `src/beamloc/<name>.py`, so each module has one test module.
 """
 import ast
 import re
@@ -88,3 +90,13 @@ def unread_test_imports(root: Path) -> list[str]:
 def test_every_test_import_is_read():
     unread = unread_test_imports(ROOT)
     assert not unread, "imported and never read: " + ", ".join(unread)
+
+
+def test_every_test_module_names_a_src_module():
+    modules = {path.stem for path in (ROOT / "src" / "beamloc").glob("*.py")}
+    strays = [
+        path.name
+        for path in sorted((ROOT / "tests").glob("test_*.py"))
+        if path.name not in ("test_acceptance.py", "test_src_surface.py") and path.stem[len("test_"):] not in modules
+    ]
+    assert not strays, "no src/beamloc module of that name: " + ", ".join(strays)
