@@ -6,7 +6,8 @@ helpers so that agreement is evidence, not tautology. The entry points at
 the end of the file are the opposite: thin one-item or read-back wrappers
 around the library's own code (`line_of_sight`, `_best_split`,
 `tree_to_dict`, `load_dataset`), which the pipeline never needs and the
-tests hold against the references.
+tests hold against the references. `flatten` lays the MLP's parameter
+groups out as one vector for bit-for-bit comparison.
 """
 import csv
 import json
@@ -171,6 +172,11 @@ def reference_fit_tree(features, labels, config):
         stack.append((node.left, idx[go_left], depth + 1))
         stack.append((node.right, idx[~go_left], depth + 1))
     return root
+
+
+def flatten(*groups):
+    """Every array of `groups` (lists of arrays), raveled into one vector in order."""
+    return np.concatenate([a.ravel() for group in groups for a in group])
 
 
 def reference_forward_cached(weights, biases, batch):

@@ -1,9 +1,11 @@
-"""The flat-buffer trainer against the per-parameter reference in oracles.py.
+"""The MLP's flat parameter buffer and trainer against the per-parameter
+references in oracles.py.
 
 `train` keeps every weight and bias in one buffer and runs one in-place Adam
 update over it; `reference_train` is the per-parameter loop with a fresh
 `features[rows]` gather per batch. Both apply the same elementwise operations
-in the same order, so their results must agree bit for bit.
+in the same order, so their results must agree bit for bit. `backward` is held
+to `reference_backward`, and the weight and bias views to the buffer they read.
 """
 import numpy as np
 import pytest
@@ -19,11 +21,7 @@ from beamloc.mlp import (
     init_model,
     train,
 )
-from oracles import reference_backward, reference_train
-
-
-def _bits(arrays):
-    return [a.tobytes() for a in arrays]
+from oracles import flatten, reference_backward, reference_train
 
 
 @settings(max_examples=40, deadline=None)
@@ -59,17 +57,17 @@ def test_train_bit_equal_to_per_parameter_reference(
                          patience=patience, min_delta=min_delta, seed=seed + 1)
     model = init_model(MlpArchitecture(input_dim, tuple(hidden)), seed=seed)
     if learning_rate == 0.0:
-        initial = _bits(model.weights + model.biases)
+        initial = flatten(model.weights, model.biases).tobytes()
     ref_weights, ref_biases, ref_log = reference_train(model.weights, model.biases, features, labels, config)
 
     train(model, features, labels, config)
-    assert _bits(model.weights) == _bits(ref_weights)
-    assert _bits(model.biases) == _bits(ref_biases)
+    assert flatten(model.weights).tobytes() == flatten(ref_weights).tobytes()
+    assert flatten(model.biases).tobytes() == flatten(ref_biases).tobytes()
     assert model.training_log == ref_log
     if min_delta == 1e9:
         assert len(model.training_log) == min(max_epochs, patience + 1)
     if learning_rate == 0.0:
-        assert _bits(model.weights + model.biases) == initial
+        assert flatten(model.weights, model.biases).tobytes() == initial
 
 
 def test_backward_matches_reference_and_out_buffer():
@@ -81,12 +79,10 @@ def test_backward_matches_reference_and_out_buffer():
     fresh = backward(model, batch, target)
     out = MlpModel(arch, np.full(arch.param_count, np.nan))
     into = backward(model, batch, target, out=out)
-    for ref_part, fresh_part, into_part in zip(ref, fresh, into):
-        assert _bits(fresh_part) == _bits(ref_part)
-        assert _bits(into_part) == _bits(ref_part)
+    assert flatten(*fresh).tobytes() == flatten(*into).tobytes() == flatten(*ref).tobytes()
     assert into[0] is out.weights and into[1] is out.biases
     assert all(np.shares_memory(g, out.params) for g in into[0] + into[1])
-    assert out.params.tobytes() == np.concatenate([g.ravel() for g in ref[0] + ref[1]]).tobytes()
+    assert out.params.tobytes() == flatten(*ref).tobytes()
 
 
 # (4, (3, 7)) has the same 59 parameters as the model, in another layout
@@ -113,7 +109,7 @@ def test_backward_without_out_returns_unaliased_arrays():
         assert not any(np.shares_memory(g, h) for h in second[0] + second[1])
     kept = [g.copy() for g in first_arrays]
     backward(model, batch * 2.0, target)
-    assert _bits(first_arrays) == _bits(kept)
+    assert flatten(first_arrays).tobytes() == flatten(kept).tobytes()
 
 
 def test_weight_views_write_through_to_forward():
@@ -135,9 +131,8 @@ def test_hand_built_model_is_its_buffer():
     model = MlpModel(arch, params)
     assert model.params is params
     assert all(np.shares_memory(p, params) for p in model.weights + model.biases)
-    assert _bits(model.weights + model.biases) == _bits(
-        [params[:6].reshape(2, 3), params[6:12].reshape(3, 2), params[12:15], params[15:]]
-    )
+    assert [p.shape for p in model.weights + model.biases] == [(2, 3), (3, 2), (3,), (2,)]
+    assert flatten(model.weights, model.biases).tobytes() == params.tobytes()
 
     for size in (16, 18):
         with pytest.raises(ValueError, match=r"parameter buffer shape \(%d,\) does not match layer dims" % size):
@@ -156,7 +151,7 @@ def test_train_starts_from_weights_written_through_a_view():
     model.weights[0][...] = 0.25
     ref_weights, ref_biases, ref_log = reference_train(model.weights, model.biases, features, labels, config)
     train(model, features, labels, config)
-    assert _bits(model.weights + model.biases) == _bits(ref_weights + ref_biases)
+    assert flatten(model.weights, model.biases).tobytes() == flatten(ref_weights, ref_biases).tobytes()
     assert model.training_log == ref_log
 
 

@@ -93,10 +93,12 @@ def test_every_test_import_is_read():
 
 
 def test_every_test_module_names_a_src_module():
+    """`test_<module>.py`, or `test_<module>_<part>.py` for one part of a module."""
     modules = {path.stem for path in (ROOT / "src" / "beamloc").glob("*.py")}
     strays = [
         path.name
         for path in sorted((ROOT / "tests").glob("test_*.py"))
-        if path.name not in ("test_acceptance.py", "test_src_surface.py") and path.stem[len("test_"):] not in modules
+        if path.name not in ("test_acceptance.py", "test_src_surface.py")
+        and not any(f"{path.stem}_".startswith(f"test_{module}_") for module in modules)
     ]
     assert not strays, "no src/beamloc module of that name: " + ", ".join(strays)
