@@ -119,9 +119,9 @@ def cmd_run(config: RunConfig, jobs: int = 1, dry_run: bool = False) -> int:
     report_dir = os.path.join(config.output_dir, "reports")
     manifest = {"seed": config.seed, "reports": [], "failed": failures}
     for report in reports:
-        path = os.path.join(report_dir, f"{report.experiment_id}.json")
+        path = os.path.join(report_dir, report["experiment_id"] + ".json")
         save_report(report, path)
-        save_cdf_csv(report, os.path.join(report_dir, f"{report.experiment_id}_cdf.csv"))
+        save_cdf_csv(report, os.path.join(report_dir, report["experiment_id"] + "_cdf.csv"))
         manifest["reports"].append(os.path.relpath(path, config.output_dir))
     comparison_path = os.path.join(config.output_dir, "comparison.csv")
     save_comparison_csv(reports, comparison_path)

@@ -89,6 +89,9 @@ def _parse_experiment(entry, index: int, global_seed: int) -> ExperimentDescript
     if "id" not in entry or not entry["id"]:
         raise ConfigError(f"{section}: missing required key 'id'")
     exp_id = str(entry["id"])
+    # the id names the arm's report files, so it must stay one file name
+    if any(sep and sep in exp_id for sep in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(f"{section}: id {exp_id!r} must not contain a path separator or NUL")
     section = f"experiments[{exp_id}]"
 
     known = {"id", "model", "topology", "features", "hidden_layers", "train", "tree", "seed"}

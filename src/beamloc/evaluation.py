@@ -125,34 +125,6 @@ class ExperimentDescriptor:
         }
 
 
-@dataclass
-class EvalReport:
-    experiment_id: str
-    descriptor: dict
-    train_stats: ErrorStats
-    test_stats: ErrorStats
-    cdf: list[tuple[float, float]]
-    percentiles: dict
-    model_info: dict
-    baseline_test_mean: float
-    per_cell: dict | None = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "experiment_id": self.experiment_id,
-            "descriptor": self.descriptor,
-            "train": dataclasses.asdict(self.train_stats),
-            "test": dataclasses.asdict(self.test_stats),
-            "cdf": [[v, f] for v, f in self.cdf],
-            "percentiles": self.percentiles,
-            "model": self.model_info,
-            "baseline_test_mean": self.baseline_test_mean,
-        }
-        if self.per_cell is not None:
-            doc["per_cell"] = self.per_cell
-        return doc
-
-
 def prepare_data(samples, descriptor: ExperimentDescriptor, split_fraction: float = 0.9, min_cell_size: int = 50):
     """The arm's parts, [(seed labels, Dataset)]: the pooled ("net",) dataset,
     or one ("cell", id) dataset per kept serving cell in ascending id order.
@@ -211,13 +183,14 @@ def _centroid_errors(dataset: Dataset) -> np.ndarray:
     return euclidean_errors(np.tile(centroid, (len(dataset.test_idx), 1)), dataset.labels[dataset.test_idx])
 
 
-def run_experiment(parts, descriptor: ExperimentDescriptor) -> EvalReport:
-    """Train and evaluate one experiment arm.
+def run_experiment(parts, descriptor: ExperimentDescriptor) -> dict:
+    """Train and evaluate one experiment arm; return its report document.
 
     `parts` is what prepare_data returned for this descriptor. Each part (the
     pooled dataset, or one cell's) trains its own model under its own seed
     labels; test errors are pooled across parts (cells sorted by id) so
-    topologies are compared on one test population.
+    topologies are compared on one test population. The report is the JSON
+    document `save_report` writes; only cell-specific arms have `per_cell`.
     """
     train_parts, test_parts, baseline_parts, infos = [], [], [], []
     for seed_labels, dataset in parts:
@@ -226,43 +199,35 @@ def run_experiment(parts, descriptor: ExperimentDescriptor) -> EvalReport:
         test_parts.append(euclidean_errors(pred[dataset.test_idx], dataset.labels[dataset.test_idx]))
         baseline_parts.append(_centroid_errors(dataset))
         infos.append(info)
-    train_err = np.concatenate(train_parts)
     test_err = np.concatenate(test_parts)
-    baseline_err = np.concatenate(baseline_parts)
-
-    per_cell = None
-    if descriptor.topology == "network_level":
-        info = infos[0]
-    else:
-        info = {"kind": descriptor.model_kind, "cells": {}}
-        per_cell = {}
-        for ((_, cell_id), dataset), cell_test, cell_info in zip(parts, test_parts, infos):
+    report = {
+        "experiment_id": descriptor.experiment_id,
+        "descriptor": descriptor.summary(),
+        "train": dataclasses.asdict(error_stats(np.concatenate(train_parts))),
+        "test": dataclasses.asdict(error_stats(test_err)),
+        "cdf": [list(point) for point in error_cdf(test_err)],
+        "percentiles": {f"p{p}": percentile_nearest_rank(test_err, p) for p in REPORT_PERCENTILES},
+        "model": infos[0],
+        "baseline_test_mean": float(np.mean(np.concatenate(baseline_parts))),
+    }
+    if descriptor.topology == "cell_specific":
+        cells = [str(cell_id) for (_, cell_id), _ in parts]
+        report["model"] = {"kind": descriptor.model_kind, "cells": dict(zip(cells, infos))}
+        if descriptor.model_kind == "mlp":
+            report["model"]["hidden_layers"] = list(descriptor.hidden_layers)
+        report["per_cell"] = {}
+        for cell, (_, dataset), cell_test in zip(cells, parts, test_parts):
             stats = error_stats(cell_test)
-            per_cell[str(cell_id)] = {
+            report["per_cell"][cell] = {
                 "n_train": len(dataset.train_idx),
                 "n_test": len(dataset.test_idx),
                 "test_mean": stats.mean,
                 "test_std": stats.std,
             }
-            info["cells"][str(cell_id)] = cell_info
-        if descriptor.model_kind == "mlp":
-            info["hidden_layers"] = list(descriptor.hidden_layers)
-
-    test_stats = error_stats(test_err)
-    return EvalReport(
-        experiment_id=descriptor.experiment_id,
-        descriptor=descriptor.summary(),
-        train_stats=error_stats(train_err),
-        test_stats=test_stats,
-        cdf=error_cdf(test_err),
-        percentiles={f"p{p}": percentile_nearest_rank(test_err, p) for p in REPORT_PERCENTILES},
-        model_info=info,
-        baseline_test_mean=float(np.mean(baseline_err)),
-        per_cell=per_cell,
-    )
+    return report
 
 
-def _run_one(samples, descriptor: ExperimentDescriptor, split_fraction: float, min_cell_size: int) -> EvalReport:
+def _run_one(samples, descriptor: ExperimentDescriptor, split_fraction: float, min_cell_size: int) -> dict:
     parts = prepare_data(samples, descriptor, split_fraction, min_cell_size)
     return run_experiment(parts, descriptor)
 
@@ -286,7 +251,7 @@ def run_matrix(
     if len(ids) != len(set(ids)):
         raise ValueError("experiment ids are not unique")
 
-    reports: list[EvalReport] = []
+    reports: list[dict] = []
     failures: list[dict] = []
     workers = min(jobs, len(descriptors), os.cpu_count() or 1)
     arms = [(samples, d, split_fraction, min_cell_size) for d in descriptors]
@@ -305,36 +270,37 @@ def run_matrix(
     return reports, failures
 
 
-def comparison_rows(reports: list[EvalReport]) -> list[dict]:
+def comparison_rows(reports: list[dict]) -> list[dict]:
     """Flat summary table, one row per report, sorted by experiment id."""
     rows = []
-    for report in sorted(reports, key=lambda r: r.experiment_id):
-        fc = report.descriptor["feature_config"]
+    for report in sorted(reports, key=lambda r: r["experiment_id"]):
+        descriptor = report["descriptor"]
+        fc = descriptor["feature_config"]
         rows.append(
             {
-                "experiment_id": report.experiment_id,
-                "model": report.descriptor["model_kind"],
-                "topology": report.descriptor["topology"],
+                "experiment_id": report["experiment_id"],
+                "model": descriptor["model_kind"],
+                "topology": descriptor["topology"],
                 "n_serving_beams": fc["n_serving_beams"],
                 "n_neighbor_cells": fc["n_neighbor_cells"],
-                "hidden_layers": "x".join(str(w) for w in report.descriptor["hidden_layers"]),
-                "train_mean_m": report.train_stats.mean,
-                "test_mean_m": report.test_stats.mean,
-                "test_std_m": report.test_stats.std,
-                "p50_m": report.percentiles["p50"],
-                "p80_m": report.percentiles["p80"],
-                "p90_m": report.percentiles["p90"],
-                "baseline_test_mean_m": report.baseline_test_mean,
+                "hidden_layers": "x".join(str(w) for w in descriptor["hidden_layers"]),
+                "train_mean_m": report["train"]["mean"],
+                "test_mean_m": report["test"]["mean"],
+                "test_std_m": report["test"]["std"],
+                "p50_m": report["percentiles"]["p50"],
+                "p80_m": report["percentiles"]["p80"],
+                "p90_m": report["percentiles"]["p90"],
+                "baseline_test_mean_m": report["baseline_test_mean"],
             }
         )
     return rows
 
 
-def save_report(report: EvalReport, path: str) -> None:
-    atomic_write_text(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+def save_report(report: dict, path: str) -> None:
+    atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def save_comparison_csv(reports: list[EvalReport], path: str) -> None:
+def save_comparison_csv(reports: list[dict], path: str) -> None:
     rows = comparison_rows(reports)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()) if rows else ["experiment_id"])
@@ -344,10 +310,10 @@ def save_comparison_csv(reports: list[EvalReport], path: str) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def save_cdf_csv(report: EvalReport, path: str) -> None:
+def save_cdf_csv(report: dict, path: str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["error_m", "fraction"])
-    for value, fraction in report.cdf:
+    for value, fraction in report["cdf"]:
         writer.writerow([repr(value), repr(fraction)])
     atomic_write_text(path, buf.getvalue())

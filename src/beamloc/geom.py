@@ -26,20 +26,23 @@ def points_in_rect(points: np.ndarray, min_corner, max_corner) -> np.ndarray:
 
 
 def segment_rect_crossing(p0, targets: np.ndarray, min_corner, max_corner):
-    """Clip segments p0 -> targets[i] against the *open* interior of a rectangle.
+    """Clip segments p0 -> targets[i] against the *open* interior of rectangles.
 
     Uses the slab method with strict inequalities, so a segment that only
-    grazes an edge or a corner of the rectangle does not count as a crossing.
+    grazes an edge or a corner of a rectangle does not count as a crossing.
 
     p0: (2,) start point shared by all segments.
     targets: (N, 2) end points.
+    min_corner, max_corner: (2,) for one rectangle, or (B, 1, 2) for B.
 
-    Returns (hit, t_enter, t_exit): boolean (N,) mask plus the clipped
-    parameter interval in [0, 1] for rows where hit is True (undefined
-    elsewhere).
+    Returns (hit, t_enter, t_exit): boolean (N,) mask, or (B, N) with one
+    row per rectangle, plus the clipped parameter interval in [0, 1] where
+    hit is True (undefined elsewhere).
     """
     p0 = np.asarray(p0, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    min_corner = np.asarray(min_corner, dtype=float)
+    max_corner = np.asarray(max_corner, dtype=float)
     d = targets - p0
 
     t_enter = np.zeros(len(targets))
@@ -47,12 +50,12 @@ def segment_rect_crossing(p0, targets: np.ndarray, min_corner, max_corner):
     ok = np.ones(len(targets), dtype=bool)
 
     for axis in (0, 1):
-        lo, hi = float(min_corner[axis]), float(max_corner[axis])
+        lo, hi = min_corner[..., axis], max_corner[..., axis]
         da = d[:, axis]
         pa = p0[axis]
         parallel = da == 0.0
         # Parallel segments intersect the open slab only if strictly inside it.
-        ok &= ~parallel | ((pa > lo) & (pa < hi))
+        ok = ok & (~parallel | ((pa > lo) & (pa < hi)))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t1 = (lo - pa) / da
             t2 = (hi - pa) / da

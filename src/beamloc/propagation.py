@@ -59,19 +59,13 @@ def _blocked_mask(p: tuple[float, float, float], targets: np.ndarray, target_hei
     (open interior, so edge grazing does not block) and the building height
     exceeds the segment's lowest interpolated height over the crossing.
     """
-    targets = np.asarray(targets, dtype=float)
-    n = len(targets)
-    blocked = np.zeros(n, dtype=bool)
+    min_corners = np.array([b.min_corner for b in buildings], dtype=float).reshape(-1, 1, 2)
+    max_corners = np.array([b.max_corner for b in buildings], dtype=float).reshape(-1, 1, 2)
+    heights = np.array([b.height for b in buildings], dtype=float).reshape(-1, 1)
+    hit, t_enter, t_exit = segment_rect_crossing(p[:2], targets, min_corners, max_corners)
     z0, z1 = p[2], target_height
-    for b in buildings:
-        hit, t_enter, t_exit = segment_rect_crossing(p[:2], targets, b.min_corner, b.max_corner)
-        if not np.any(hit):
-            continue
-        z_enter = z0 + t_enter * (z1 - z0)
-        z_exit = z0 + t_exit * (z1 - z0)
-        min_z = np.minimum(z_enter, z_exit)
-        blocked |= hit & (b.height > min_z)
-    return blocked
+    min_z = np.minimum(z0 + t_enter * (z1 - z0), z0 + t_exit * (z1 - z0))
+    return np.logical_or.reduce(hit & (heights > min_z), axis=0)
 
 
 def _site_link_arrays(site: Site, locations: np.ndarray, scenario: Scenario, config: PropagationConfig):

@@ -182,9 +182,9 @@ def trend_results():
     assert failures == []
     results = {name: {"test_mean": [], "baseline": []} for name in arms}
     for report in reports:
-        name = report.experiment_id.rsplit("-seed", 1)[0]
-        results[name]["test_mean"].append(report.test_stats.mean)
-        results[name]["baseline"].append(report.baseline_test_mean)
+        name = report["experiment_id"].rsplit("-seed", 1)[0]
+        results[name]["test_mean"].append(report["test"]["mean"])
+        results[name]["baseline"].append(report["baseline_test_mean"])
     results["elapsed"] = time.time() - t0
     return results
 

@@ -79,6 +79,21 @@ def test_config_duplicate_experiment_id(tmp_path):
         load_run_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize("exp_id", ["../../outside", "{tmp}/escaped", "sub/arm", "arm\0x"])
+def test_config_experiment_id_that_is_not_a_file_name(capsys, tmp_path, exp_id):
+    """An id names its report files, so one that would put them outside
+    reports/ (or that no file name can hold) is a config error."""
+    exp_id = exp_id.format(tmp=tmp_path)
+    doc = base_doc(str(tmp_path / "out"))
+    doc["experiments"][0]["id"] = exp_id
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match=r"experiments\[0\]: id " + re.escape(repr(exp_id))):
+        load_run_config(path)
+    assert main(["run", "--config", path]) == 2
+    assert "experiments[0]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
 def test_config_train_seed_rejected(tmp_path):
     doc = base_doc(str(tmp_path / "out"))
     doc["experiments"][0]["train"] = {"seed": 4}

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamloc.evaluation import (
+    MODEL_KINDS,
+    TOPOLOGIES,
     ExperimentDescriptor,
     comparison_rows,
     error_cdf,
@@ -158,14 +160,14 @@ def test_run_experiment_mlp_network(samples):
         seed=5,
     )
     report = run_experiment(prepare_data(samples, desc), desc)
-    assert report.experiment_id == "mlp-net"
-    assert report.train_stats.n + report.test_stats.n == len(samples)
-    assert report.cdf[-1][1] == 1.0
-    p = report.percentiles
+    assert report["experiment_id"] == "mlp-net"
+    assert report["train"]["n"] + report["test"]["n"] == len(samples)
+    assert report["cdf"][-1][1] == 1.0
+    p = report["percentiles"]
     assert p["p50"] <= p["p80"] <= p["p90"]
-    assert report.baseline_test_mean > 0
-    assert report.model_info["epochs_trained"] >= 1
-    assert report.per_cell is None
+    assert report["baseline_test_mean"] > 0
+    assert report["model"]["epochs_trained"] >= 1
+    assert "per_cell" not in report
 
 
 def test_run_experiment_dtree_memorizes_training_rows(samples):
@@ -178,8 +180,8 @@ def test_run_experiment_dtree_memorizes_training_rows(samples):
         seed=2,
     )
     report = run_experiment(prepare_data(samples, desc), desc)
-    assert report.train_stats.mean == 0.0
-    assert report.test_stats.mean > 0.0
+    assert report["train"]["mean"] == 0.0
+    assert report["test"]["mean"] > 0.0
 
 
 def test_run_experiment_cell_specific_pools_test_errors(samples):
@@ -192,15 +194,33 @@ def test_run_experiment_cell_specific_pools_test_errors(samples):
         seed=3,
     )
     report = run_experiment(prepare_data(samples, desc, min_cell_size=10), desc)
-    assert report.per_cell
-    n_total = sum(cell["n_test"] for cell in report.per_cell.values())
-    assert report.test_stats.n == n_total
+    assert report["per_cell"]
+    n_total = sum(cell["n_test"] for cell in report["per_cell"].values())
+    assert report["test"]["n"] == n_total
     # pooled mean and std must equal the stats of the concatenated per-cell
     # error lists; check via the weighted first and second moments
-    mean = sum(c["n_test"] * c["test_mean"] for c in report.per_cell.values()) / n_total
-    second = sum(c["n_test"] * (c["test_std"] ** 2 + c["test_mean"] ** 2) for c in report.per_cell.values()) / n_total
-    assert abs(report.test_stats.mean - mean) < 1e-9
-    assert abs(report.test_stats.std**2 - (second - mean**2)) < 1e-9
+    mean = sum(c["n_test"] * c["test_mean"] for c in report["per_cell"].values()) / n_total
+    second = sum(c["n_test"] * (c["test_std"] ** 2 + c["test_mean"] ** 2) for c in report["per_cell"].values()) / n_total
+    assert abs(report["test"]["mean"] - mean) < 1e-9
+    assert abs(report["test"]["std"] ** 2 - (second - mean**2)) < 1e-9
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_report_is_the_json_document_save_report_writes(samples, tmp_path, topology, model_kind):
+    desc = ExperimentDescriptor(
+        experiment_id="doc",
+        feature_config=FeatureConfig(n_serving_beams=3, n_neighbor_cells=0),
+        topology=topology,
+        model_kind=model_kind,
+        hidden_layers=(8,),
+        train_config=FAST_TRAIN,
+    )
+    report = run_experiment(prepare_data(samples, desc, min_cell_size=10), desc)
+    assert json.loads(json.dumps(report)) == report
+    path = tmp_path / "doc.json"
+    save_report(report, str(path))
+    assert path.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_run_experiment_is_deterministic(samples):
@@ -214,7 +234,7 @@ def test_run_experiment_is_deterministic(samples):
     )
     first = run_experiment(prepare_data(samples, desc), desc)
     second = run_experiment(prepare_data(samples, desc), desc)
-    assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(second.to_dict(), sort_keys=True)
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
 def test_run_matrix_requires_unique_ids(samples):
@@ -236,7 +256,7 @@ def test_run_matrix_contains_failures_and_continues(samples, jobs):
     )
     # an absurd cell-size floor leaves no per-cell dataset, failing only `bad`
     reports, failures = run_matrix(samples, [good, bad], min_cell_size=10**6, jobs=jobs)
-    assert [r.experiment_id for r in reports] == ["good"]
+    assert [r["experiment_id"] for r in reports] == ["good"]
     assert [f["experiment_id"] for f in failures] == ["bad"]
     assert failures[0]["error"] == "cell_specific topology received no per-cell datasets"
 
@@ -250,7 +270,7 @@ def test_run_matrix_parallel_matches_serial(samples):
     serial, _ = run_matrix(samples, descs, min_cell_size=10)
     parallel, _ = run_matrix(samples, descs, min_cell_size=10, jobs=2)
     for a, b in zip(serial, parallel):
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_comparison_rows_sorted_and_complete(samples):
@@ -275,13 +295,13 @@ def test_report_writers_round_trip(samples, tmp_path):
     save_report(report, str(report_path))
     loaded = json.loads(report_path.read_text())
     assert loaded["experiment_id"] == "io"
-    assert loaded["test"]["mean"] == report.test_stats.mean
+    assert loaded["test"]["mean"] == report["test"]["mean"]
 
     cdf_path = tmp_path / "io_cdf.csv"
     save_cdf_csv(report, str(cdf_path))
     lines = cdf_path.read_text().strip().splitlines()
     assert lines[0] == "error_m,fraction"
-    assert len(lines) == len(report.cdf) + 1
+    assert len(lines) == len(report["cdf"]) + 1
 
     cmp_path = tmp_path / "comparison.csv"
     save_comparison_csv([report], str(cmp_path))

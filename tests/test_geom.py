@@ -83,6 +83,27 @@ def test_segment_batch_shapes():
     assert hit.tolist() == [True, False, True]
 
 
+def test_segment_crossing_of_b_rectangles_is_b_single_rectangle_calls():
+    # rows that hit, miss, graze an edge or a corner, run parallel to a slab,
+    # and overflow the slab division, against rectangles sharing those edges
+    rng = np.random.default_rng(5)
+    p0 = (0.0, 0.0)
+    targets = np.vstack([
+        rng.uniform(-40.0, 40.0, size=(40, 2)).round(),
+        [[5e-324, 50.0], [30.0, 0.0], [0.0, 30.0], [20.0, 20.0], [30.0, 10.0]],
+    ])
+    corners = rng.uniform(-30.0, 30.0, size=(6, 2, 2)).round()
+    mins = np.vstack([corners.min(axis=1), [[20.0, 10.0], [10.0, -5.0], [-5.0, 10.0]]])
+    maxs = np.vstack([corners.max(axis=1) + 1.0, [[30.0, 100.0], [20.0, 5.0], [5.0, 20.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = segment_rect_crossing(p0, targets, mins[:, None, :], maxs[:, None, :])
+        singles = [segment_rect_crossing(p0, targets, tuple(lo), tuple(hi)) for lo, hi in zip(mins, maxs)]
+    for got, want in zip(batch, zip(*singles)):
+        assert np.array_equal(got, np.stack(want))
+    assert batch[0].any() and not batch[0].all()
+
+
 @settings(max_examples=500, deadline=None)
 @given(angle=st.floats(-1e6, 1e6))
 def test_wrap_deg_returns_its_outputs_unchanged(angle):
