@@ -24,7 +24,7 @@ from .evaluation import (
     save_comparison_csv,
     save_report,
 )
-from .fingerprint import FeatureConfig, build_dataset, filter_los, generate_samples, save_dataset
+from .fingerprint import FeatureConfig, NoLocationsError, build_dataset, filter_los, generate_samples, save_dataset
 from .scenario import build_scenario, scenario_summary, scenario_to_dict
 from .seeds import derive_seed
 
@@ -41,7 +41,12 @@ def _feature_tag(fc: FeatureConfig) -> str:
 
 def _build_samples(config: RunConfig):
     """Scenario -> LoS-annotated samples, reporting the LoS fraction of every heard row."""
-    samples = generate_samples(build_scenario(config.scenario), config.propagation)
+    try:
+        samples = generate_samples(build_scenario(config.scenario), config.propagation)
+    except NoLocationsError as err:
+        raise ConfigError(
+            f"scenario: grid_resolution_m {config.scenario.grid_resolution_m} puts no lattice point on a street"
+        ) from err
     fraction = int(samples.los.sum()) / len(samples) if samples else 0.0
     print(f"samples: {len(samples)}  LoS fraction: {fraction:.4f}")
     return filter_los(samples) if config.los_only else samples
@@ -169,14 +174,14 @@ def main(argv=None) -> int:
         return 2
     try:
         config = load_run_config(args.config, seed_override=args.seed, out_override=args.out)
+        if args.command == "scenario":
+            return cmd_scenario(config, dry_run=args.dry_run)
+        if args.command == "dataset":
+            return cmd_dataset(config, dry_run=args.dry_run)
+        return cmd_run(config, jobs=args.jobs, dry_run=args.dry_run)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    if args.command == "scenario":
-        return cmd_scenario(config, dry_run=args.dry_run)
-    if args.command == "dataset":
-        return cmd_dataset(config, dry_run=args.dry_run)
-    return cmd_run(config, jobs=args.jobs, dry_run=args.dry_run)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,11 @@ ID_ENCODINGS = ("numeric", "one_hot")
 MAX_SERVING_BEAMS = 8
 MAX_NEIGHBOR_CELLS = 4
 # `generate_samples` evaluates at most this many bytes of RSRP grid at a time
-GRID_BLOCK_BYTES = 6 << 20
+GRID_BLOCK_BYTES = 1 << 20
+
+
+class NoLocationsError(ValueError):
+    """The scenario's location lattice has no point outside the buildings."""
 
 
 @dataclass(frozen=True)
@@ -175,14 +179,14 @@ def rank_rows(rsrp, cell_ids, beam_ids, noise_floor: float) -> dict[str, np.ndar
     n = len(rsrp)
     rows = np.arange(n)
     cells, starts, counts = np.unique(cell_ids, return_index=True, return_counts=True)
-    best = np.empty((n, len(cells)))
     best_col = np.empty((n, len(cells)), dtype=np.int64)
     for pos, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
         audible = rsrp[:, start:start + count]
-        audible = np.where(audible > noise_floor, audible, -np.inf)
-        slot = audible.argmax(axis=1)  # first maximum: the lowest beam_id
-        best_col[:, pos] = start + slot
-        best[:, pos] = audible[rows, slot]
+        # first maximum: the lowest beam_id
+        best_col[:, pos] = np.where(audible > noise_floor, audible, -np.inf).argmax(axis=1)
+    best_col += starts
+    best = rsrp[rows[:, None], best_col]
+    best = np.where(best > noise_floor, best, -np.inf)
     serving_pos = best.argmax(axis=1)  # first maximum: the lowest cell
 
     # the serving cell's columns, clipped to the grid; slots past the cell are inaudible
@@ -220,8 +224,8 @@ def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None =
     prop_config = prop_config or PropagationConfig()
     locations = enumerate_locations(scenario)
     if len(locations) == 0:
-        raise ValueError("scenario has no street locations to sample")
-    n_beams = sum(len(sector.beams) for site in scenario.sites for sector in site.sectors)
+        raise NoLocationsError("scenario has no street locations to sample")
+    n_beams = len(scenario.arrays.cell_ids)
     step = max(1, GRID_BLOCK_BYTES // (max(1, n_beams) * np.dtype(float).itemsize))
     blocks = [
         FingerprintTable.from_grid(block, rsrp_grid(scenario, block, prop_config), prop_config.noise_floor)

@@ -31,13 +31,15 @@ def segment_rect_crossing(p0, targets: np.ndarray, min_corner, max_corner):
     Uses the slab method with strict inequalities, so a segment that only
     grazes an edge or a corner of a rectangle does not count as a crossing.
 
-    p0: (2,) start point shared by all segments.
+    p0: (2,) start point shared by all segments, or (S, 1, 2) start points,
+    one per row of (S, N) segments.
     targets: (N, 2) end points.
-    min_corner, max_corner: (2,) for one rectangle, or (B, 1, 2) for B.
+    min_corner, max_corner: (2,) for one rectangle, or (B, 1, 2) for B
+    (B, 1, 1, 2 with (S, 1, 2) start points).
 
-    Returns (hit, t_enter, t_exit): boolean (N,) mask, or (B, N) with one
-    row per rectangle, plus the clipped parameter interval in [0, 1] where
-    hit is True (undefined elsewhere).
+    Returns (hit, t_enter, t_exit): boolean (N,) mask, or (S, N), with a
+    leading axis of B for B rectangles, plus the clipped parameter interval
+    in [0, 1] where hit is True (undefined elsewhere).
     """
     p0 = np.asarray(p0, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -45,14 +47,14 @@ def segment_rect_crossing(p0, targets: np.ndarray, min_corner, max_corner):
     max_corner = np.asarray(max_corner, dtype=float)
     d = targets - p0
 
-    t_enter = np.zeros(len(targets))
-    t_exit = np.ones(len(targets))
-    ok = np.ones(len(targets), dtype=bool)
+    t_enter = np.zeros(d.shape[:-1])
+    t_exit = np.ones(d.shape[:-1])
+    ok = np.ones(d.shape[:-1], dtype=bool)
 
     for axis in (0, 1):
         lo, hi = min_corner[..., axis], max_corner[..., axis]
-        da = d[:, axis]
-        pa = p0[axis]
+        da = d[..., axis]
+        pa = p0[..., axis]
         parallel = da == 0.0
         # Parallel segments intersect the open slab only if strictly inside it.
         ok = ok & (~parallel | ((pa > lo) & (pa < hi)))

@@ -4,8 +4,9 @@ Direct-ray analytic model: geometric line-of-sight against building
 footprints, log-distance path loss at the carrier frequency, and a parabolic
 (in dB) directional beam pattern. Optional lognormal shadow fading is drawn
 from a stateless per-(location, site) hash so results never depend on
-evaluation order or parallelism. LoS and beam gain exist only in vectorized
-form: one site's links, one sector's beams at a time.
+evaluation order or parallelism. Link geometry, LoS and shadow fading are
+evaluated for every site at once and beam gain one site's beams at a time,
+from the arrays each scenario builds once (`Scenario.arrays`).
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import segment_rect_crossing, wrap_deg
-from .scenario import Scenario, Sector, Site, check_finite_fields
+from .scenario import BeamArrays, BuildingArrays, Scenario, check_finite_fields
 from .seeds import derive_seed
 
 DEFAULT_UE_HEIGHT = 1.5
@@ -52,34 +53,41 @@ class PropagationConfig:
         check_finite_fields(self)
 
 
-def _blocked_mask(p: tuple[float, float, float], targets: np.ndarray, target_height: float, buildings) -> np.ndarray:
+def _blocked_mask(p, targets: np.ndarray, target_height: float, buildings: BuildingArrays) -> np.ndarray:
     """True where the 3-D segment from p to (targets[i], target_height) is blocked.
 
-    A building blocks a segment iff the 2-D footprint crossing is non-empty
-    (open interior, so edge grazing does not block) and the building height
-    exceeds the segment's lowest interpolated height over the crossing.
+    p is one (x, y, z) start point, giving an (N,) mask, or an (S, 1, 3)
+    array of them, giving (S, N). A building blocks a segment iff the 2-D
+    footprint crossing is non-empty (open interior, so edge grazing does not
+    block) and the building height exceeds the segment's lowest interpolated
+    height over the crossing.
     """
-    min_corners = np.array([b.min_corner for b in buildings], dtype=float).reshape(-1, 1, 2)
-    max_corners = np.array([b.max_corner for b in buildings], dtype=float).reshape(-1, 1, 2)
-    heights = np.array([b.height for b in buildings], dtype=float).reshape(-1, 1)
-    hit, t_enter, t_exit = segment_rect_crossing(p[:2], targets, min_corners, max_corners)
-    z0, z1 = p[2], target_height
+    p = np.asarray(p, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    # one leading axis per building, then one axis per segment axis
+    axes = (1,) * len(np.broadcast_shapes(p.shape[:-1], targets.shape[:-1]))
+    hit, t_enter, t_exit = segment_rect_crossing(
+        p[..., :2], targets, buildings.min_corner.reshape(-1, *axes, 2), buildings.max_corner.reshape(-1, *axes, 2)
+    )
+    z0, z1 = p[..., 2], target_height
     min_z = np.minimum(z0 + t_enter * (z1 - z0), z0 + t_exit * (z1 - z0))
-    return np.logical_or.reduce(hit & (heights > min_z), axis=0)
+    return np.logical_or.reduce(hit & (buildings.height.reshape(-1, *axes) > min_z), axis=0)
 
 
-def _site_link_arrays(site: Site, locations: np.ndarray, scenario: Scenario, config: PropagationConfig):
-    """Vectorized direct-path geometry from one site to every location."""
+def _link_arrays(locations: np.ndarray, scenario: Scenario, config: PropagationConfig):
+    """Direct-path geometry and LoS from every site of `scenario` to every
+    location, as (sites, N) arrays with rows in scenario order."""
     locations = np.asarray(locations, dtype=float)
-    sx, sy = site.position
-    dx = locations[:, 0] - sx
-    dy = locations[:, 1] - sy
-    dz = config.ue_height - site.height
+    arrays = scenario.arrays
+    p = arrays.site_xyz[:, None]
+    dx = locations[:, 0] - p[..., 0]
+    dy = locations[:, 1] - p[..., 1]
+    dz = config.ue_height - p[..., 2]
     d2d = np.hypot(dx, dy)
     d3d = np.sqrt(d2d * d2d + dz * dz)
     azimuth = np.degrees(np.arctan2(dy, dx))
     elevation = np.degrees(np.arctan2(dz, d2d))
-    los = ~_blocked_mask((sx, sy, site.height), locations, config.ue_height, scenario.buildings)
+    los = ~_blocked_mask(p, locations, config.ue_height, arrays.buildings)
     return d3d, azimuth, elevation, los
 
 
@@ -124,21 +132,22 @@ def _hash_uniform(key: np.ndarray, salt: int) -> np.ndarray:
     return np.maximum(u, 2.0**-53)
 
 
-def shadow_fading(seed: int, site_id: int, locations: np.ndarray, sigma: float) -> np.ndarray:
+def shadow_fading(seed: int, site_id, locations: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian shadow fading in dB, one draw per (location, site).
 
     Stateless: the draw is a pure hash of (seed, site_id, exact coordinates),
     so any subset of locations evaluated in any order or process yields the
     same values. Shared across all beams of the site, which preserves
-    relative beam rankings while perturbing absolute levels.
+    relative beam rankings while perturbing absolute levels. One site id
+    gives (N,) draws; an (S, 1) array of ids gives (S, N), one row per site.
     """
     locations = np.asarray(locations, dtype=float)
     if sigma == 0.0:
-        return np.zeros(len(locations))
+        return np.zeros(np.broadcast_shapes(np.shape(site_id), (len(locations),)))
     xb = np.ascontiguousarray(locations[:, 0]).view(np.uint64)
     yb = np.ascontiguousarray(locations[:, 1]).view(np.uint64)
     key = _mix64(np.uint64(seed))
-    key = _mix64(key ^ np.uint64(site_id))
+    key = _mix64(key ^ np.asarray(site_id, dtype=np.uint64))
     key = _mix64(key ^ xb)
     key = _mix64(key ^ yb)
     u1 = _hash_uniform(key, 0x5EED)
@@ -165,40 +174,28 @@ class RsrpGrid:
     site_los: np.ndarray
 
 
-def _distinct(keys: list) -> tuple[list, list[int]]:
-    """Distinct keys in first-seen order, and each key's index into them."""
-    index: dict = {}
-    inverse = [index.setdefault(key, len(index)) for key in keys]
-    return list(index), inverse
+def _beam_block(beams: BeamArrays, azimuth, elevation, loss, shadow, out: np.ndarray) -> None:
+    """Write the (locations, beams) RSRP block of `beams` into `out`.
 
-
-def _sector_block(sector: Sector, azimuth, elevation, loss, shadow, out: np.ndarray) -> None:
-    """Write the sector's (locations, beams) RSRP block into `out`.
-
-    A beam's gain is its peak gain minus the summed azimuth and elevation
-    rolloff, floored at front_to_back below the peak. Each rolloff term is
-    computed once per distinct (steer, beamwidth) pair and gathered per
-    beam, in the per-element order of a beam-by-beam evaluation on wrapped
+    `beams` belong to one site, whose links give the per-location azimuth,
+    elevation, loss and shadow. A beam's gain is its peak gain minus the
+    summed azimuth and elevation rolloff, floored at front_to_back below the
+    peak. Each rolloff term is computed once per distinct (steer, beamwidth)
+    key, the azimuth and elevation keys in one pass, and gathered per beam,
+    in the per-element order of a beam-by-beam evaluation on wrapped
     offsets. The azimuth offset is wrapped once: wrap_deg returns its own
     outputs unchanged, bit for bit, so a second wrap would change nothing.
     """
-    beams = sector.beams
-    # wrap_deg works element by element, so one call wraps every beam's steer
-    steer = wrap_deg(sector.boresight_azimuth + np.array([b.steer_azimuth for b in beams], dtype=float))
-    az_keys, az_of_beam = _distinct(list(zip(steer.tolist(), [b.azimuth_beamwidth for b in beams])))
-    el_keys, el_of_beam = _distinct([(b.steer_elevation, b.elevation_beamwidth) for b in beams])
-    az_steer, az_width = np.array(az_keys, dtype=float).T
-    el_steer, el_width = np.array(el_keys, dtype=float).T
-    az_term = _pattern_term(azimuth[:, None] - az_steer, az_width)
-    el_term = _pattern_term(elevation[:, None] - el_steer, el_width)
-
-    rolloff = az_term[:, az_of_beam]
-    rolloff += el_term[:, el_of_beam]
-    np.minimum(rolloff, np.array([b.front_to_back for b in beams], dtype=float), out=rolloff)
-    gain = np.subtract(np.array([b.peak_gain for b in beams], dtype=float), rolloff, out=rolloff)
+    offset = np.where(beams.is_elevation, elevation[:, None], azimuth[:, None])
+    offset -= beams.steer
+    term = _pattern_term(offset, beams.width)
+    rolloff = term[:, beams.az_of_beam]
+    rolloff += term[:, beams.el_of_beam]
+    np.minimum(rolloff, beams.front_to_back, out=rolloff)
+    gain = np.subtract(beams.peak_gain, rolloff, out=rolloff)
     # composed in the contiguous buffer: only the last pass writes the
     # strided column slice `out`, which is slower to update in place
-    rsrp = np.add(sector.tx_power, gain, out=gain)
+    rsrp = np.add(beams.tx_power, gain, out=gain)
     rsrp -= loss[:, None]
     np.add(rsrp, shadow[:, None], out=out)
 
@@ -208,31 +205,29 @@ def rsrp_grid(scenario: Scenario, locations: np.ndarray, config: PropagationConf
 
     Column order is sites in scenario order, sectors in site order, beams in
     sector order. Deterministic for a fixed (scenario, locations, config).
+    Link geometry, LoS, path loss and shadow fading are (sites, locations)
+    arrays, one pass each for every site at once; the pattern is evaluated
+    one site at a time into that site's columns of the grid.
     """
     config = config or PropagationConfig()
     locations = np.asarray(locations, dtype=float)
-    shadow_seed = derive_seed(scenario.rng_seed, "shadow")
-    columns = [
-        (si, sector.cell_id, beam.beam_id)
-        for si, site in enumerate(scenario.sites)
-        for sector in site.sectors
-        for beam in sector.beams
-    ]
-    if not columns:
+    arrays = scenario.arrays
+    if not len(arrays.cell_ids):
         raise ValueError("scenario has no beams")
-    site_col, cell_ids, beam_ids = np.array(columns, dtype=np.int64).T
-    rsrp = np.empty((len(locations), len(columns)))
-    site_los = np.zeros((len(locations), len(scenario.sites)), dtype=bool)
+    d3d, azimuth, elevation, los = _link_arrays(locations, scenario, config)
+    loss = path_loss(d3d, los, scenario.carrier_frequency, config)
+    shadow_seed = derive_seed(scenario.rng_seed, "shadow")
+    shadow = shadow_fading(shadow_seed, arrays.site_id[:, None], locations, config.shadow_fading_sigma)
+    rsrp = np.empty((len(locations), len(arrays.cell_ids)))
     column = 0
-    for si, site in enumerate(scenario.sites):
-        d3d, azimuth, elevation, los = _site_link_arrays(site, locations, scenario, config)
-        site_los[:, si] = los
-        loss = path_loss(d3d, los, scenario.carrier_frequency, config)
-        shadow = shadow_fading(shadow_seed, site.id, locations, config.shadow_fading_sigma)
-        for sector in site.sectors:
-            if not sector.beams:
-                continue
-            end = column + len(sector.beams)
-            _sector_block(sector, azimuth, elevation, loss, shadow, rsrp[:, column:end])
-            column = end
-    return RsrpGrid(rsrp=rsrp, cell_ids=cell_ids, beam_ids=beam_ids, site_col=site_col, site_los=site_los)
+    for si, beams in enumerate(arrays.site_beams):
+        end = column + len(beams.peak_gain)
+        _beam_block(beams, azimuth[si], elevation[si], loss[si], shadow[si], rsrp[:, column:end])
+        column = end
+    return RsrpGrid(
+        rsrp=rsrp,
+        cell_ids=arrays.cell_ids,
+        beam_ids=arrays.beam_ids,
+        site_col=arrays.site_col,
+        site_los=np.ascontiguousarray(los.T),
+    )

@@ -8,8 +8,10 @@ streets, so line of sight exists along street corridors only.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +97,124 @@ class Scenario:
     @property
     def cells(self) -> tuple[Sector, ...]:
         return tuple(sector for site in self.sites for sector in site.sectors)
+
+    @functools.cached_property
+    def arrays(self) -> ScenarioArrays:
+        """The scenario's sites, buildings and grid columns as arrays, built on first use."""
+        return scenario_arrays(self)
+
+
+def _read_only(arrays):
+    """`arrays` with every array field locked: one scenario's arrays are
+    shared by every grid evaluated on it, so a write would reach all later
+    blocks."""
+    for value in arrays:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return arrays
+
+
+def _distinct(keys: list) -> tuple[list, list[int]]:
+    """Distinct keys in first-seen order, and each key's index into them."""
+    index: dict = {}
+    inverse = [index.setdefault(key, len(index)) for key in keys]
+    return list(index), inverse
+
+
+class BeamArrays(NamedTuple):
+    """The beams of one or more sectors as arrays, one entry per beam, sectors
+    in order and beams in sector order.
+
+    The pattern is evaluated once per distinct (steer, width) key: first the
+    azimuth keys, each steer the sector boresight plus the beam's steer
+    wrapped to (-180, 180], then the elevation keys, flagged in
+    is_elevation. Beam j reads azimuth key az_of_beam[j] and elevation key
+    el_of_beam[j]; front_to_back, peak_gain and tx_power are per beam.
+    """
+
+    steer: np.ndarray
+    width: np.ndarray
+    is_elevation: np.ndarray
+    az_of_beam: np.ndarray
+    el_of_beam: np.ndarray
+    front_to_back: np.ndarray
+    peak_gain: np.ndarray
+    tx_power: np.ndarray
+
+
+def beam_arrays(sectors) -> BeamArrays:
+    """The beams of `sectors` as arrays."""
+    pairs = [(sector, beam) for sector in sectors for beam in sector.beams]
+    boresight = np.array([sector.boresight_azimuth for sector, _ in pairs], dtype=float)
+    # wrap_deg works element by element, so one call wraps every beam's steer
+    steer = wrap_deg(boresight + np.array([beam.steer_azimuth for _, beam in pairs], dtype=float))
+    az_keys, az_of_beam = _distinct(list(zip(steer.tolist(), [beam.azimuth_beamwidth for _, beam in pairs])))
+    el_keys, el_of_beam = _distinct([(beam.steer_elevation, beam.elevation_beamwidth) for _, beam in pairs])
+    keys = np.array(az_keys + el_keys, dtype=float).reshape(-1, 2)
+    return _read_only(BeamArrays(
+        steer=np.ascontiguousarray(keys[:, 0]),
+        width=np.ascontiguousarray(keys[:, 1]),
+        is_elevation=np.arange(len(keys)) >= len(az_keys),
+        az_of_beam=np.array(az_of_beam, dtype=np.intp),
+        el_of_beam=len(az_keys) + np.array(el_of_beam, dtype=np.intp),
+        front_to_back=np.array([beam.front_to_back for _, beam in pairs], dtype=float),
+        peak_gain=np.array([beam.peak_gain for _, beam in pairs], dtype=float),
+        tx_power=np.array([sector.tx_power for sector, _ in pairs], dtype=float),
+    ))
+
+
+class BuildingArrays(NamedTuple):
+    """Building footprints and roof heights: (B, 2) corners and (B,) heights."""
+
+    min_corner: np.ndarray
+    max_corner: np.ndarray
+    height: np.ndarray
+
+    @classmethod
+    def of(cls, buildings) -> BuildingArrays:
+        return _read_only(cls(
+            min_corner=np.array([b.min_corner for b in buildings], dtype=float).reshape(-1, 2),
+            max_corner=np.array([b.max_corner for b in buildings], dtype=float).reshape(-1, 2),
+            height=np.array([b.height for b in buildings], dtype=float),
+        ))
+
+
+class ScenarioArrays(NamedTuple):
+    """A scenario's fixed data as arrays.
+
+    Sites are rows of site_xyz (x, y, height) and of site_id, and entries
+    of site_beams, in scenario order. The RSRP grid has one column per beam:
+    sites in scenario order, sectors in site order, beams in sector order;
+    column j is beam beam_ids[j] of cell cell_ids[j] on site row site_col[j].
+    """
+
+    site_xyz: np.ndarray  # (n_sites, 3)
+    site_id: np.ndarray  # (n_sites,)
+    site_beams: tuple[BeamArrays, ...]
+    buildings: BuildingArrays
+    site_col: np.ndarray  # (n_beams,)
+    cell_ids: np.ndarray  # (n_beams,)
+    beam_ids: np.ndarray  # (n_beams,)
+
+
+def scenario_arrays(scenario: Scenario) -> ScenarioArrays:
+    """`scenario.arrays`, which is built once per scenario."""
+    columns = [
+        (si, sector.cell_id, beam.beam_id)
+        for si, site in enumerate(scenario.sites)
+        for sector in site.sectors
+        for beam in sector.beams
+    ]
+    site_col, cell_ids, beam_ids = np.array(columns, dtype=np.int64).reshape(-1, 3).T
+    return _read_only(ScenarioArrays(
+        site_xyz=np.array([(*site.position, site.height) for site in scenario.sites], dtype=float).reshape(-1, 3),
+        site_id=np.array([site.id for site in scenario.sites], dtype=np.uint64),
+        site_beams=tuple(beam_arrays(site.sectors) for site in scenario.sites),
+        buildings=BuildingArrays.of(scenario.buildings),
+        site_col=site_col,
+        cell_ids=cell_ids,
+        beam_ids=beam_ids,
+    ))
 
 
 @dataclass(frozen=True)

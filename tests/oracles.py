@@ -24,7 +24,8 @@ from beamloc.fingerprint import (
     _sidecar_path,
     rank_rows,
 )
-from beamloc.propagation import RsrpGrid, _blocked_mask, _site_link_arrays, path_loss, shadow_fading
+from beamloc.propagation import RsrpGrid, _blocked_mask, _link_arrays, path_loss, shadow_fading
+from beamloc.scenario import BuildingArrays
 from beamloc.seeds import derive_seed
 
 
@@ -275,8 +276,9 @@ def reference_rsrp_grid(scenario, locations, config):
     shadow_seed = derive_seed(scenario.rng_seed, "shadow")
     columns, ids = [], []
     site_los = np.zeros((len(locations), len(scenario.sites)), dtype=bool)
+    link_arrays = _link_arrays(locations, scenario, config)
     for si, site in enumerate(scenario.sites):
-        d3d, azimuth, elevation, los = _site_link_arrays(site, locations, scenario, config)
+        d3d, azimuth, elevation, los = (links[si] for links in link_arrays)
         site_los[:, si] = los
         loss = path_loss(d3d, los, scenario.carrier_frequency, config)
         shadow = shadow_fading(shadow_seed, site.id, locations, config.shadow_fading_sigma)
@@ -411,7 +413,7 @@ def line_of_sight(p, q, buildings) -> bool:
     `rsrp_grid`'s blocking test for one segment."""
     if p[:2] == q[:2] and p[2] == q[2]:
         raise ValueError("line_of_sight requires distinct endpoints")
-    mask = _blocked_mask(p, np.array([q[:2]]), q[2], buildings)
+    mask = _blocked_mask(p, np.array([q[:2]]), q[2], BuildingArrays.of(buildings))
     return not bool(mask[0])
 
 

@@ -94,6 +94,20 @@ def test_config_experiment_id_that_is_not_a_file_name(capsys, tmp_path, exp_id):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
 
+@pytest.mark.parametrize("command", ["dataset", "run"])
+def test_a_lattice_with_no_street_location_is_a_config_error(capsys, tmp_path, command):
+    # on tiny.yaml's 80 m square a 30 m lattice puts every point inside a
+    # building or on a building's edge: there is no location to sample
+    doc = yaml.safe_load(Path(TINY).read_text())
+    doc["scenario"]["grid_resolution_m"] = 30
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: scenario: grid_resolution_m 30 puts no lattice point on a street" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_train_seed_rejected(tmp_path):
     doc = base_doc(str(tmp_path / "out"))
     doc["experiments"][0]["train"] = {"seed": 4}

@@ -29,6 +29,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import beamloc.fingerprint
+import beamloc.scenario
 from beamloc.fingerprint import (
     MAX_NEIGHBOR_CELLS,
     MAX_SERVING_BEAMS,
@@ -47,7 +48,7 @@ from beamloc.fingerprint import (
     save_dataset,
 )
 from beamloc.propagation import PropagationConfig, RsrpGrid, rsrp_grid
-from beamloc.scenario import ScenarioConfig, build_scenario, enumerate_locations
+from beamloc.scenario import ScenarioConfig, build_scenario, enumerate_locations, scenario_arrays
 from beamloc.seeds import derive_seed
 from oracles import (
     FeatureExtractionError,
@@ -752,6 +753,31 @@ def test_each_grid_call_holds_one_block_and_the_calls_cover_every_location_in_or
     assert len(calls) == -(-len(locations) // 7) > 1
     assert all(0 < nbytes <= block for _, nbytes in calls)
     assert np.concatenate([seen for seen, _ in calls]).tobytes() == locations.tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_one_generation_builds_the_scenario_arrays_once(monkeypatch, rows):
+    # every block's grid reads the scenario's beam, building and column
+    # arrays: they are built for the first block and kept for the others
+    scenario = _scenario()
+    builds, blocks = [], []
+
+    def counting_builder(built):
+        builds.append(built)
+        return scenario_arrays(built)
+
+    def recorder(*args):
+        blocks.append(len(args[1]))
+        return rsrp_grid(*args)
+
+    monkeypatch.setattr(beamloc.scenario, "scenario_arrays", counting_builder)
+    monkeypatch.setattr(beamloc.fingerprint, "rsrp_grid", recorder)
+    if rows is not None:
+        monkeypatch.setattr(beamloc.fingerprint, "GRID_BLOCK_BYTES", _block_bytes(scenario, rows))
+    generate_samples(scenario, SHADOWED)
+    locations = len(enumerate_locations(scenario))
+    assert len(blocks) == (1 if rows is None else -(-locations // rows)) and sum(blocks) == locations
+    assert len(builds) == 1 and builds[0] is scenario
 
 
 def test_generation_never_holds_half_the_whole_grid(monkeypatch):

@@ -104,6 +104,37 @@ def test_segment_crossing_of_b_rectangles_is_b_single_rectangle_calls():
     assert batch[0].any() and not batch[0].all()
 
 
+def test_segments_from_several_start_points_graze_and_cross_like_single_start_calls():
+    starts = np.array([[-1.0, 1.0], [0.0, 2.0], [-1.0, 0.5], [0.2, 0.2], [0.5, -1.0]])
+    targets = np.array([[2.0, 1.0], [2.0, 0.0], [2.0, 0.5], [0.8, 0.8], [0.5, 3.0], [1.0, 1.0]])
+    hit, t_enter, t_exit = segment_rect_crossing(starts[:, None, :], targets, (0.0, 0.0), (1.0, 1.0))
+    assert hit.shape == t_enter.shape == t_exit.shape == (5, 6)
+    for row, start in enumerate(starts):
+        for got, want in zip((hit, t_enter, t_exit), segment_rect_crossing(start, targets, (0.0, 0.0), (1.0, 1.0))):
+            assert got[row].tobytes() == want.tobytes()
+    # along the y = 1 edge, through the (1, 1) corner, across the middle, inside
+    assert not hit[0, 0] and not hit[1, 1] and hit[2, 2] and hit[3, 3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_segment_crossing_from_s_start_points_is_s_single_start_calls(data):
+    # small integer coordinates, so that many segments graze an edge, pass
+    # through a corner, run parallel to an axis or start inside a rectangle
+    point = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    starts = np.array(data.draw(st.lists(point, min_size=1, max_size=4)), dtype=float)
+    targets = np.array(data.draw(st.lists(point, min_size=1, max_size=8)), dtype=float)
+    corners = np.array(data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=3)), dtype=float)
+    mins, maxs = corners.min(axis=1), corners.max(axis=1) + 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = segment_rect_crossing(starts[:, None, :], targets, mins[:, None, None, :], maxs[:, None, None, :])
+        singles = [segment_rect_crossing(start, targets, mins[:, None, :], maxs[:, None, :]) for start in starts]
+    for got, want in zip(batch, zip(*singles)):
+        assert got.shape == (len(mins), len(starts), len(targets))
+        assert got.tobytes() == np.stack(want, axis=1).tobytes()
+
+
 @settings(max_examples=500, deadline=None)
 @given(angle=st.floats(-1e6, 1e6))
 def test_wrap_deg_returns_its_outputs_unchanged(angle):

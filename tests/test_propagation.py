@@ -22,7 +22,7 @@ from beamloc.fingerprint import FingerprintTable
 from beamloc.propagation import (
     PROPAGATION_MODELS,
     PropagationConfig,
-    _sector_block,
+    _beam_block,
     path_loss,
     rsrp_grid,
     shadow_fading,
@@ -34,6 +34,7 @@ from beamloc.scenario import (
     ScenarioConfig,
     Sector,
     Site,
+    beam_arrays,
     build_scenario,
     enumerate_locations,
     synthesize_beam_grid,
@@ -95,7 +96,7 @@ def _beam(**kwargs):
 
 def antenna_gain(beam, azimuth_off, elevation_off):
     """A beam's pattern at offsets in degrees (scalars or arrays), as
-    `_sector_block` writes it. The beam and its sector point at 0 degrees,
+    `_beam_block` writes it. The beam and its sector point at 0 degrees,
     the sector has no transmit power, and the links have no loss and no
     shadowing, so the block it writes is the gain, bit for bit."""
     assert beam.steer_azimuth == beam.steer_elevation == 0.0
@@ -103,7 +104,7 @@ def antenna_gain(beam, azimuth_off, elevation_off):
     az, el = (np.ravel(np.asarray(v, dtype=float)) for v in np.broadcast_arrays(azimuth_off, elevation_off))
     zeros = np.zeros(len(az))
     out = np.empty((len(az), 1))
-    _sector_block(sector, az, el, zeros, zeros, out)
+    _beam_block(beam_arrays((sector,)), az, el, zeros, zeros, out)
     return float(out[0, 0]) if np.isscalar(azimuth_off) and np.isscalar(elevation_off) else out[:, 0]
 
 
@@ -444,6 +445,19 @@ def test_table_from_raw_grid_matches_table_from_floored_reference(case):
     for name in (f.name for f in dataclasses.fields(got)):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_case())
+def test_grid_los_of_every_site_is_the_one_segment_line_of_sight(case):
+    # rsrp_grid clips every site's links in one call; each entry must be the
+    # blocking test of that one segment
+    scenario, locations, config = case
+    site_los = rsrp_grid(scenario, locations, config).site_los
+    for si, site in enumerate(scenario.sites):
+        start = (*site.position, site.height)
+        want = [line_of_sight(start, (x, y, config.ue_height), scenario.buildings) for x, y in locations.tolist()]
+        assert site_los[:, si].tolist() == want
 
 
 def test_rsrp_grid_rejects_a_scenario_without_beams():
