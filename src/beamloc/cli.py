@@ -81,6 +81,8 @@ def cmd_dataset(config: RunConfig, dry_run: bool = False) -> int:
         print("error: no samples left after filtering", file=sys.stderr)
         return 1
     failed = 0
+    # the layouts share most of their columns; each distinct one is formatted once
+    column_text: dict[bytes, list[str]] = {}
     for path, fc in layouts.items():
         try:
             dataset = build_dataset(
@@ -90,7 +92,7 @@ def cmd_dataset(config: RunConfig, dry_run: bool = False) -> int:
             print(f"error: {path}: {err}", file=sys.stderr)
             failed += 1
             continue
-        save_dataset(dataset, path)
+        save_dataset(dataset, path, column_text=column_text)
         print(f"wrote {path} ({dataset.n_samples} rows, {dataset.features.shape[1]} features)")
     return 1 if failed else 0
 

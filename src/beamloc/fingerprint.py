@@ -21,11 +21,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import logging
 import os
 import tempfile
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,8 @@ MAX_SERVING_BEAMS = 8
 MAX_NEIGHBOR_CELLS = 4
 # `generate_samples` evaluates at most this many bytes of RSRP grid at a time
 GRID_BLOCK_BYTES = 1 << 20
+# `save_dataset` joins at most this many CSV rows into one string
+CSV_BLOCK_ROWS = 512
 
 
 class NoLocationsError(ValueError):
@@ -450,14 +453,17 @@ def partition_by_cell(
     return datasets
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file + rename so readers never see partial output."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write via a temp file + rename so readers never see partial output.
+
+    `text` is one string or an iterable of strings written in order.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -465,19 +471,34 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def save_dataset(dataset: Dataset, csv_path: str) -> None:
+def save_dataset(dataset: Dataset, csv_path: str, *, column_text: dict[bytes, list[str]] | None = None) -> None:
     """CSV of unnormalized features + labels, JSON sidecar with everything else.
 
-    The body holds every float as its repr, so a reload is bit-exact. It is
-    formatted a column at a time into the bytes `csv.writer` would write:
-    repr fields, "," between them, "\r\n" after each row.
+    The body holds every float as its repr, so a reload is bit-exact, in the
+    bytes `csv.writer` would write: repr fields, "," between them, "\r\n"
+    after each row. Each column is formatted with one repr per distinct bit
+    pattern, and its text is kept in `column_text` under the column's bytes;
+    datasets saved with one dict format a column they share once. The rows
+    are joined and written CSV_BLOCK_ROWS at a time.
     """
+    if column_text is None:
+        column_text = {}
     buf = io.StringIO()
     csv.writer(buf).writerow(list(dataset.layout) + ["label_x", "label_y"])
-    table = np.column_stack([dataset.features, dataset.labels]).astype(float, copy=False)
-    columns = [map(repr, column) for column in table.T.tolist()]
-    buf.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
-    atomic_write_text(csv_path, buf.getvalue())
+    columns = []
+    for column in np.vstack([dataset.features.T, dataset.labels.T]).astype(float, copy=False):
+        key = column.tobytes()
+        if key not in column_text:
+            bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+            column_text[key] = text[inverse].tolist()
+        columns.append(column_text[key])
+    rows = zip(*columns)
+    blocks = (
+        "".join(",".join(row) + "\r\n" for row in itertools.islice(rows, CSV_BLOCK_ROWS))
+        for _ in range(0, len(dataset.labels), CSV_BLOCK_ROWS)
+    )
+    atomic_write_text(csv_path, itertools.chain([buf.getvalue()], blocks))
     sidecar = {
         "layout": list(dataset.layout),
         "train_idx": dataset.train_idx.tolist(),

@@ -5,8 +5,15 @@ import numpy as np
 
 
 def wrap_deg(angle):
-    """Normalize an angle (scalar or array) in degrees to (-180, 180]."""
-    wrapped = np.asarray(angle, dtype=float) % 360.0
+    """Normalize an angle (scalar or array) in degrees to (-180, 180].
+
+    Bit-equal to `angle % 360.0` folded at 180, but with the cheaper fmod:
+    its remainder keeps the angle's sign, so a negative one moves up by 360.
+    So does a zero of either sign, which the fold then takes to the +0.0
+    that % returns.
+    """
+    wrapped = np.fmod(np.asarray(angle, dtype=float), 360.0)
+    wrapped = np.where(wrapped <= 0.0, wrapped + 360.0, wrapped)
     wrapped = np.where(wrapped > 180.0, wrapped - 360.0, wrapped)
     if np.ndim(angle) == 0:
         return float(wrapped)

@@ -274,6 +274,20 @@ class ScenarioConfig:
         if not (math.isfinite(self.carrier_frequency_ghz) and self.carrier_frequency_ghz > 0):
             raise ValueError(f"carrier_frequency_ghz must be finite and > 0, got {self.carrier_frequency_ghz}")
         check_finite_fields(self)
+        # finite keys can still span an area too wide for a float
+        if not np.isfinite(self.area).all():
+            raise ValueError(
+                f"area must be finite, got {self.area[0]} x {self.area[1]} m from margin_m {self.margin_m}, "
+                f"col_spacing_m {self.col_spacing_m} and row_spacing_m {self.row_spacing_m}"
+            )
+
+    @property
+    def area(self) -> tuple[float, float]:
+        """(width, height) in m: the site grid plus margin_m on every side."""
+        return (
+            (self.site_cols - 1) * self.col_spacing_m + 2 * self.margin_m,
+            (self.site_rows - 1) * self.row_spacing_m + 2 * self.margin_m,
+        )
 
 
 def check_finite_fields(config) -> None:
@@ -351,8 +365,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     rectangular block between streets (and between the outer streets and the
     area border).
     """
-    width = (config.site_cols - 1) * config.col_spacing_m + 2 * config.margin_m
-    height = (config.site_rows - 1) * config.row_spacing_m + 2 * config.margin_m
+    width, height = config.area
     xs = [config.margin_m + c * config.col_spacing_m for c in range(config.site_cols)]
     ys = [config.margin_m + r * config.row_spacing_m for r in range(config.site_rows)]
 

@@ -108,6 +108,19 @@ def test_a_lattice_with_no_street_location_is_a_config_error(capsys, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["dataset", "run"])
+def test_a_margin_that_makes_the_area_infinite_is_a_config_error(capsys, tmp_path, command):
+    # 2 * 1e308 overflows to inf: each key is finite, the area they span is not
+    doc = yaml.safe_load(Path(TINY).read_text())
+    doc["scenario"]["margin_m"] = 1.0e308
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^config error: scenario: area must be finite, got inf x inf m from margin_m 1e\+308,", err, re.M)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_train_seed_rejected(tmp_path):
     doc = base_doc(str(tmp_path / "out"))
     doc["experiments"][0]["train"] = {"seed": 4}

@@ -13,8 +13,9 @@ feature layout, on tables built by `from_grid` and by `table_from_samples`.
 Hand-written fingerprints pin the tie rules and the layout widths.
 `generate_samples` ranks the grid one row block at a time; the block tests
 hold its table to the one-block table and bound the memory the blocks take.
-`save_dataset` hands Python floats to the csv module, which writes them with
-repr, so its bytes must equal a writer that calls repr on every value.
+`save_dataset` formats each distinct value of a column once, and datasets
+saved with one cache share a column's text; its bytes must still equal a
+csv writer that calls repr on every value.
 """
 import csv
 import dataclasses
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 import beamloc.fingerprint
 import beamloc.scenario
 from beamloc.fingerprint import (
+    CSV_BLOCK_ROWS,
     MAX_NEIGHBOR_CELLS,
     MAX_SERVING_BEAMS,
     Dataset,
@@ -546,6 +548,35 @@ def test_save_dataset_writes_repr_bytes_and_reloads_bit_exact(tmp_path):
     loaded = load_dataset(str(path))
     assert loaded.features.tobytes() == features.tobytes()
     assert loaded.labels.tobytes() == labels.tobytes()
+
+    # two datasets saved with one dict: f0 and the labels are byte-equal in
+    # both, f1 differs only in 0.0 against -0.0 and must not reuse the text
+    other_features = rng.choice(np.array(AWKWARD), size=(40, 5))
+    other_features[:, 0] = features[:, 0]
+    other_features[:, 1] = np.where(features[:, 1] == 0.0, 0.0, features[:, 1])
+    assert np.array_equal(other_features[:, 1], features[:, 1])
+    assert other_features[:, 1].tobytes() != features[:, 1].tobytes()
+    other = dataclasses.replace(dataset, features=other_features, mean=other_features[:36].mean(axis=0))
+    shared = {}
+    for name, saved in (("first", dataset), ("second", other)):
+        save_dataset(saved, str(tmp_path / f"{name}.csv"), column_text=shared)
+        assert (tmp_path / f"{name}.csv").read_bytes() == _per_value_csv(saved).encode()
+    assert len(shared) == 7 + 7 - 3
+
+    # two layouts of one table keep different rows: the wide one drops rows
+    # without two neighbor cells, so equal column names hold different columns;
+    # both are written in several row blocks
+    table = _table(*_random_rows(5, 3 * CSV_BLOCK_ROWS, heard=0.15))
+    narrow = build_dataset(table, FeatureConfig(n_serving_beams=1, n_neighbor_cells=0), seed=3)
+    wide = build_dataset(table, FeatureConfig(n_serving_beams=1, n_neighbor_cells=2), seed=3)
+    assert wide.provenance["dropped"]["insufficient_neighbors"] > 0
+    assert len(wide.features) < len(narrow.features)
+    shared = {}
+    for name, saved in (("narrow", narrow), ("wide", wide)):
+        save_dataset(saved, str(tmp_path / f"{name}-shared.csv"), column_text=shared)
+        save_dataset(saved, str(tmp_path / f"{name}-alone.csv"))
+        assert (tmp_path / f"{name}-shared.csv").read_bytes() == (tmp_path / f"{name}-alone.csv").read_bytes()
+        assert (tmp_path / f"{name}-alone.csv").read_bytes() == _per_value_csv(saved).encode()
 
 
 @settings(max_examples=30, deadline=None, phases=PHASES, suppress_health_check=[HealthCheck.too_slow])

@@ -142,3 +142,23 @@ def test_wrap_deg_returns_its_outputs_unchanged(angle):
     # wrapped it twice; that is bit-identical only because of this
     wrapped = wrap_deg(np.array([angle]))
     assert wrap_deg(wrapped).tobytes() == wrapped.tobytes()
+
+
+def _remainder_wrap(angle):
+    # the wrap as np.remainder computes it, folded at 180
+    r = np.remainder(np.asarray(angle, dtype=float), 360.0)
+    return np.where(r > 180.0, r - 360.0, r)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(st.floats() | st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(float))),
+                       max_size=20))
+def test_wrap_deg_is_the_remainder_fold_bit_for_bit(values):
+    # any float, also drawn as a bit pattern: signed zeros, subnormals, huge
+    # magnitudes and NaN payloads; NaN and +-inf make both sides warn "invalid"
+    angles = np.array(values, dtype=float)
+    with np.errstate(invalid="ignore"):
+        expected = _remainder_wrap(angles)
+        assert wrap_deg(angles).tobytes() == expected.tobytes()
+        for angle, want in zip(values, expected):
+            assert np.float64(wrap_deg(angle)).tobytes() == want.tobytes()
