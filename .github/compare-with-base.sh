@@ -7,8 +7,9 @@
 # Each tree runs `PYTHONPATH=<tree>/src python -m beamloc.cli` on its own
 # shipped configs and on variants of them written here: tiny.yaml `run`, its
 # cell-specific arms, its tiny-nlos variant (two sites, 8 dB shadow fading,
-# los_only false) under `run` and `dataset`, paper-matrix.yaml `dataset`, and
-# paper-matrix.yaml `run` with max_epochs and patience 20. The script passes
+# los_only false) under `run` and `dataset`, paper-matrix.yaml `dataset`,
+# paper-matrix.yaml `run` with max_epochs and patience 20, and `scenario` on
+# tiny.yaml and paper-matrix.yaml. The script passes
 # when `diff -r` finds no difference. Otherwise it prints the differing files,
 # and passes only when HEAD_TREE's CHANGES.md has a line starting
 # "Output bytes change:" that BASE_TREE's lacks.
@@ -66,7 +67,8 @@ EOF
         *) echo "$name: beamloc imported from $imported, not from $tree/src" >&2; return 1 ;;
     esac
     local command config
-    for command_config in run:tiny run:tiny-cells run:tiny-nlos dataset:tiny-nlos dataset:paper-matrix run:paper-matrix-short; do
+    for command_config in run:tiny run:tiny-cells run:tiny-nlos dataset:tiny-nlos dataset:paper-matrix run:paper-matrix-short \
+            scenario:tiny scenario:paper-matrix; do
         command=${command_config%%:*}
         config=${command_config#*:}
         (cd "$work" && PYTHONPATH="$tree/src" python -m beamloc.cli "$command" \

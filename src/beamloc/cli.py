@@ -45,11 +45,12 @@ def _build_samples(config: RunConfig):
         samples = generate_samples(build_scenario(config.scenario), config.propagation)
     except NoLocationsError as err:
         raise ConfigError(
-            f"scenario: grid_resolution_m {config.scenario.grid_resolution_m} puts no lattice point on a street"
+            f"scenario: grid_resolution_m {config.scenario.grid_resolution_m} puts no lattice point on a street "
+            f"of street_width_m {config.scenario.street_width_m}"
         ) from err
     fraction = int(samples.los.sum()) / len(samples) if samples else 0.0
     print(f"samples: {len(samples)}  LoS fraction: {fraction:.4f}")
-    return filter_los(samples) if config.los_only else samples
+    return filter_los(samples) if config.dataset.los_only else samples
 
 
 def cmd_scenario(config: RunConfig, dry_run: bool = False) -> int:
@@ -86,7 +87,7 @@ def cmd_dataset(config: RunConfig, dry_run: bool = False) -> int:
     for path, fc in layouts.items():
         try:
             dataset = build_dataset(
-                samples, fc, config.split_fraction, derive_seed(config.seed, "split", _feature_tag(fc))
+                samples, fc, config.dataset.split_fraction, derive_seed(config.seed, "split", _feature_tag(fc))
             )
         except ValueError as err:  # a layout the samples cannot fill
             print(f"error: {path}: {err}", file=sys.stderr)
@@ -118,8 +119,8 @@ def cmd_run(config: RunConfig, jobs: int = 1, dry_run: bool = False) -> int:
     reports, failures = run_matrix(
         samples,
         list(config.experiments),
-        split_fraction=config.split_fraction,
-        min_cell_size=config.min_cell_size,
+        split_fraction=config.dataset.split_fraction,
+        min_cell_size=config.dataset.min_cell_size,
         jobs=jobs,
     )
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import yaml
 
+from .bounds import bound, check_fields
 from .dtree import TreeConfig
 from .evaluation import ExperimentDescriptor
 from .fingerprint import FeatureConfig
@@ -26,14 +27,25 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
+class DatasetConfig:
+    """The `dataset` section: train share of each split, smallest per-cell
+    dataset, and whether only line-of-sight rows are kept."""
+
+    split_fraction: float = bound(0.9, gt=0, lt=1)
+    min_cell_size: int = bound(50, ge=1)
+    los_only: bool = True
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
 class RunConfig:
     seed: int
     output_dir: str
     scenario: ScenarioConfig
     propagation: PropagationConfig
-    split_fraction: float
-    min_cell_size: int
-    los_only: bool
+    dataset: DatasetConfig
     experiments: tuple[ExperimentDescriptor, ...]
 
 
@@ -123,13 +135,14 @@ def _parse_experiment(entry, index: int, global_seed: int) -> ExperimentDescript
             feature_config=features,
             topology=entry.get("topology", "network_level"),
             model_kind=entry.get("model", "mlp"),
-            hidden_layers=tuple(hidden),
+            hidden_layers=hidden,
             train_config=train,
             tree_config=tree,
             seed=seed,
         )
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"{section}: {err}") from err
+        # the descriptor's model_kind is the file's key `model`
+        raise ConfigError(f"{section}: {err}".replace("model_kind", "model", 1)) from err
 
 
 def load_run_config(path: str, seed_override: int | None = None, out_override: str | None = None) -> RunConfig:
@@ -166,19 +179,7 @@ def load_run_config(path: str, seed_override: int | None = None, out_override: s
         PropagationConfig, _require_map(doc.get("propagation"), "propagation"), "propagation"
     )
 
-    dataset_map = _require_map(doc.get("dataset"), "dataset")
-    for key in dataset_map:
-        if key not in {"split_fraction", "min_cell_size", "los_only"}:
-            raise ConfigError(f"dataset: unknown key '{key}'")
-    split_fraction = dataset_map.get("split_fraction", 0.9)
-    if not isinstance(split_fraction, (int, float)) or not 0 < split_fraction < 1:
-        raise ConfigError("dataset: split_fraction must be a number in (0, 1)")
-    min_cell_size = dataset_map.get("min_cell_size", 50)
-    if not _is_int(min_cell_size) or min_cell_size < 1:
-        raise ConfigError("dataset: min_cell_size must be a positive int")
-    los_only = dataset_map.get("los_only", True)
-    if not isinstance(los_only, bool):
-        raise ConfigError("dataset: los_only must be a bool")
+    dataset = _build_dataclass(DatasetConfig, _require_map(doc.get("dataset"), "dataset"), "dataset")
 
     entries = doc.get("experiments", [])
     if entries is None:
@@ -196,8 +197,6 @@ def load_run_config(path: str, seed_override: int | None = None, out_override: s
         output_dir=output_dir,
         scenario=scenario,
         propagation=propagation,
-        split_fraction=float(split_fraction),
-        min_cell_size=min_cell_size,
-        los_only=los_only,
+        dataset=dataset,
         experiments=experiments,
     )

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import bound, check_fields
+
 
 @dataclass
 class TreeNode:
@@ -33,17 +35,12 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class TreeConfig:
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    min_samples_split: int = 2
+    max_depth: int | None = bound(None, ge=0)
+    min_samples_leaf: int = bound(1, ge=1)
+    min_samples_split: int = bound(2, ge=2)
 
     def __post_init__(self):
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+        check_fields(self)
 
 
 def _partition_sse(x_col: np.ndarray, y: np.ndarray, threshold: float) -> float:

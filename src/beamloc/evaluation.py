@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import bound, check_fields
 from .dtree import TreeConfig, fit_tree, leaf_nodes, predict_tree, tree_depth
 from .fingerprint import (
     Dataset,
@@ -32,7 +33,7 @@ from .fingerprint import (
     normalize,
     partition_by_cell,
 )
-from .mlp import MlpArchitecture, TrainConfig, init_model, predict, train
+from .mlp import MAX_HIDDEN_WIDTH, MlpArchitecture, TrainConfig, init_model, predict, train
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -95,9 +96,9 @@ class ExperimentDescriptor:
 
     experiment_id: str
     feature_config: FeatureConfig
-    topology: str = "network_level"
-    model_kind: str = "mlp"
-    hidden_layers: tuple[int, ...] = (64,)
+    topology: str = bound("network_level", choices=TOPOLOGIES)
+    model_kind: str = bound("mlp", choices=MODEL_KINDS)
+    hidden_layers: tuple[int, ...] = bound((64,), ge=1, le=MAX_HIDDEN_WIDTH)
     train_config: TrainConfig = field(default_factory=TrainConfig)
     tree_config: TreeConfig = field(default_factory=TreeConfig)
     seed: int = 0
@@ -105,14 +106,7 @@ class ExperimentDescriptor:
     def __post_init__(self):
         if not self.experiment_id:
             raise ValueError("experiment_id must be non-empty")
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(f"topology must be one of {TOPOLOGIES}")
-        if self.model_kind not in MODEL_KINDS:
-            raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
-        if isinstance(self.hidden_layers, list):
-            object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
-        if any(width < 1 for width in self.hidden_layers):
-            raise ValueError(f"hidden_layers widths must be >= 1, got {list(self.hidden_layers)}")
+        check_fields(self)
 
     def summary(self) -> dict:
         return {

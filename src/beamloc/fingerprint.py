@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import bound, check_fields
 from .propagation import PropagationConfig, RsrpGrid, rsrp_grid
-from .scenario import Scenario, enumerate_locations
+from .scenario import MAX_BEAMS_PER_SECTOR, MAX_SECTORS_PER_SITE, MAX_SITES_PER_AXIS, Scenario, enumerate_locations
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -76,20 +77,16 @@ class FeatureConfig:
     One-hot encoding expands every ID field to its configured cardinality.
     """
 
-    n_serving_beams: int = 3
-    n_neighbor_cells: int = 0
+    n_serving_beams: int = bound(3, ge=1, le=MAX_SERVING_BEAMS)
+    n_neighbor_cells: int = bound(0, ge=0, le=MAX_NEIGHBOR_CELLS)
     include_serving_cell_id: bool = True
-    id_encoding: str = "numeric"
-    one_hot_cells: int = 0
-    one_hot_beams: int = 0
+    id_encoding: str = bound("numeric", choices=ID_ENCODINGS)
+    # a one-hot field is never wider than the ids a scenario can hold
+    one_hot_cells: int = bound(0, ge=0, le=MAX_SITES_PER_AXIS**2 * MAX_SECTORS_PER_SITE)
+    one_hot_beams: int = bound(0, ge=0, le=MAX_BEAMS_PER_SECTOR)
 
     def __post_init__(self):
-        if not 1 <= self.n_serving_beams <= MAX_SERVING_BEAMS:
-            raise ValueError(f"n_serving_beams must be in 1..{MAX_SERVING_BEAMS}")
-        if not 0 <= self.n_neighbor_cells <= MAX_NEIGHBOR_CELLS:
-            raise ValueError(f"n_neighbor_cells must be in 0..{MAX_NEIGHBOR_CELLS}")
-        if self.id_encoding not in ID_ENCODINGS:
-            raise ValueError(f"id_encoding must be one of {ID_ENCODINGS}")
+        check_fields(self)
         if self.id_encoding == "one_hot" and (self.one_hot_cells < 1 or self.one_hot_beams < 1):
             raise ValueError("one_hot encoding needs one_hot_cells and one_hot_beams cardinalities")
 

@@ -12,21 +12,20 @@ from functools import cached_property
 
 import numpy as np
 
+from .bounds import bound, check_fields
+
 OUTPUT_DIM = 2  # the (x, y) position
+# the widest hidden layer: 1024 x 1024 weights and their Adam state take 32 MiB
+MAX_HIDDEN_WIDTH = 1024
 
 
 @dataclass(frozen=True)
 class MlpArchitecture:
-    input_dim: int
-    hidden_layers: tuple[int, ...] = (64,)
+    input_dim: int = bound(ge=1)
+    hidden_layers: tuple[int, ...] = bound((64,), ge=1, le=MAX_HIDDEN_WIDTH)
 
     def __post_init__(self):
-        if isinstance(self.hidden_layers, list):
-            object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if any(w < 1 for w in self.hidden_layers):
-            raise ValueError("hidden layer widths must be >= 1")
+        check_fields(self)
 
     @cached_property
     def layer_dims(self) -> tuple[int, ...]:
@@ -72,32 +71,18 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 32
-    max_epochs: int = 500
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    patience: int = 20
-    min_delta: float = 1e-4
+    batch_size: int = bound(32, ge=1)
+    max_epochs: int = bound(500, ge=1)
+    learning_rate: float = bound(0.001, ge=0)
+    beta1: float = bound(0.9, ge=0, lt=1)
+    beta2: float = bound(0.999, ge=0, lt=1)
+    epsilon: float = bound(1e-8, gt=0)
+    patience: int = bound(20, ge=1)
+    min_delta: float = bound(1e-4, ge=0)
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not (math.isfinite(self.min_delta) and self.min_delta >= 0):
-            raise ValueError(f"min_delta must be finite and >= 0, got {self.min_delta}")
+        check_fields(self)
 
 
 def init_model(arch: MlpArchitecture, seed: int = 0) -> MlpModel:

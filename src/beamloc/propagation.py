@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import segment_rect_crossing, wrap_deg
-from .scenario import BeamArrays, BuildingArrays, Scenario, check_finite_fields
+from .bounds import bound, check_fields
+from .scenario import MAX_DB, MAX_LENGTH_M, BeamArrays, BuildingArrays, Scenario
 from .seeds import derive_seed
 
 DEFAULT_UE_HEIGHT = 1.5
@@ -35,22 +36,15 @@ class PropagationConfig:
     `noise_floor` is read by the fingerprint table, not by `rsrp_grid`.
     """
 
-    model: str = "free_space"
-    nlos_extra_loss_exponent: float = 2.0
-    shadow_fading_sigma: float = 0.0
-    noise_floor: float = -140.0
-    ue_height: float = DEFAULT_UE_HEIGHT
+    model: str = bound("free_space", choices=PROPAGATION_MODELS)
+    # a path-loss exponent beyond 10 has no measured counterpart
+    nlos_extra_loss_exponent: float = bound(2.0, ge=0, le=10)
+    shadow_fading_sigma: float = bound(0.0, ge=0, le=MAX_DB)
+    noise_floor: float = bound(-140.0, ge=-MAX_DB, le=MAX_DB)
+    ue_height: float = bound(DEFAULT_UE_HEIGHT, gt=0, le=MAX_LENGTH_M)
 
     def __post_init__(self):
-        if self.model not in PROPAGATION_MODELS:
-            raise ValueError(f"unknown propagation model {self.model!r}, expected one of {PROPAGATION_MODELS}")
-        if self.shadow_fading_sigma < 0:
-            raise ValueError("shadow_fading_sigma must be >= 0")
-        if self.nlos_extra_loss_exponent < 0:
-            raise ValueError(f"nlos_extra_loss_exponent must be >= 0, got {self.nlos_extra_loss_exponent}")
-        if self.ue_height <= 0:
-            raise ValueError(f"ue_height must be > 0, got {self.ue_height}")
-        check_finite_fields(self)
+        check_fields(self)
 
 
 def _blocked_mask(p, targets: np.ndarray, target_height: float, buildings: BuildingArrays) -> np.ndarray:

@@ -15,10 +15,20 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import bound, check_fields
 from .geom import points_in_rect, wrap_deg
 
 DEFAULT_ELEVATION_STEERS = (-3.0, -12.0)
 SECTOR_AZIMUTH_SPAN_DEG = 120.0
+# the ranges of the config keys, tabled in the README
+MAX_LENGTH_M = 10_000.0  # beyond any urban deployment
+MAX_DB = 500.0  # power, gain, loss or fading sigma: beyond any link budget, and sums stay finite
+MIN_BEAMWIDTH_DEG = 1.0
+MAX_CARRIER_GHZ = 300.0  # the top of the mmWave band
+MAX_SITES_PER_AXIS = 32
+MAX_SECTORS_PER_SITE = 6
+MAX_BEAMS_PER_SECTOR = 64  # the largest SSB beam set of 5G NR
+MAX_LATTICE_POINTS = 10_000_000  # the most `enumerate_locations` builds: a 3 km square at 1 m
 
 
 @dataclass(frozen=True)
@@ -27,13 +37,12 @@ class Building:
 
     min_corner: tuple[float, float]
     max_corner: tuple[float, float]
-    height: float
+    height: float = bound(gt=0)
 
     def __post_init__(self):
+        check_fields(self)
         if not (self.min_corner[0] < self.max_corner[0] and self.min_corner[1] < self.max_corner[1]):
             raise ValueError(f"building min_corner {self.min_corner} must be < max_corner {self.max_corner}")
-        if self.height <= 0:
-            raise ValueError(f"building height must be > 0, got {self.height}")
 
 
 @dataclass(frozen=True)
@@ -47,15 +56,14 @@ class Beam:
     beam_id: int
     steer_azimuth: float
     steer_elevation: float
-    azimuth_beamwidth: float = 65.0
-    elevation_beamwidth: float = 65.0
+    azimuth_beamwidth: float = bound(65.0, ge=MIN_BEAMWIDTH_DEG, lt=180)
+    elevation_beamwidth: float = bound(65.0, ge=MIN_BEAMWIDTH_DEG, lt=180)
     element_gain: float = 8.0
     front_to_back: float = 30.0
     array_gain: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.azimuth_beamwidth < 180.0 and 0.0 < self.elevation_beamwidth < 180.0):
-            raise ValueError("beamwidths must lie in (0, 180) degrees")
+        check_fields(self)
 
     @property
     def peak_gain(self) -> float:
@@ -75,12 +83,11 @@ class Sector:
 class Site:
     id: int
     position: tuple[float, float]
-    height: float = 10.0
+    height: float = bound(10.0, gt=0)
     sectors: tuple[Sector, ...] = ()
 
     def __post_init__(self):
-        if self.height <= 0:
-            raise ValueError(f"site height must be > 0, got {self.height}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -221,64 +228,44 @@ def scenario_arrays(scenario: Scenario) -> ScenarioArrays:
 class ScenarioConfig:
     """Parametric street-grid layout; defaults mirror the 8-site deployment."""
 
-    site_rows: int = 2
-    site_cols: int = 4
-    row_spacing_m: float = 110.0
-    col_spacing_m: float = 200.0
-    margin_m: float = 40.0
-    street_width_m: float = 20.0
-    site_height_m: float = 10.0
+    site_rows: int = bound(2, ge=1, le=MAX_SITES_PER_AXIS)
+    site_cols: int = bound(4, ge=1, le=MAX_SITES_PER_AXIS)
+    row_spacing_m: float = bound(110.0, gt=0, le=MAX_LENGTH_M)
+    col_spacing_m: float = bound(200.0, gt=0, le=MAX_LENGTH_M)
+    # a site exactly on the area edge (margin 0) is still inside the area
+    margin_m: float = bound(40.0, ge=0, le=MAX_LENGTH_M)
+    street_width_m: float = bound(20.0, gt=0, le=MAX_LENGTH_M)
+    site_height_m: float = bound(10.0, gt=0, le=MAX_LENGTH_M)
     with_buildings: bool = True
-    building_height_m: float = 25.0
-    sectors_per_site: int = 3
-    beams_per_sector: int = 32
-    elevation_steers_deg: tuple[float, ...] = DEFAULT_ELEVATION_STEERS
-    mechanical_downtilt_deg: float = 5.0
-    tx_power_dbm: float = 30.0
-    azimuth_beamwidth_deg: float = 65.0
-    elevation_beamwidth_deg: float = 65.0
-    element_gain_dbi: float = 8.0
-    front_to_back_db: float = 30.0
-    carrier_frequency_ghz: float = 28.0
-    grid_resolution_m: float = 1.0
+    building_height_m: float = bound(25.0, gt=0, le=MAX_LENGTH_M)
+    sectors_per_site: int = bound(3, ge=1, le=MAX_SECTORS_PER_SITE)
+    beams_per_sector: int = bound(32, ge=1, le=MAX_BEAMS_PER_SECTOR)
+    elevation_steers_deg: tuple[float, ...] = bound(DEFAULT_ELEVATION_STEERS, ge=-90, le=90)
+    mechanical_downtilt_deg: float = bound(5.0, ge=-90, le=90)
+    tx_power_dbm: float = bound(30.0, ge=-MAX_DB, le=MAX_DB)
+    azimuth_beamwidth_deg: float = bound(65.0, ge=MIN_BEAMWIDTH_DEG, lt=180)
+    elevation_beamwidth_deg: float = bound(65.0, ge=MIN_BEAMWIDTH_DEG, lt=180)
+    element_gain_dbi: float = bound(8.0, ge=-MAX_DB, le=MAX_DB)
+    front_to_back_db: float = bound(30.0, ge=-MAX_DB, le=MAX_DB)
+    carrier_frequency_ghz: float = bound(28.0, gt=0, le=MAX_CARRIER_GHZ)
+    grid_resolution_m: float = bound(1.0, gt=0, le=MAX_LENGTH_M)
     seed: int = 0
 
     def __post_init__(self):
-        if self.site_rows < 1 or self.site_cols < 1:
-            raise ValueError("site grid must have at least one row and one column")
-        if self.grid_resolution_m <= 0:
-            raise ValueError("grid_resolution_m must be > 0")
-        if self.street_width_m <= 0:
-            raise ValueError("street_width_m must be > 0")
-        for key in ("row_spacing_m", "col_spacing_m", "site_height_m", "building_height_m"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
-        # a site exactly on the area edge (margin 0) is still inside the area
-        if self.margin_m < 0:
-            raise ValueError(f"margin_m must be >= 0, got {self.margin_m}")
-        if isinstance(self.elevation_steers_deg, list):
-            object.__setattr__(self, "elevation_steers_deg", tuple(self.elevation_steers_deg))
-        if self.sectors_per_site < 1:
-            raise ValueError(f"sectors_per_site must be >= 1, got {self.sectors_per_site}")
-        if self.beams_per_sector < 1:
-            raise ValueError(f"beams_per_sector must be >= 1, got {self.beams_per_sector}")
+        check_fields(self)
         rows = len(self.elevation_steers_deg)
         if self.beams_per_sector > 1 and (rows == 0 or self.beams_per_sector % rows != 0):
             raise ValueError(
                 f"beams_per_sector {self.beams_per_sector} must be 1 or divisible by the "
                 f"{rows} elevation_steers_deg entries"
             )
-        for key in ("azimuth_beamwidth_deg", "elevation_beamwidth_deg"):
-            if not 0.0 < getattr(self, key) < 180.0:
-                raise ValueError(f"{key} must lie in (0, 180) degrees, got {getattr(self, key)}")
-        if not (math.isfinite(self.carrier_frequency_ghz) and self.carrier_frequency_ghz > 0):
-            raise ValueError(f"carrier_frequency_ghz must be finite and > 0, got {self.carrier_frequency_ghz}")
-        check_finite_fields(self)
-        # finite keys can still span an area too wide for a float
-        if not np.isfinite(self.area).all():
+        # counted without allocating: `enumerate_locations` builds this lattice
+        width, height = self.area
+        points = (width / self.grid_resolution_m + 1) * (height / self.grid_resolution_m + 1)
+        if points > MAX_LATTICE_POINTS:
             raise ValueError(
-                f"area must be finite, got {self.area[0]} x {self.area[1]} m from margin_m {self.margin_m}, "
-                f"col_spacing_m {self.col_spacing_m} and row_spacing_m {self.row_spacing_m}"
+                f"grid_resolution_m {self.grid_resolution_m} puts {points:.3g} lattice points on the "
+                f"{width:g} x {height:g} m area from margin_m {self.margin_m}, more than {MAX_LATTICE_POINTS}"
             )
 
     @property
@@ -288,14 +275,6 @@ class ScenarioConfig:
             (self.site_cols - 1) * self.col_spacing_m + 2 * self.margin_m,
             (self.site_rows - 1) * self.row_spacing_m + 2 * self.margin_m,
         )
-
-
-def check_finite_fields(config) -> None:
-    """Reject a non-finite float or float-tuple entry of a config dataclass by name."""
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if f.type in ("float", "tuple[float, ...]") and not np.isfinite(value).all():
-            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def synthesize_beam_grid(

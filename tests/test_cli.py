@@ -1,17 +1,28 @@
+import contextlib
+import copy
+import csv
+import dataclasses
+import io
 import json
 import os
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beamloc.fingerprint
 from beamloc.cli import main
-from beamloc.config import ConfigError, load_run_config
-from beamloc.fingerprint import generate_samples
-from beamloc.scenario import build_scenario
+from beamloc.config import ConfigError, DatasetConfig, load_run_config
+from beamloc.dtree import TreeConfig
+from beamloc.fingerprint import FeatureConfig, generate_samples
+from beamloc.mlp import TrainConfig
+from beamloc.propagation import PropagationConfig
+from beamloc.scenario import ScenarioConfig, build_scenario
 
 TINY = os.path.join(os.path.dirname(__file__), "..", "configs", "tiny.yaml")
 MATRIX = os.path.join(os.path.dirname(__file__), "..", "configs", "paper-matrix.yaml")
@@ -110,14 +121,71 @@ def test_a_lattice_with_no_street_location_is_a_config_error(capsys, tmp_path, c
 
 @pytest.mark.parametrize("command", ["dataset", "run"])
 def test_a_margin_that_makes_the_area_infinite_is_a_config_error(capsys, tmp_path, command):
-    # 2 * 1e308 overflows to inf: each key is finite, the area they span is not
+    # 2 * 1e308 would overflow the area to inf; the margin's bound rejects it first
     doc = yaml.safe_load(Path(TINY).read_text())
     doc["scenario"]["margin_m"] = 1.0e308
     path = write_config(tmp_path, doc)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert re.search(r"^config error: scenario: area must be finite, got inf x inf m from margin_m 1e\+308,", err, re.M)
+    assert re.search(r"^config error: scenario: margin_m must be in \[0, 10000\], got 1e\+308$", err, re.M)
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["dataset", "run"])
+def test_a_lattice_too_large_for_memory_is_a_config_error(capsys, tmp_path, command):
+    # a 20 km square at 2 m is 1e8 points; counted, never allocated
+    doc = yaml.safe_load(Path(TINY).read_text())
+    doc["scenario"]["margin_m"] = 10000
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^config error: scenario: grid_resolution_m 2.0 puts 1e\+08 lattice points on the "
+                     r"20000 x 20000 m area from margin_m 10000, more than 10000000$", err, re.M)
+    assert not (tmp_path / "out").exists()
+
+
+OUT_OF_RANGE = [
+    ("scenario", "tx_power_dbm", 1e308, r"in \[-500, 500\]"),
+    ("scenario", "tx_power_dbm", -1e308, r"in \[-500, 500\]"),
+    ("scenario", "element_gain_dbi", 1e308, r"in \[-500, 500\]"),
+    ("scenario", "element_gain_dbi", -1e308, r"in \[-500, 500\]"),
+    ("scenario", "front_to_back_db", 1e308, r"in \[-500, 500\]"),
+    ("scenario", "front_to_back_db", -1e308, r"in \[-500, 500\]"),
+    ("propagation", "shadow_fading_sigma", 1e308, r"in \[0, 500\]"),
+    ("scenario", "site_height_m", 1e308, r"in \(0, 10000\]"),
+    ("propagation", "ue_height", 1e308, r"in \(0, 10000\]"),
+    ("scenario", "azimuth_beamwidth_deg", 1e-300, r"in \[1, 180\)"),
+    ("scenario", "elevation_beamwidth_deg", 1e-300, r"in \[1, 180\)"),
+    ("scenario", "margin_m", 1e200, r"in \[0, 10000\]"),
+    # count-valued keys: rejected before anything of that size is built
+    ("scenario", "site_rows", 33, r"in \[1, 32\]"),
+    ("scenario", "site_cols", 10**9, r"in \[1, 32\]"),
+    ("scenario", "sectors_per_site", 7, r"in \[1, 6\]"),
+    ("scenario", "beams_per_sector", 10**9, r"in \[1, 64\]"),
+    ("experiments[tree]", "hidden_layers", [64, 10**9], r"in \[1, 1024\]"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, rule", OUT_OF_RANGE, ids=[f"{c[1]}={c[2]}" for c in OUT_OF_RANGE])
+def test_a_value_outside_its_documented_range_is_a_config_error(capsys, tmp_path, section, key, value, rule):
+    """Unbounded, each of these runs: extreme dB values write inf or nan
+    statistics, extreme heights leave no sample, a 1e-300 beamwidth
+    overflows the beam pattern, the margin overflows numpy's lattice, and the
+    counts build structures too large for memory. Bounded, each is exit 2
+    naming its key, with nothing written and no numpy warning."""
+    doc = base_doc(str(tmp_path / "out"))
+    if section.startswith("experiments"):
+        doc["experiments"][0][key] = value
+    else:
+        doc.setdefault(section, {})[key] = value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["dataset", "--config", write_config(tmp_path, doc)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    shown = re.escape(repr(tuple(value) if isinstance(value, list) else value))
+    assert re.search(rf"^config error: {re.escape(section)}: {key} must be {rule}, got {shown}$",
+                     capsys.readouterr().err, re.M)
     assert not (tmp_path / "out").exists()
 
 
@@ -361,11 +429,11 @@ def test_cmd_run_no_experiments_exits_2(capsys, tmp_path):
     "edit, message",
     [
         (lambda doc: doc.update(seed=True), r"top level: seed must be an int"),
-        (lambda doc: doc["dataset"].update(min_cell_size=True), r"dataset: min_cell_size must be a positive int"),
+        (lambda doc: doc["dataset"].update(min_cell_size=True), r"dataset: min_cell_size must be an int, got bool"),
         (lambda doc: doc["experiments"][0].update(hidden_layers=[True]),
          r"experiments\[tree\]: hidden_layers must be a list of ints"),
         (lambda doc: doc["experiments"][0].update(hidden_layers=[64, 0]),
-         r"experiments\[tree\]: hidden_layers widths must be >= 1, got \[64, 0\]"),
+         r"experiments\[tree\]: hidden_layers must be in \[1, 1024\], got \(64, 0\)"),
         (lambda doc: doc["experiments"][0].update(seed=True), r"experiments\[tree\]: seed must be an int"),
         (lambda doc: doc["experiments"][0].update(seed=1.7), r"experiments\[tree\]: seed must be an int"),
         (lambda doc: doc["experiments"][0]["features"].update(n_serving_beams=True),
@@ -397,10 +465,10 @@ def test_config_rejects_bool_and_float_for_int(tmp_path, edit, message):
 @pytest.mark.parametrize(
     "scenario, message",
     [
-        ({"carrier_frequency_ghz": 0}, r"scenario: carrier_frequency_ghz must be finite and > 0, got 0"),
-        ({"carrier_frequency_ghz": float("nan")}, r"scenario: carrier_frequency_ghz must be finite and > 0, got nan"),
-        ({"sectors_per_site": 0}, r"scenario: sectors_per_site must be >= 1, got 0"),
-        ({"beams_per_sector": 0}, r"scenario: beams_per_sector must be >= 1, got 0"),
+        ({"carrier_frequency_ghz": 0}, r"scenario: carrier_frequency_ghz must be in \(0, 300\], got 0"),
+        ({"carrier_frequency_ghz": float("nan")}, r"scenario: carrier_frequency_ghz must be finite, got nan"),
+        ({"sectors_per_site": 0}, r"scenario: sectors_per_site must be in \[1, 6\], got 0"),
+        ({"beams_per_sector": 0}, r"scenario: beams_per_sector must be in \[1, 64\], got 0"),
         ({"elevation_steers_deg": []}, r"scenario: beams_per_sector 8 must be 1 or divisible by the 0 elevation"),
         ({"beams_per_sector": 6, "elevation_steers_deg": [-3.0, -12.0, -6.0, 0.0]},
          r"scenario: beams_per_sector 6 must be 1 or divisible by the 4 elevation"),
@@ -408,18 +476,18 @@ def test_config_rejects_bool_and_float_for_int(tmp_path, edit, message):
         ({"beams_per_sector": "8"}, r"scenario: beams_per_sector must be an int, got str"),
         ({"site_rows": None}, r"scenario: site_rows must be an int, got NoneType"),
         ({"elevation_steers_deg": ["a"]}, r"scenario: elevation_steers_deg must be a list of numbers, got \['a'\]"),
-        ({"azimuth_beamwidth_deg": 0}, r"scenario: azimuth_beamwidth_deg must lie in \(0, 180\) degrees, got 0"),
+        ({"azimuth_beamwidth_deg": 0}, r"scenario: azimuth_beamwidth_deg must be in \[1, 180\), got 0"),
         ({"elevation_beamwidth_deg": 200},
-         r"scenario: elevation_beamwidth_deg must lie in \(0, 180\) degrees, got 200"),
+         r"scenario: elevation_beamwidth_deg must be in \[1, 180\), got 200"),
         ({"tx_power_dbm": float("nan")}, r"scenario: tx_power_dbm must be finite, got nan"),
         ({"margin_m": float("inf")}, r"scenario: margin_m must be finite, got inf"),
         ({"elevation_steers_deg": [-6.0, float("-inf")], "beams_per_sector": 2},
          r"scenario: elevation_steers_deg must be finite, got \(-6.0, -inf\)"),
-        ({"margin_m": -500}, r"scenario: margin_m must be >= 0, got -500"),
-        ({"building_height_m": -1}, r"scenario: building_height_m must be > 0, got -1"),
-        ({"site_height_m": 0}, r"scenario: site_height_m must be > 0, got 0"),
-        ({"row_spacing_m": -50}, r"scenario: row_spacing_m must be > 0, got -50"),
-        ({"col_spacing_m": 0}, r"scenario: col_spacing_m must be > 0, got 0"),
+        ({"margin_m": -500}, r"scenario: margin_m must be in \[0, 10000\], got -500"),
+        ({"building_height_m": -1}, r"scenario: building_height_m must be in \(0, 10000\], got -1"),
+        ({"site_height_m": 0}, r"scenario: site_height_m must be in \(0, 10000\], got 0"),
+        ({"row_spacing_m": -50}, r"scenario: row_spacing_m must be in \(0, 10000\], got -50"),
+        ({"col_spacing_m": 0}, r"scenario: col_spacing_m must be in \(0, 10000\], got 0"),
     ],
     ids=["carrier-zero", "carrier-nan", "no-sectors", "no-beams", "no-elevation-rows", "rows-do-not-divide",
          "sectors-float", "beams-str", "site-rows-null", "steer-str", "azimuth-beamwidth-zero",
@@ -501,9 +569,9 @@ def _mlp_arm(train):
         (lambda doc: doc.update(propagation={"noise_floor": None}),
          r"propagation: noise_floor must be a number, got NoneType"),
         (lambda doc: doc["experiments"].append(_mlp_arm({"learning_rate": float("nan")})),
-         r"experiments\[net\].train: learning_rate must be finite and >= 0, got nan"),
+         r"experiments\[net\].train: learning_rate must be finite, got nan"),
         (lambda doc: doc["experiments"].append(_mlp_arm({"learning_rate": -0.01})),
-         r"experiments\[net\].train: learning_rate must be finite and >= 0"),
+         r"experiments\[net\].train: learning_rate must be >= 0, got -0.01"),
         (lambda doc: doc["experiments"].append(_mlp_arm({"beta1": 1.0})),
          r"experiments\[net\].train: beta1 must be in \[0, 1\)"),
         (lambda doc: doc["experiments"].append(_mlp_arm({"beta2": -0.1})),
@@ -511,15 +579,15 @@ def _mlp_arm(train):
         (lambda doc: doc["experiments"].append(_mlp_arm({"epsilon": 0})),
          r"experiments\[net\].train: epsilon must be > 0"),
         (lambda doc: doc["experiments"].append(_mlp_arm({"min_delta": float("inf")})),
-         r"experiments\[net\].train: min_delta must be finite and >= 0"),
+         r"experiments\[net\].train: min_delta must be finite, got inf"),
         (lambda doc: doc.update(propagation={"shadow_fading_sigma": float("nan")}),
          r"propagation: shadow_fading_sigma must be finite, got nan"),
         (lambda doc: doc.update(propagation={"ue_height": float("inf")}),
          r"propagation: ue_height must be finite, got inf"),
         (lambda doc: doc.update(propagation={"ue_height": -5}),
-         r"propagation: ue_height must be > 0, got -5"),
+         r"propagation: ue_height must be in \(0, 10000\], got -5"),
         (lambda doc: doc.update(propagation={"nlos_extra_loss_exponent": -50}),
-         r"propagation: nlos_extra_loss_exponent must be >= 0, got -50"),
+         r"propagation: nlos_extra_loss_exponent must be in \[0, 10\], got -50"),
     ],
     ids=["float-bool", "float-str", "float-none", "lr-nan", "lr-negative", "beta1", "beta2", "epsilon",
          "min-delta", "shadow-sigma-nan", "ue-height-inf", "ue-height-negative", "nlos-exponent-negative"],
@@ -554,3 +622,67 @@ def test_cmd_run_non_finite_loss_is_a_named_arm_failure(tmp_path):
     for d, _, names in os.walk(out_dir):
         for name in names:
             assert "NaN" not in Path(d, name).read_text()
+
+
+# tiny.yaml with 2-epoch MLP training, so that a mutated run takes milliseconds
+MUTATED_DOC = yaml.safe_load(Path(TINY).read_text())
+for _arm in MUTATED_DOC["experiments"]:
+    _arm.get("train", {}).update(max_epochs=2, patience=2)
+# every key of the file, and every key it leaves at its default, as a path into it
+MUTATED_KEYS = [
+    ("seed",), ("output_dir",),
+    *((section, f.name) for section, cls in (("scenario", ScenarioConfig), ("propagation", PropagationConfig),
+                                            ("dataset", DatasetConfig)) for f in dataclasses.fields(cls)),
+    *(("experiments", arm, key) for arm in (0, 1) for key in ("id", "model", "topology", "hidden_layers", "seed")),
+    *(("experiments", arm, sub, f.name) for arm in (0, 1)
+      for sub, cls in (("features", FeatureConfig), ("train", TrainConfig), ("tree", TreeConfig))
+      for f in dataclasses.fields(cls)),
+]
+MUTATED_VALUES = [True, None, 0, -1, 1.5, 1e308, -1e308, 1e-300, float("nan"), float("inf"), "a", [], {}]
+
+
+def _non_finite_floats(root) -> list[str]:
+    """Each file under `root` holding a nan or infinite number: in a JSON
+    document, or in a CSV cell other than an experiment id."""
+    found = []
+    for d, _, names in os.walk(root):
+        for name in names:
+            path = Path(d, name)
+            if name.endswith(".json"):
+                numbers = re.findall(r"\b(?:NaN|-?Infinity)\b", path.read_text())
+            else:
+                rows = csv.DictReader(io.StringIO(path.read_text()))
+                cells = [v for row in rows for k, v in row.items() if k != "experiment_id"]
+                numbers = [v for v in cells if re.fullmatch(r"[-+]?(nan|inf)", v, re.I)]
+            if numbers:
+                found.append(f"{path}: {numbers[0]}")
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(MUTATED_KEYS), value=st.sampled_from(MUTATED_VALUES),
+       command=st.sampled_from(["dataset", "run"]))
+def test_one_bad_config_value_fails_at_the_boundary_or_runs_clean(path, value, command):
+    """Whatever one key of a small config holds, `main` returns 0, 1 or 2
+    without raising; a 2 is a config error naming the key's section and the
+    key; no numpy warning is raised; and every number written is finite."""
+    doc = copy.deepcopy(MUTATED_DOC)
+    node = doc
+    for step in path[:-1]:
+        node = node.setdefault(step, {}) if isinstance(step, str) else node[step]
+    node[path[-1]] = value
+    section = {"seed": "top level", "output_dir": "top level", "experiments": "experiments["}.get(path[0], path[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.yaml")
+        Path(config).write_text(yaml.safe_dump(doc))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([command, "--config", config, "--out", os.path.join(tmp, "out")])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert re.search(rf"^config error: {re.escape(section)}.*\b{path[-1]}\b", err.getvalue(), re.M), \
+                err.getvalue()
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert _non_finite_floats(os.path.join(tmp, "out")) == []

@@ -742,9 +742,9 @@ def test_ranking_keeps_only_the_ranks_a_layout_reads():
     deepest = FeatureConfig(n_serving_beams=MAX_SERVING_BEAMS, n_neighbor_cells=MAX_NEIGHBOR_CELLS)
     expected = _reference_outcome(full, deepest)
     assert len(expected[2]) > 0 and _outcome(table, deepest) == expected
-    with pytest.raises(ValueError, match=f"n_serving_beams must be in 1..{MAX_SERVING_BEAMS}"):
+    with pytest.raises(ValueError, match=rf"n_serving_beams must be in \[1, {MAX_SERVING_BEAMS}\], got {MAX_SERVING_BEAMS + 1}"):
         FeatureConfig(n_serving_beams=MAX_SERVING_BEAMS + 1)
-    with pytest.raises(ValueError, match=f"n_neighbor_cells must be in 0..{MAX_NEIGHBOR_CELLS}"):
+    with pytest.raises(ValueError, match=rf"n_neighbor_cells must be in \[0, {MAX_NEIGHBOR_CELLS}\], got {MAX_NEIGHBOR_CELLS + 1}"):
         FeatureConfig(n_neighbor_cells=MAX_NEIGHBOR_CELLS + 1)
 
 

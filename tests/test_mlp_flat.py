@@ -178,14 +178,14 @@ def test_train_rejects_non_finite_epoch_loss():
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"learning_rate": float("nan")}, "learning_rate must be finite and >= 0"),
-        ({"learning_rate": float("inf")}, "learning_rate must be finite and >= 0"),
-        ({"learning_rate": -0.1}, "learning_rate must be finite and >= 0"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite, got nan"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite, got inf"),
+        ({"learning_rate": -0.1}, "learning_rate must be >= 0, got -0.1"),
         ({"beta1": 1.0}, r"beta1 must be in \[0, 1\)"),
         ({"beta2": -0.5}, r"beta2 must be in \[0, 1\)"),
         ({"epsilon": 0.0}, "epsilon must be > 0"),
-        ({"min_delta": -1e-3}, "min_delta must be finite and >= 0"),
-        ({"min_delta": float("nan")}, "min_delta must be finite and >= 0"),
+        ({"min_delta": -1e-3}, "min_delta must be >= 0, got -0.001"),
+        ({"min_delta": float("nan")}, "min_delta must be finite, got nan"),
     ],
 )
 def test_train_config_rejects_bad_optimizer_values(kwargs, message):
