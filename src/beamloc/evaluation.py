@@ -10,15 +10,12 @@ order or parallelism.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
-import functools
 import io
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,6 +223,73 @@ def _run_one(samples, descriptor: ExperimentDescriptor, split_fraction: float, m
     return run_experiment(parts, descriptor)
 
 
+def _outcome(*arm) -> tuple[str, object]:
+    """("ok", report) or ("err", reason) for one arm, in process or in its worker."""
+    try:
+        return "ok", _run_one(*arm)
+    except Exception as err:
+        return "err", str(err)
+
+
+def _send_outcome(sender, *arm) -> None:
+    """A worker's whole job: run one arm and send its outcome to the parent."""
+    sender.send(_outcome(*arm))
+
+
+def _arm_cost(descriptor: ExperimentDescriptor) -> int:
+    """Relative training cost of an arm: epochs x sum(hidden) x len(hidden)^2
+    for a network, 0 for a tree (trees are cheap next to any network)."""
+    if descriptor.model_kind != "mlp":
+        return 0
+    hidden = descriptor.hidden_layers
+    return descriptor.train_config.max_epochs * sum(hidden) * len(hidden) ** 2
+
+
+def _run_in_workers(arms: list[tuple], workers: int) -> list[tuple[str, object]]:
+    """Each arm's outcome, from one process per arm with at most `workers` alive.
+
+    Arms start longest first (Graham's LPT rule), ties in config order, so no
+    worker idles while a long arm runs alone at the end. A pipe is read as
+    soon as it is readable and its process joined only then, so a large report
+    never blocks its child on a full pipe. A pipe that closes with no message
+    fails only its own arm, with the child's exit code; if the parent itself
+    raises, every child still running is terminated and joined.
+    """
+    # imported here and not at module level: a one-worker run never loads
+    # multiprocessing, nor the socket, selectors and subprocess modules it pulls in
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    outcomes: list = [None] * len(arms)
+    queue = sorted(range(len(arms)), key=lambda i: _arm_cost(arms[i][1]), reverse=True)  # stable
+    running: dict = {}  # receiving end of a pipe -> (arm index, process)
+    try:
+        while queue or running:
+            while queue and len(running) < workers:
+                i = queue.pop(0)
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                process = multiprocessing.Process(target=_send_outcome, args=(sender, *arms[i]))
+                process.start()
+                sender.close()  # the child holds the only sending end, so its exit ends the pipe
+                running[receiver] = (i, process)
+            for receiver in wait(list(running)):
+                i, process = running[receiver]
+                try:
+                    outcomes[i] = receiver.recv()
+                except EOFError:  # closed with no message: the child died
+                    process.join()
+                    outcomes[i] = ("err", f"worker process died with exit code {process.exitcode}")
+                process.join()
+                receiver.close()
+                del running[receiver]  # only now: until joined, the cleanup below still owns it
+    finally:
+        for receiver, (_, process) in running.items():
+            process.terminate()
+            process.join()
+            receiver.close()
+    return outcomes
+
+
 def run_matrix(
     samples,
     descriptors: list[ExperimentDescriptor],
@@ -235,9 +299,10 @@ def run_matrix(
 ):
     """Run every experiment; failures are recorded and the matrix continues.
 
-    Returns (reports, failures) with failures as {experiment_id, error}
-    entries. At most min(jobs, arms, CPUs) worker processes run; one worker
-    runs the arms in this process. Results do not depend on `jobs`.
+    Returns (reports, failures) in config order, with failures as
+    {experiment_id, error} entries. One worker runs the arms in this process,
+    in config order; more run one process per arm, at most min(jobs, arms,
+    CPUs) at once. Results do not depend on `jobs`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -245,22 +310,17 @@ def run_matrix(
     if len(ids) != len(set(ids)):
         raise ValueError("experiment ids are not unique")
 
-    reports: list[dict] = []
-    failures: list[dict] = []
     workers = min(jobs, len(descriptors), os.cpu_count() or 1)
     arms = [(samples, d, split_fraction, min_cell_size) for d in descriptors]
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        # one callable per arm: it returns the arm's report or raises its error
-        if pool is None:
-            outcomes = [functools.partial(_run_one, *arm) for arm in arms]
+    outcomes = _run_in_workers(arms, workers) if workers > 1 else (_outcome(*arm) for arm in arms)
+    reports: list[dict] = []
+    failures: list[dict] = []
+    for d, (status, result) in zip(descriptors, outcomes):
+        if status == "ok":
+            reports.append(result)
         else:
-            outcomes = [pool.submit(_run_one, *arm).result for arm in arms]
-        for d, outcome in zip(descriptors, outcomes):
-            try:
-                reports.append(outcome())
-            except Exception as err:
-                log.error("experiment %s failed: %s", d.experiment_id, err)
-                failures.append({"experiment_id": d.experiment_id, "error": str(err)})
+            log.error("experiment %s failed: %s", d.experiment_id, result)
+            failures.append({"experiment_id": d.experiment_id, "error": result})
     return reports, failures
 
 

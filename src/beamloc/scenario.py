@@ -29,6 +29,9 @@ MAX_SITES_PER_AXIS = 32
 MAX_SECTORS_PER_SITE = 6
 MAX_BEAMS_PER_SECTOR = 64  # the largest SSB beam set of 5G NR
 MAX_LATTICE_POINTS = 10_000_000  # the most `enumerate_locations` builds: a 3 km square at 1 m
+# lattice points x beams: the RSRP grid's entries, ~30 ns each on a 2-vCPU Xeon, so about half a minute;
+# ten times the default deployment at 1 m
+MAX_GRID_ENTRIES = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -266,6 +269,14 @@ class ScenarioConfig:
             raise ValueError(
                 f"grid_resolution_m {self.grid_resolution_m} puts {points:.3g} lattice points on the "
                 f"{width:g} x {height:g} m area from margin_m {self.margin_m}, more than {MAX_LATTICE_POINTS}"
+            )
+        beams = self.site_rows * self.site_cols * self.sectors_per_site * self.beams_per_sector
+        if points * beams > MAX_GRID_ENTRIES:
+            raise ValueError(
+                f"grid_resolution_m {self.grid_resolution_m} puts {points:.3g} lattice points against {beams} beams "
+                f"(site_rows {self.site_rows} x site_cols {self.site_cols} x sectors_per_site "
+                f"{self.sectors_per_site} x beams_per_sector {self.beams_per_sector}): {points * beams:.3g} "
+                f"RSRP grid entries, more than {MAX_GRID_ENTRIES}"
             )
 
     @property

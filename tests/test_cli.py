@@ -5,7 +5,10 @@ import dataclasses
 import io
 import json
 import os
+import multiprocessing
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,6 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beamloc.evaluation
 import beamloc.fingerprint
 from beamloc.cli import main
 from beamloc.config import ConfigError, DatasetConfig, load_run_config
@@ -143,6 +147,18 @@ def test_a_lattice_too_large_for_memory_is_a_config_error(capsys, tmp_path, comm
     assert re.search(r"^config error: scenario: grid_resolution_m 2.0 puts 1e\+08 lattice points on the "
                      r"20000 x 20000 m area from margin_m 10000, more than 10000000$", err, re.M)
     assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_of_too_many_lattice_points_times_beams_is_a_config_error(tmp_path):
+    # every key in range: 5.5e6 lattice points x 393,216 beams; checked at
+    # config load, before any scenario is built
+    doc = yaml.safe_load(Path(TINY).read_text())
+    doc["scenario"].update(site_rows=32, site_cols=32, sectors_per_site=6, beams_per_sector=64)
+    with pytest.raises(ConfigError, match=re.escape(
+            "scenario: grid_resolution_m 2.0 puts 5.48e+06 lattice points against 393216 beams (site_rows 32 "
+            "x site_cols 32 x sectors_per_site 6 x beams_per_sector 64): 2.16e+12 RSRP grid entries, "
+            "more than 1000000000")):
+        load_run_config(write_config(tmp_path, doc))
 
 
 OUT_OF_RANGE = [
@@ -518,16 +534,23 @@ def test_single_beam_sector_needs_no_elevation_rows(tmp_path):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exits_2_without_workers(capsys, tmp_path, monkeypatch, jobs):
-    import beamloc.evaluation
+    def no_process(*args, **kwargs):
+        raise AssertionError("a worker process was started")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(beamloc.evaluation, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_process)
     out = tmp_path / "out"
     assert main(["run", "--config", TINY, "--out", str(out), "--jobs", jobs]) == 2
     assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _file_bytes(root):
+    """{path relative to root: bytes} for every file under root."""
+    return {
+        os.path.relpath(os.path.join(d, name), root): Path(d, name).read_bytes()
+        for d, _, names in os.walk(root)
+        for name in names
+    }
 
 
 def test_cmd_run_jobs_2_matches_jobs_1_byte_for_byte(tmp_path):
@@ -536,17 +559,78 @@ def test_cmd_run_jobs_2_matches_jobs_1_byte_for_byte(tmp_path):
         outs[jobs] = tmp_path / f"jobs{jobs}"
         assert main(["run", "--config", TINY, "--out", str(outs[jobs]), "--jobs", jobs]) == 0
 
-    def tree(root):
-        return {
-            os.path.relpath(os.path.join(d, name), root): Path(d, name).read_bytes()
-            for d, _, names in os.walk(root)
-            for name in names
-        }
-
-    serial, parallel = tree(outs["1"]), tree(outs["2"])
+    serial, parallel = _file_bytes(outs["1"]), _file_bytes(outs["2"])
     assert {"manifest.json", "comparison.csv"} <= set(serial)
     assert len(serial) >= 6
     assert serial == parallel
+
+
+def test_arms_listed_shortest_first_start_longest_first_with_unchanged_bytes(tmp_path, monkeypatch):
+    """The config lists its arms in ascending cost, so the worker start
+    order reverses it; every output byte, manifest.json included, still
+    equals the one-worker run's."""
+    doc = yaml.safe_load(Path(TINY).read_text())
+    mlp, tree = doc["experiments"]
+    doc["experiments"] = [
+        tree,
+        {**mlp, "id": "mlp-w8", "hidden_layers": [8]},
+        {**mlp, "id": "mlp-w8x8", "hidden_layers": [8, 8]},
+    ]
+    config = write_config(tmp_path, doc)
+    started = []
+    real_init = multiprocessing.Process.__init__
+
+    def recording_init(self, *args, **kwargs):
+        started.append(kwargs["args"][2].experiment_id)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.Process, "__init__", recording_init)
+    monkeypatch.setattr(beamloc.evaluation.os, "cpu_count", lambda: 2)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "jobs1"), "--jobs", "1"]) == 0
+    assert started == []
+    assert main(["run", "--config", config, "--out", str(tmp_path / "jobs2"), "--jobs", "2"]) == 0
+    assert started == ["mlp-w8x8", "mlp-w8", "tree-tiny"]
+    serial = _file_bytes(tmp_path / "jobs1")
+    assert json.loads(serial["manifest.json"])["reports"] == [
+        "reports/tree-tiny.json", "reports/mlp-w8.json", "reports/mlp-w8x8.json"]
+    assert serial == _file_bytes(tmp_path / "jobs2")
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="a patched module attribute reaches only a forked worker"
+)
+def test_a_dead_worker_fails_only_its_own_arm(capsys, tmp_path, monkeypatch):
+    """The mlp-tiny worker exits as a SIGKILL or OOM kill would leave it;
+    tree-tiny's report is still written, byte-equal to the one-worker run's."""
+    assert main(["run", "--config", TINY, "--out", str(tmp_path / "jobs1"), "--jobs", "1"]) == 0
+    run_one = beamloc.evaluation._run_one
+
+    def dies_on_mlp(samples, descriptor, *rest):
+        if descriptor.experiment_id == "mlp-tiny":
+            os._exit(137)
+        return run_one(samples, descriptor, *rest)
+
+    monkeypatch.setattr(beamloc.evaluation, "_run_one", dies_on_mlp)
+    monkeypatch.setattr(beamloc.evaluation.os, "cpu_count", lambda: 2)
+    capsys.readouterr()
+    out = tmp_path / "jobs2"
+    assert main(["run", "--config", TINY, "--out", str(out), "--jobs", "2"]) == 0
+    assert "failed: mlp-tiny: worker process died with exit code 137" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed"] == [{"experiment_id": "mlp-tiny", "error": "worker process died with exit code 137"}]
+    assert manifest["reports"] == ["reports/tree-tiny.json"]
+    serial = _file_bytes(tmp_path / "jobs1")
+    assert _file_bytes(out)["reports/tree-tiny.json"] == serial["reports/tree-tiny.json"]
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    """Only a run with two or more workers imports multiprocessing."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, beamloc.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def _mlp_arm(train):

@@ -1,10 +1,14 @@
 import json
+import multiprocessing
+import signal
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beamloc.evaluation
 from beamloc.evaluation import (
     MODEL_KINDS,
     TOPOLOGIES,
@@ -311,40 +315,118 @@ def test_report_writers_round_trip(samples, tmp_path):
     assert leftovers == []
 
 
+def inline_processes(monkeypatch):
+    """Replace multiprocessing.Process with a stand-in that runs its arm in
+    this process on start(), leaving the outcome in the pipe. Returns the
+    record of the arm ids in start order and of the most processes alive at
+    once (started and not yet joined)."""
+    record = {"started": [], "alive": 0, "most_alive": 0}
+
+    class InlineProcess:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+
+        def start(self):
+            record["started"].append(self.args[2].experiment_id)
+            record["alive"] += 1
+            record["most_alive"] = max(record["most_alive"], record["alive"])
+            self.target(*self.args)
+
+        def join(self):
+            record["alive"] -= 1
+
+    monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
+    return record
+
+
+def placeholder_arms(monkeypatch):
+    """Every arm's report becomes its experiment id, with no data work."""
+    monkeypatch.setattr(beamloc.evaluation, "prepare_data", lambda *a: None)
+    monkeypatch.setattr(beamloc.evaluation, "run_experiment", lambda data, d: d.experiment_id)
+
+
 @pytest.mark.parametrize(
     "jobs, arms, cpus, expected",
     [(8, 3, 2, 2), (8, 2, 64, 2), (3, 5, 64, 3), (4, 4, 1, None), (2, 1, 8, None), (1, 4, 8, None)],
 )
 def test_run_matrix_clamps_workers(monkeypatch, jobs, arms, cpus, expected):
-    """min(jobs, arms, CPUs) workers; one worker runs in process. No worker
-    is spawned: the pool is replaced by one that records its size and
-    resolves every future to a placeholder."""
-    import concurrent.futures
-    import beamloc.evaluation
-
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(args[1].experiment_id)
-            return future
-
-    monkeypatch.setattr(beamloc.evaluation, "ProcessPoolExecutor", RecordingPool)
+    """min(jobs, arms, CPUs) worker processes at once, one per arm; one
+    worker runs the arms in this process and starts none."""
+    record = inline_processes(monkeypatch)
+    placeholder_arms(monkeypatch)
     monkeypatch.setattr(beamloc.evaluation.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(beamloc.evaluation, "prepare_data", lambda *a: None)
-    monkeypatch.setattr(beamloc.evaluation, "run_experiment", lambda data, d: d.experiment_id)
     descriptors = [ExperimentDescriptor(f"arm{i}", FeatureConfig()) for i in range(arms)]
     reports, failures = run_matrix(None, descriptors, jobs=jobs)
-    assert pools == ([] if expected is None else [expected])
+    started = (record["most_alive"], len(record["started"]))
+    assert started == ((0, 0) if expected is None else (expected, arms))
+    assert record["alive"] == 0
     assert reports == [d.experiment_id for d in descriptors]
     assert failures == []
+
+
+def test_run_matrix_starts_the_longest_arm_first_and_reports_in_config_order(monkeypatch):
+    """Start order is epochs x sum(hidden) x len(hidden)^2 descending, trees
+    last, ties in config order (Graham's LPT rule)."""
+    record = inline_processes(monkeypatch)
+    placeholder_arms(monkeypatch)
+    monkeypatch.setattr(beamloc.evaluation.os, "cpu_count", lambda: 8)
+
+    def arm(name, model="mlp", hidden=(8,), epochs=25):
+        return ExperimentDescriptor(name, FeatureConfig(), model_kind=model, hidden_layers=hidden,
+                                    train_config=TrainConfig(max_epochs=epochs))
+
+    descriptors = [
+        arm("tree", model="dtree"),                # 0
+        arm("w8-a"),                               # 25 x 8 = 200
+        arm("w16-short", hidden=(16,), epochs=5),  # 5 x 16 = 80
+        arm("w4x4", hidden=(4, 4)),                # 25 x 8 x 4 = 800
+        arm("w8-b"),                               # 200, after w8-a
+    ]
+    reports, failures = run_matrix(None, descriptors, jobs=2)
+    assert record["started"] == ["w4x4", "w8-a", "w8-b", "w16-short", "tree"]
+    assert reports == [d.experiment_id for d in descriptors]
+    assert failures == []
+
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="a patched module attribute reaches only a forked worker"
+)
+
+
+@FORK_ONLY
+def test_run_matrix_reads_large_reports_and_joins_every_child(samples, monkeypatch):
+    """Reports far larger than a pipe's buffer arrive whole, and no child
+    process outlives the call."""
+    blob = "x" * (4 << 20)
+    monkeypatch.setattr(beamloc.evaluation, "run_experiment", lambda parts, d: {"id": d.experiment_id, "blob": blob})
+    monkeypatch.setattr(beamloc.evaluation.os, "cpu_count", lambda: 2)
+    fc = FeatureConfig(n_serving_beams=3, n_neighbor_cells=0)
+    descs = [ExperimentDescriptor(f"t{i}", feature_config=fc, model_kind="dtree") for i in range(3)]
+    reports, failures = run_matrix(samples, descs, jobs=2)
+    assert reports == [{"id": d.experiment_id, "blob": blob} for d in descs]
+    assert failures == []
+    assert multiprocessing.active_children() == []
+
+
+@FORK_ONLY
+def test_run_matrix_terminates_its_children_when_it_raises(samples, monkeypatch):
+    """A parent-side error (here, no process for the second arm) ends the
+    first arm's still-running worker before the error propagates."""
+    processes = []
+
+    class SecondStartFails(multiprocessing.Process):
+        def start(self):
+            processes.append(self)
+            if len(processes) == 2:
+                raise OSError("no process for the second arm")
+            super().start()
+
+    monkeypatch.setattr(multiprocessing, "Process", SecondStartFails)
+    monkeypatch.setattr(beamloc.evaluation, "_run_one", lambda *arm: time.sleep(60))
+    monkeypatch.setattr(beamloc.evaluation.os, "cpu_count", lambda: 2)
+    fc = FeatureConfig(n_serving_beams=3, n_neighbor_cells=0)
+    descs = [ExperimentDescriptor(f"t{i}", feature_config=fc, model_kind="dtree") for i in range(2)]
+    with pytest.raises(OSError, match="second arm"):
+        run_matrix(samples, descs, jobs=2)
+    assert multiprocessing.active_children() == []
+    assert processes[0].exitcode == -signal.SIGTERM
