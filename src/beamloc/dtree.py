@@ -15,6 +15,10 @@ import numpy as np
 
 from .bounds import bound, check_fields
 
+# `_best_splits` scans at most this many bytes of candidates per feature
+# block, and at least one feature
+SCAN_BLOCK_BYTES = 1 << 15
+
 
 @dataclass
 class TreeNode:
@@ -69,9 +73,11 @@ def _best_splits(
     `rows` is (K, n), each node's rows in ascending order; `sorted_rows` is
     (K, n_features, n): entry [i, j] lists node i's rows in stable ascending
     order of feature j. A node that no candidate separates gets feature -1.
-    One cumulative-sum scan ranks every (node, feature, boundary) candidate
-    at once; each reduction runs along an axis of the same length, in the
-    same order, as it would for one node alone. The candidates within
+    One cumulative-sum scan ranks every (node, feature, boundary) candidate;
+    it fills its candidate matrix one block of features at a time (at most
+    SCAN_BLOCK_BYTES per block), so only one block's sums are alive at once.
+    Each reduction runs along an axis of the same length, in the same order,
+    as it would for one node alone, whatever the block. The candidates within
     rounding distance of their node's minimum are settled by the canonical
     children SSE in (feature, boundary) order, so ties go to the lowest
     feature index, then the lowest threshold. A partition and its mirror
@@ -99,17 +105,22 @@ def _best_splits(
     total_sq = np.add.reduce((y * y).reshape(k_nodes, -1), axis=1)
     n_left = np.arange(1, n)
     n_right = n - n_left
-    # the two label columns are scanned apart; a sum over a row's two
-    # entries is the one addition first + second, written out
-    col0, col1 = labels[:, 0][sorted_rows], labels[:, 1][sorted_rows]
-    sum0 = np.add.accumulate(col0, axis=2)[..., :-1]
-    sum1 = np.add.accumulate(col1, axis=2)[..., :-1]
-    sq_left = np.add.accumulate(col0 * col0 + col1 * col1, axis=2)[..., :-1]
-    sse_left = sq_left - (sum0 * sum0 + sum1 * sum1) / n_left
-    right0 = total_sum[:, 0, None, None] - sum0
-    right1 = total_sum[:, 1, None, None] - sum1
-    sse_right = (total_sq[:, None, None] - sq_left) - (right0 * right0 + right1 * right1) / n_right
-    scan = np.maximum(sse_left, 0.0) + np.maximum(sse_right, 0.0)
+    n_features = sorted_rows.shape[1]
+    scan = np.empty((k_nodes, n_features, n - 1))
+    step = max(1, SCAN_BLOCK_BYTES // (k_nodes * n * scan.itemsize))
+    for f0 in range(0, n_features, step):
+        block = sorted_rows[:, f0 : f0 + step]
+        # the two label columns are scanned apart; a sum over a row's two
+        # entries is the one addition first + second, written out
+        col0, col1 = labels[:, 0][block], labels[:, 1][block]
+        sum0 = np.add.accumulate(col0, axis=2)[..., :-1]
+        sum1 = np.add.accumulate(col1, axis=2)[..., :-1]
+        sq_left = np.add.accumulate(col0 * col0 + col1 * col1, axis=2)[..., :-1]
+        sse_left = sq_left - (sum0 * sum0 + sum1 * sum1) / n_left
+        right0 = total_sum[:, 0, None, None] - sum0
+        right1 = total_sum[:, 1, None, None] - sum1
+        sse_right = (total_sq[:, None, None] - sq_left) - (right0 * right0 + right1 * right1) / n_right
+        np.add(np.maximum(sse_left, 0.0), np.maximum(sse_right, 0.0), out=scan[:, f0 : f0 + step])
     scan[~valid] = np.inf
     cutoff = np.minimum.reduce(scan.reshape(k_nodes, -1), axis=1) + 1e-9 * np.maximum(1.0, total_sq)
 

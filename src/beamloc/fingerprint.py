@@ -436,11 +436,14 @@ def partition_by_cell(
     serving = table.serving_cell
 
     datasets: dict[int, Dataset] = {}
-    for cell_id in np.unique(serving).tolist():
-        members = np.flatnonzero(serving == cell_id)
-        if len(members) < min_size:
-            log.warning("skipping cell %d: %d samples < min_size %d", cell_id, len(members), min_size)
+    # with counts, np.unique stays clear of the numpy.ma import it would
+    # otherwise make (numpy 2.4)
+    cells, counts = np.unique(serving, return_counts=True)
+    for cell_id, count in zip(cells.tolist(), counts.tolist()):
+        if count < min_size:
+            log.warning("skipping cell %d: %d samples < min_size %d", cell_id, count, min_size)
             continue
+        members = np.flatnonzero(serving == cell_id)
         try:
             datasets[cell_id] = build_dataset(
                 table.take(members), config, split_fraction, derive_seed(seed, "cell", cell_id)

@@ -7,12 +7,14 @@ import json
 import os
 import multiprocessing
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -347,7 +349,8 @@ def test_cmd_run_dry_run_names_each_layout_by_its_feature_tag(capsys, tmp_path):
     assert layouts == ["s2_n0_nocid", "s2_n0_cid_onehot_c3_b8", "s2_n0_cid_onehot_c4_b8"]
 
 
-def _files(root):
+def _file_bytes(root):
+    """{path relative to root: bytes} for every file under root."""
     return {
         os.path.relpath(os.path.join(d, name), root): Path(d, name).read_bytes()
         for d, _, names in os.walk(root)
@@ -372,7 +375,7 @@ def test_los_only_false_keeps_every_heard_row_and_reruns_byte_identically(capsys
     for command in ("dataset", "run"):
         for rerun in ("a", "b"):
             assert main([command, "--config", path, "--out", str(tmp_path / f"{command}-{rerun}")]) == 0
-        assert _files(tmp_path / f"{command}-a") == _files(tmp_path / f"{command}-b")
+        assert _file_bytes(tmp_path / f"{command}-a") == _file_bytes(tmp_path / f"{command}-b")
     out = capsys.readouterr().out
     assert out.count(f"samples: {len(heard)}  LoS fraction: {heard.los.sum() / len(heard):.4f}\n") == 4
     datasets = tmp_path / "dataset-a" / "datasets"
@@ -382,6 +385,59 @@ def test_los_only_false_keeps_every_heard_row_and_reruns_byte_identically(capsys
     for arm in ("mlp-tiny", "tree-tiny"):
         report = json.loads((tmp_path / "run-a" / "reports" / f"{arm}.json").read_text())
         assert report["train"]["n"] + report["test"]["n"] == rows
+
+
+AVX512_DISPATCH = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# the ulps a SIMD dispatch level moves log10, arctan2 and log by, compounded
+# through the RSRP grid and the normalization stats: at most 1.04e-15 seen
+DISPATCH_RTOL = 1e-12
+
+
+def _avx512_dispatch_enabled() -> bool:
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return all(t in umath.__cpu_dispatch__ and umath.__cpu_features__.get(t) for t in AVX512_DISPATCH)
+
+
+@pytest.mark.skipif(not _avx512_dispatch_enabled(), reason="needs numpy's AVX-512 dispatch targets on this CPU")
+def test_a_dispatch_level_moves_dataset_values_by_rounding_only(tmp_path):
+    """Output bytes depend on numpy's SIMD dispatch level. Turning AVX-512 off
+    moves every written float by at most DISPATCH_RTOL relative; the kept
+    rows, their labels and the train/test split stay equal."""
+    doc = yaml.safe_load(Path(TINY).read_text())
+    doc["dataset"]["los_only"] = False
+    doc["scenario"].update(site_cols=2, grid_resolution_m=4.0)
+    doc["propagation"]["shadow_fading_sigma"] = 8.0
+    config = write_config(tmp_path, doc)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    outputs = {}
+    for name, extra in (("on", {}), ("off", {"NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_DISPATCH)})):
+        outputs[name] = tmp_path / name
+        command = [sys.executable, "-m", "beamloc.cli", "dataset", "--config", config, "--out", str(outputs[name])]
+        subprocess.run(command, env={**env, **extra}, capture_output=True, text=True, check=True)
+    on, off = _file_bytes(outputs["on"]), _file_bytes(outputs["off"])
+    assert set(on) == set(off) and len(on) == 2
+    for path in on:
+        if path.endswith(".csv"):
+            (header_on, *rows_on), (header_off, *rows_off) = (list(csv.reader(io.StringIO(data.decode())))
+                                                              for data in (on[path], off[path]))
+            assert header_on == header_off
+            values_on, values_off = np.array(rows_on, dtype=float), np.array(rows_off, dtype=float)
+            assert values_on.shape == values_off.shape
+            labels = [header_on.index("label_x"), header_on.index("label_y")]
+            assert np.array_equal(values_on[:, labels], values_off[:, labels])
+            np.testing.assert_allclose(values_off, values_on, rtol=DISPATCH_RTOL, atol=0)
+        else:
+            meta_on, meta_off = json.loads(on[path]), json.loads(off[path])
+            for key in ("layout", "provenance", "train_idx", "test_idx"):
+                assert meta_on[key] == meta_off[key], key
+            for key in ("mean", "std"):
+                np.testing.assert_allclose(np.array(meta_off[key], dtype=float), np.array(meta_on[key], dtype=float),
+                                           rtol=DISPATCH_RTOL, atol=0)
 
 
 def test_row_blocks_leave_dataset_and_run_outputs_byte_identical(capsys, monkeypatch, tmp_path):
@@ -395,7 +451,7 @@ def test_row_blocks_leave_dataset_and_run_outputs_byte_identical(capsys, monkeyp
     monkeypatch.setattr(beamloc.fingerprint, "GRID_BLOCK_BYTES", 7 * beams * 8)  # seven rows per block
     for command in ("dataset", "run"):
         assert main([command, "--config", path, "--out", str(tmp_path / f"{command}-blocks")]) == 0
-        assert _files(tmp_path / f"{command}-blocks") == _files(tmp_path / f"{command}-one-block")
+        assert _file_bytes(tmp_path / f"{command}-blocks") == _file_bytes(tmp_path / f"{command}-one-block")
     out = capsys.readouterr().out
     assert "LoS fraction: 1.0000" not in out
 
@@ -544,15 +600,6 @@ def test_jobs_below_one_exits_2_without_workers(capsys, tmp_path, monkeypatch, j
     assert not out.exists()
 
 
-def _file_bytes(root):
-    """{path relative to root: bytes} for every file under root."""
-    return {
-        os.path.relpath(os.path.join(d, name), root): Path(d, name).read_bytes()
-        for d, _, names in os.walk(root)
-        for name in names
-    }
-
-
 def test_cmd_run_jobs_2_matches_jobs_1_byte_for_byte(tmp_path):
     outs = {}
     for jobs in ("1", "2"):
@@ -596,31 +643,31 @@ def test_arms_listed_shortest_first_start_longest_first_with_unchanged_bytes(tmp
     assert serial == _file_bytes(tmp_path / "jobs2")
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="a patched module attribute reaches only a forked worker"
-)
-def test_a_dead_worker_fails_only_its_own_arm(capsys, tmp_path, monkeypatch):
-    """The mlp-tiny worker exits as a SIGKILL or OOM kill would leave it;
-    tree-tiny's report is still written, byte-equal to the one-worker run's."""
+def test_a_dead_worker_fails_only_its_own_arm(capsys, tmp_path, monkeypatch, each_start_method):
+    """The parent SIGKILLs the mlp-tiny worker as soon as it starts, as an
+    OOM kill would; under every start method tree-tiny's report is still
+    written, byte-equal to the one-worker run's."""
     assert main(["run", "--config", TINY, "--out", str(tmp_path / "jobs1"), "--jobs", "1"]) == 0
-    run_one = beamloc.evaluation._run_one
-
-    def dies_on_mlp(samples, descriptor, *rest):
-        if descriptor.experiment_id == "mlp-tiny":
-            os._exit(137)
-        return run_one(samples, descriptor, *rest)
-
-    monkeypatch.setattr(beamloc.evaluation, "_run_one", dies_on_mlp)
-    monkeypatch.setattr(beamloc.evaluation.os, "cpu_count", lambda: 2)
-    capsys.readouterr()
-    out = tmp_path / "jobs2"
-    assert main(["run", "--config", TINY, "--out", str(out), "--jobs", "2"]) == 0
-    assert "failed: mlp-tiny: worker process died with exit code 137" in capsys.readouterr().err
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["failed"] == [{"experiment_id": "mlp-tiny", "error": "worker process died with exit code 137"}]
-    assert manifest["reports"] == ["reports/tree-tiny.json"]
     serial = _file_bytes(tmp_path / "jobs1")
-    assert _file_bytes(out)["reports/tree-tiny.json"] == serial["reports/tree-tiny.json"]
+    start = multiprocessing.Process.start
+
+    def start_then_kill_mlp(process):
+        experiment_id = process._args[2].experiment_id  # start() drops the arguments
+        start(process)
+        if experiment_id == "mlp-tiny":
+            os.kill(process.pid, signal.SIGKILL)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", start_then_kill_mlp)
+    monkeypatch.setattr(beamloc.evaluation.os, "cpu_count", lambda: 2)
+    for method in each_start_method():
+        capsys.readouterr()
+        out = tmp_path / f"jobs2-{method}"
+        assert main(["run", "--config", TINY, "--out", str(out), "--jobs", "2"]) == 0, method
+        assert "failed: mlp-tiny: worker process died with exit code -9" in capsys.readouterr().err, method
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] == [{"experiment_id": "mlp-tiny", "error": "worker process died with exit code -9"}]
+        assert manifest["reports"] == ["reports/tree-tiny.json"]
+        assert _file_bytes(out)["reports/tree-tiny.json"] == serial["reports/tree-tiny.json"], method
 
 
 def test_importing_the_cli_loads_no_process_machinery():
@@ -631,6 +678,26 @@ def test_importing_the_cli_loads_no_process_machinery():
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_a_one_worker_cell_specific_run_never_loads_numpy_ma(tmp_path):
+    """numpy.ma costs 1.3 MB of RSS, and no stage of a run needs it; a bare
+    np.unique imports it (numpy 2.4), so this guards the per-cell split."""
+    doc = yaml.safe_load(Path(TINY).read_text())
+    for experiment in doc["experiments"]:
+        experiment["topology"] = "cell_specific"
+    config = write_config(tmp_path, doc)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, numpy; eager = 'numpy.ma' in sys.modules; from beamloc.cli import main; "
+            f"code = main(['run', '--config', {config!r}, '--out', {str(tmp_path / 'out')!r}, '--jobs', '1']); "
+            "print(eager, code, 'numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    if result.stdout.splitlines()[-1].startswith("True"):
+        pytest.skip("this numpy loads numpy.ma with numpy itself (numpy < 2)")
+    assert result.stdout.splitlines()[-1] == "False 0 False"
+    reports = [json.loads(path.read_text()) for path in (tmp_path / "out" / "reports").glob("*.json")]
+    assert len(reports) == 2 and all("per_cell" in report for report in reports)
 
 
 def _mlp_arm(train):

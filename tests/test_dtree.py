@@ -15,6 +15,8 @@ that makes this exact.
 import os
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import beamloc
+import beamloc.dtree
 from beamloc.dtree import (
     TreeConfig,
     _partition_sse,
@@ -351,9 +354,11 @@ def test_fit_tree_equals_per_node_argsort_reference(
     labels = _labels(label_kind, rng, rows)
     config = TreeConfig(max_depth=max_depth, min_samples_leaf=min_samples_leaf, min_samples_split=min_samples_split)
     # repr keeps every float bit and the Python type of each field
-    assert repr(tree_to_dict(fit_tree(features, labels, config))) == repr(
-        tree_to_dict(reference_fit_tree(features, labels, config))
-    )
+    expected = repr(tree_to_dict(reference_fit_tree(features, labels, config)))
+    assert repr(tree_to_dict(fit_tree(features, labels, config))) == expected
+    # these inputs fit one scan block; a one-byte block scans one feature at a time
+    with mock.patch.object(beamloc.dtree, "SCAN_BLOCK_BYTES", 1):
+        assert repr(tree_to_dict(fit_tree(features, labels, config))) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -375,3 +380,25 @@ def test_mirrored_partition_has_bit_equal_children_sse(rows, column_kind, label_
     threshold, upper = values[at], values[at + 1]
     y = rng.normal(size=(rows, 2)) * label_scale
     assert _partition_sse(x, y, threshold).hex() == _partition_sse(-x, y, -upper).hex()
+
+
+def test_fit_tree_transient_memory_stays_within_a_few_feature_matrices():
+    """The split scan holds one feature block of its sums at a time: the fit's
+    traced peak, less the tree it keeps, is at most 6 float matrices of the
+    features' size (about 13 when every sum spanned every feature at once)."""
+    rng = np.random.default_rng(11)
+    n, n_features = 1085, 13  # the size of tree-study's network-level training set
+    features = np.column_stack([
+        rng.integers(0, 24, size=n).astype(float) if j % 4 == 0 else np.round(rng.normal(size=n), 2)
+        for j in range(n_features)
+    ])
+    labels = rng.normal(size=(n, 2)) * 100.0
+    fit_tree(features, labels)  # warm-up: numpy's one-time allocations are not the fit's
+    tracemalloc.start()
+    try:
+        tree = fit_tree(features, labels)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(leaf_nodes(tree)) > 1
+    assert peak - kept <= 6 * n * n_features * 8

@@ -1,7 +1,6 @@
 import json
 import multiprocessing
 import signal
-import time
 
 import numpy as np
 import pytest
@@ -408,25 +407,32 @@ def test_run_matrix_reads_large_reports_and_joins_every_child(samples, monkeypat
     assert multiprocessing.active_children() == []
 
 
-@FORK_ONLY
-def test_run_matrix_terminates_its_children_when_it_raises(samples, monkeypatch):
+def test_run_matrix_terminates_its_children_when_it_raises(samples, monkeypatch, each_start_method):
     """A parent-side error (here, no process for the second arm) ends the
-    first arm's still-running worker before the error propagates."""
+    first arm's still-running worker before the error propagates, under
+    every start method."""
+    start = multiprocessing.Process.start
     processes = []
 
-    class SecondStartFails(multiprocessing.Process):
-        def start(self):
-            processes.append(self)
-            if len(processes) == 2:
-                raise OSError("no process for the second arm")
-            super().start()
+    def second_start_fails(process):
+        processes.append(process)
+        if len(processes) % 2 == 0:
+            raise OSError("no process for the second arm")
+        start(process)
 
-    monkeypatch.setattr(multiprocessing, "Process", SecondStartFails)
-    monkeypatch.setattr(beamloc.evaluation, "_run_one", lambda *arm: time.sleep(60))
+    monkeypatch.setattr(multiprocessing.Process, "start", second_start_fails)
     monkeypatch.setattr(beamloc.evaluation.os, "cpu_count", lambda: 2)
     fc = FeatureConfig(n_serving_beams=3, n_neighbor_cells=0)
-    descs = [ExperimentDescriptor(f"t{i}", feature_config=fc, model_kind="dtree") for i in range(2)]
-    with pytest.raises(OSError, match="second arm"):
-        run_matrix(samples, descs, jobs=2)
-    assert multiprocessing.active_children() == []
-    assert processes[0].exitcode == -signal.SIGTERM
+    # a real arm that trains for minutes starts first; the tree arm's start fails
+    long_arm = ExperimentDescriptor("long", feature_config=fc, hidden_layers=(64, 64),
+                                    train_config=TrainConfig(max_epochs=100_000, patience=100_000))
+    descs = [ExperimentDescriptor("tree", feature_config=fc, model_kind="dtree"), long_arm]
+    for method in each_start_method():
+        with pytest.raises(OSError, match="second arm"):
+            run_matrix(samples, descs, jobs=2)
+        left = multiprocessing.active_children()
+        for child in left:  # a run_matrix that leaves its child running fails, without a stray process
+            child.kill()
+            child.join(10)
+        assert left == [], method
+        assert processes[-2].exitcode == -signal.SIGTERM, method
