@@ -9,7 +9,14 @@
 # cell-specific arms, its tiny-nlos variant (two sites, 8 dB shadow fading,
 # los_only false) under `run` and `dataset`, paper-matrix.yaml `dataset`,
 # paper-matrix.yaml `run` with max_epochs and patience 20, and `scenario` on
-# tiny.yaml and paper-matrix.yaml. The script passes
+# tiny.yaml and paper-matrix.yaml. Two more variants run under `scenario` and
+# `dataset` to reach every branch of the beam formula: scenario-edge
+# (paper-matrix.yaml with 6 sectors of 40 beams, margin_m 0 and a 10 m
+# lattice: a boresight at 180 degrees, azimuth steers shared across sectors,
+# sites on the area edge, and an array gain of 10*log10(40)) and
+# scenario-bare (tiny.yaml on two sites of one beam per sector without
+# buildings, both arms reading one serving beam and one neighbor cell: the
+# single downtilt beam). The script passes
 # when `diff -r` finds no difference. Otherwise it prints the differing files,
 # and passes only when HEAD_TREE's CHANGES.md has a line starting
 # "Output bytes change:" that BASE_TREE's lacks.
@@ -59,6 +66,14 @@ for experiment in matrix["experiments"]:
     if experiment.get("model", "mlp") == "mlp":
         experiment.setdefault("train", {}).update(max_epochs=20, patience=20)
 save("paper-matrix-short.yaml", matrix)
+edge = load("paper-matrix.yaml")
+edge["scenario"].update(sectors_per_site=6, beams_per_sector=40, margin_m=0.0, grid_resolution_m=10.0)
+save("scenario-edge.yaml", edge)
+bare = load("tiny.yaml")
+bare["scenario"].update(site_cols=2, beams_per_sector=1, with_buildings=False)
+for experiment in bare["experiments"]:
+    experiment["features"] = {"n_serving_beams": 1, "n_neighbor_cells": 1}
+save("scenario-bare.yaml", bare)
 EOF
     local imported
     imported=$(cd "$work" && PYTHONPATH="$tree/src" python -c 'import beamloc; print(beamloc.__file__)')
@@ -68,7 +83,8 @@ EOF
     esac
     local command config
     for command_config in run:tiny run:tiny-cells run:tiny-nlos dataset:tiny-nlos dataset:paper-matrix run:paper-matrix-short \
-            scenario:tiny scenario:paper-matrix; do
+            scenario:tiny scenario:paper-matrix scenario:scenario-edge dataset:scenario-edge \
+            scenario:scenario-bare dataset:scenario-bare; do
         command=${command_config%%:*}
         config=${command_config#*:}
         (cd "$work" && PYTHONPATH="$tree/src" python -m beamloc.cli "$command" \

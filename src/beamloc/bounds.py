@@ -5,7 +5,8 @@ and `__post_init__` calls `check_fields(self)`. That makes a list given for
 a tuple field a tuple, and rejects by name a non-finite float or float-tuple
 entry (`<name> must be finite, got <value>`) and a value or tuple entry out
 of bound (`<name> must be <rule>, got <value>`, the rule reading `> 0`,
-`>= 1`, `in [0, 1)` or `one of (...)`).
+`>= 1`, `in [0, 1)` or `one of (...)`). A float field or float-tuple entry
+that passes is stored as a float, so `10` and `10.0` print alike.
 """
 from __future__ import annotations
 
@@ -35,18 +36,27 @@ def bound(default=dataclasses.MISSING, *, gt=None, ge=None, lt=None, le=None, ch
 
 
 def check_fields(obj) -> None:
-    """Make each tuple field of dataclass `obj` a tuple, and raise ValueError
-    naming the first field with a non-finite float or a value out of bound."""
+    """Make each tuple field of dataclass `obj` a tuple and each float field
+    or float-tuple entry a float, and raise ValueError naming the first field
+    with a non-finite float or a value out of bound."""
     for f in dataclasses.fields(obj):
         value, declared = getattr(obj, f.name), f.metadata.get("bound")
         if value is None and f.type.endswith("| None"):
             continue
-        if f.type.startswith("tuple[") and isinstance(value, list):
+        is_tuple = f.type.startswith("tuple[")
+        if is_tuple and isinstance(value, list):
             value = tuple(value)
             object.__setattr__(obj, f.name, value)
-        for entry in value if f.type.startswith("tuple[") else (value,):
+        for entry in value if is_tuple else (value,):
             # False for nan, and exact for an int of any size
             if f.type in FLOAT_TYPES and not -math.inf < entry < math.inf:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
             if declared is not None and not declared[1](entry):
                 raise ValueError(f"{f.name} must be {declared[0]}, got {value!r}")
+        if f.type in FLOAT_TYPES:
+            # an int admitted above may still be too large for a float
+            try:
+                converted = tuple(map(float, value)) if is_tuple else float(value)
+            except OverflowError:
+                raise ValueError(f"{f.name} must be finite, got {value!r}") from None
+            object.__setattr__(obj, f.name, converted)

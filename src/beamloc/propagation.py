@@ -6,7 +6,7 @@ footprints, log-distance path loss at the carrier frequency, and a parabolic
 from a stateless per-(location, site) hash so results never depend on
 evaluation order or parallelism. Link geometry, LoS and shadow fading are
 evaluated for every site at once and beam gain one site's beams at a time,
-from the arrays each scenario builds once (`Scenario.arrays`).
+from the arrays `build_scenario` lays out (`Scenario.arrays`).
 """
 from __future__ import annotations
 
@@ -158,7 +158,7 @@ class RsrpGrid:
     weak; which beams are audible is decided when the grid becomes a
     fingerprint table. Column j belongs to beam beam_ids[j] of cell
     cell_ids[j], on the site in column site_col[j] of site_los, which has
-    shape (n_locations, n_sites) with columns ordered like scenario.sites.
+    shape (n_locations, n_sites) with columns ordered like the scenario's sites.
     """
 
     rsrp: np.ndarray

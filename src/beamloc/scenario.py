@@ -3,12 +3,12 @@
 The world is a rectangular area covered by a street grid. Sites sit at street
 intersections, each with three 120-degree sectors, and every sector carries a
 fixed grid-of-beams tiling its azimuth span. Buildings fill the blocks between
-streets, so line of sight exists along street corridors only.
+streets, so line of sight exists along street corridors only. The deployment
+is held only as arrays, which `build_scenario` lays out from a
+`ScenarioConfig` with array operations.
 """
 from __future__ import annotations
 
-import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,86 +34,6 @@ MAX_LATTICE_POINTS = 10_000_000  # the most `enumerate_locations` builds: a 3 km
 MAX_GRID_ENTRIES = 1_000_000_000
 
 
-@dataclass(frozen=True)
-class Building:
-    """Axis-aligned rectangular footprint with a flat roof height in meters."""
-
-    min_corner: tuple[float, float]
-    max_corner: tuple[float, float]
-    height: float = bound(gt=0)
-
-    def __post_init__(self):
-        check_fields(self)
-        if not (self.min_corner[0] < self.max_corner[0] and self.min_corner[1] < self.max_corner[1]):
-            raise ValueError(f"building min_corner {self.min_corner} must be < max_corner {self.max_corner}")
-
-
-@dataclass(frozen=True)
-class Beam:
-    """One member of a sector grid-of-beams.
-
-    steer_azimuth is relative to the sector boresight; steer_elevation is the
-    absolute pointing elevation (negative = below horizon, downtilt included).
-    """
-
-    beam_id: int
-    steer_azimuth: float
-    steer_elevation: float
-    azimuth_beamwidth: float = bound(65.0, ge=MIN_BEAMWIDTH_DEG, lt=180)
-    elevation_beamwidth: float = bound(65.0, ge=MIN_BEAMWIDTH_DEG, lt=180)
-    element_gain: float = 8.0
-    front_to_back: float = 30.0
-    array_gain: float = 0.0
-
-    def __post_init__(self):
-        check_fields(self)
-
-    @property
-    def peak_gain(self) -> float:
-        return self.element_gain + self.array_gain
-
-
-@dataclass(frozen=True)
-class Sector:
-    cell_id: int
-    boresight_azimuth: float
-    mechanical_downtilt: float = 5.0
-    tx_power: float = 30.0
-    beams: tuple[Beam, ...] = ()
-
-
-@dataclass(frozen=True)
-class Site:
-    id: int
-    position: tuple[float, float]
-    height: float = bound(10.0, gt=0)
-    sectors: tuple[Sector, ...] = ()
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Immutable world description. `area` is (width, height) with origin (0, 0)."""
-
-    buildings: tuple[Building, ...]
-    sites: tuple[Site, ...]
-    carrier_frequency: float
-    area: tuple[float, float]
-    grid_resolution: float
-    rng_seed: int
-
-    @property
-    def cells(self) -> tuple[Sector, ...]:
-        return tuple(sector for site in self.sites for sector in site.sectors)
-
-    @functools.cached_property
-    def arrays(self) -> ScenarioArrays:
-        """The scenario's sites, buildings and grid columns as arrays, built on first use."""
-        return scenario_arrays(self)
-
-
 def _read_only(arrays):
     """`arrays` with every array field locked: one scenario's arrays are
     shared by every grid evaluated on it, so a write would reach all later
@@ -124,22 +44,15 @@ def _read_only(arrays):
     return arrays
 
 
-def _distinct(keys: list) -> tuple[list, list[int]]:
-    """Distinct keys in first-seen order, and each key's index into them."""
-    index: dict = {}
-    inverse = [index.setdefault(key, len(index)) for key in keys]
-    return list(index), inverse
-
-
 class BeamArrays(NamedTuple):
     """The beams of one or more sectors as arrays, one entry per beam, sectors
     in order and beams in sector order.
 
-    The pattern is evaluated once per distinct (steer, width) key: first the
-    azimuth keys, each steer the sector boresight plus the beam's steer
-    wrapped to (-180, 180], then the elevation keys, flagged in
-    is_elevation. Beam j reads azimuth key az_of_beam[j] and elevation key
-    el_of_beam[j]; front_to_back, peak_gain and tx_power are per beam.
+    The pattern is evaluated once per (steer, width) key: first the azimuth
+    keys, each steer the sector boresight plus the beam's steer wrapped to
+    (-180, 180], then the elevation keys, flagged in is_elevation. Beam j
+    reads azimuth key az_of_beam[j] and elevation key el_of_beam[j];
+    front_to_back, peak_gain and tx_power are per beam.
     """
 
     steer: np.ndarray
@@ -152,27 +65,6 @@ class BeamArrays(NamedTuple):
     tx_power: np.ndarray
 
 
-def beam_arrays(sectors) -> BeamArrays:
-    """The beams of `sectors` as arrays."""
-    pairs = [(sector, beam) for sector in sectors for beam in sector.beams]
-    boresight = np.array([sector.boresight_azimuth for sector, _ in pairs], dtype=float)
-    # wrap_deg works element by element, so one call wraps every beam's steer
-    steer = wrap_deg(boresight + np.array([beam.steer_azimuth for _, beam in pairs], dtype=float))
-    az_keys, az_of_beam = _distinct(list(zip(steer.tolist(), [beam.azimuth_beamwidth for _, beam in pairs])))
-    el_keys, el_of_beam = _distinct([(beam.steer_elevation, beam.elevation_beamwidth) for _, beam in pairs])
-    keys = np.array(az_keys + el_keys, dtype=float).reshape(-1, 2)
-    return _read_only(BeamArrays(
-        steer=np.ascontiguousarray(keys[:, 0]),
-        width=np.ascontiguousarray(keys[:, 1]),
-        is_elevation=np.arange(len(keys)) >= len(az_keys),
-        az_of_beam=np.array(az_of_beam, dtype=np.intp),
-        el_of_beam=len(az_keys) + np.array(el_of_beam, dtype=np.intp),
-        front_to_back=np.array([beam.front_to_back for _, beam in pairs], dtype=float),
-        peak_gain=np.array([beam.peak_gain for _, beam in pairs], dtype=float),
-        tx_power=np.array([sector.tx_power for sector, _ in pairs], dtype=float),
-    ))
-
-
 class BuildingArrays(NamedTuple):
     """Building footprints and roof heights: (B, 2) corners and (B,) heights."""
 
@@ -180,20 +72,13 @@ class BuildingArrays(NamedTuple):
     max_corner: np.ndarray
     height: np.ndarray
 
-    @classmethod
-    def of(cls, buildings) -> BuildingArrays:
-        return _read_only(cls(
-            min_corner=np.array([b.min_corner for b in buildings], dtype=float).reshape(-1, 2),
-            max_corner=np.array([b.max_corner for b in buildings], dtype=float).reshape(-1, 2),
-            height=np.array([b.height for b in buildings], dtype=float),
-        ))
-
 
 class ScenarioArrays(NamedTuple):
     """A scenario's fixed data as arrays.
 
     Sites are rows of site_xyz (x, y, height) and of site_id, and entries
-    of site_beams, in scenario order. The RSRP grid has one column per beam:
+    of site_beams, in scenario order; sites with the same beams may share
+    one BeamArrays. The RSRP grid has one column per beam:
     sites in scenario order, sectors in site order, beams in sector order;
     column j is beam beam_ids[j] of cell cell_ids[j] on site row site_col[j].
     """
@@ -207,24 +92,43 @@ class ScenarioArrays(NamedTuple):
     beam_ids: np.ndarray  # (n_beams,)
 
 
-def scenario_arrays(scenario: Scenario) -> ScenarioArrays:
-    """`scenario.arrays`, which is built once per scenario."""
-    columns = [
-        (si, sector.cell_id, beam.beam_id)
-        for si, site in enumerate(scenario.sites)
-        for sector in site.sectors
-        for beam in sector.beams
-    ]
-    site_col, cell_ids, beam_ids = np.array(columns, dtype=np.int64).reshape(-1, 3).T
-    return _read_only(ScenarioArrays(
-        site_xyz=np.array([(*site.position, site.height) for site in scenario.sites], dtype=float).reshape(-1, 3),
-        site_id=np.array([site.id for site in scenario.sites], dtype=np.uint64),
-        site_beams=tuple(beam_arrays(site.sectors) for site in scenario.sites),
-        buildings=BuildingArrays.of(scenario.buildings),
-        site_col=site_col,
-        cell_ids=cell_ids,
-        beam_ids=beam_ids,
-    ))
+class SectorFormula(NamedTuple):
+    """The sectors every site carries and the beams every sector carries, as
+    scenario.json prints them.
+
+    boresight has one azimuth per sector of a site, and steer one row per
+    beam of a sector, beam k having id k: its azimuth relative to the
+    sector's boresight and its elevation. The other fields hold for every
+    sector or beam. The RSRP grid reads `BeamArrays` instead, which keeps
+    the absolute steers and the summed peak gain.
+    """
+
+    boresight: np.ndarray  # (sectors_per_site,)
+    steer: np.ndarray  # (beams_per_sector, 2)
+    mechanical_downtilt: float
+    tx_power: float
+    azimuth_beamwidth: float
+    elevation_beamwidth: float
+    element_gain: float
+    front_to_back: float
+    array_gain: float
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """Immutable world description. `area` is (width, height) with origin (0, 0).
+
+    The RSRP grid and the location lattice read `arrays`; `sectors` is what
+    only scenario.json prints, and is None for a scenario assembled from
+    arrays that no `ScenarioConfig` describes.
+    """
+
+    arrays: ScenarioArrays
+    carrier_frequency: float
+    area: tuple[float, float]
+    grid_resolution: float
+    rng_seed: int
+    sectors: SectorFormula | None = None
 
 
 @dataclass(frozen=True)
@@ -288,143 +192,92 @@ class ScenarioConfig:
         )
 
 
-def synthesize_beam_grid(
-    sector: Sector,
-    count: int,
-    elevation_steers: tuple[float, ...] = DEFAULT_ELEVATION_STEERS,
-    azimuth_span_deg: float = SECTOR_AZIMUTH_SPAN_DEG,
-    azimuth_beamwidth_deg: float = 65.0,
-    elevation_beamwidth_deg: float = 65.0,
-    element_gain_dbi: float = 8.0,
-    front_to_back_db: float = 30.0,
-) -> list[Beam]:
-    """Tile the sector azimuth span with `count` beams.
-
-    The grid is rows-of-azimuth-steers, one row per elevation steer; azimuth
-    centers are evenly spaced so the steers cover the span with half a
-    beam-spacing of slack at the edges. count=1 yields a single boresight beam
-    pointing along the mechanical downtilt. Array gain is 10*log10(count) on
-    top of the element gain.
-    """
-    if count < 1:
-        raise ValueError("beam count must be >= 1")
-    array_gain = 10.0 * math.log10(count)
-    common = dict(
-        azimuth_beamwidth=azimuth_beamwidth_deg,
-        elevation_beamwidth=elevation_beamwidth_deg,
-        element_gain=element_gain_dbi,
-        front_to_back=front_to_back_db,
-        array_gain=array_gain,
-    )
-    if count == 1:
-        return [Beam(beam_id=0, steer_azimuth=0.0, steer_elevation=-sector.mechanical_downtilt, **common)]
-
-    n_rows = len(elevation_steers)
-    if n_rows < 1 or count % n_rows != 0:
-        raise ValueError(
-            f"beam count {count} is not factorable into {n_rows} elevation rows"
-        )
-    n_az = count // n_rows
-    spacing = azimuth_span_deg / n_az
-    az_steers = [-azimuth_span_deg / 2.0 + spacing * (k + 0.5) for k in range(n_az)]
-    beams = []
-    for row, el in enumerate(elevation_steers):
-        for k, az in enumerate(az_steers):
-            beams.append(Beam(beam_id=row * n_az + k, steer_azimuth=az, steer_elevation=el, **common))
-    return beams
-
-
-def _street_block_intervals(centers: list[float], half_width: float, limit: float) -> list[tuple[float, float]]:
-    """1-D block intervals left between street bands centered on `centers`."""
-    edges = [0.0]
-    for c in centers:
-        edges.extend((c - half_width, c + half_width))
-    edges.append(limit)
-    intervals = []
-    for lo, hi in zip(edges[::2], edges[1::2]):
-        lo, hi = max(lo, 0.0), min(hi, limit)
-        if hi - lo > 0:
-            intervals.append((lo, hi))
-    return intervals
+def _street_blocks(centers: np.ndarray, half_width: float, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the 1-D block intervals left between street bands centered on `centers`."""
+    edges = np.concatenate(([0.0], np.column_stack((centers - half_width, centers + half_width)).ravel(), [limit]))
+    lo, hi = np.maximum(edges[::2], 0.0), np.minimum(edges[1::2], limit)
+    keep = hi - lo > 0
+    return lo[keep], hi[keep]
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """Deterministically construct the scenario described by `config`.
 
-    Sites sit on the intersections of a street grid; buildings fill every
-    rectangular block between streets (and between the outer streets and the
-    area border).
+    Sites sit on the intersections of a street grid, site r * site_cols + c
+    at row r and column c; buildings fill every rectangular block between
+    streets (and between the outer streets and the area border). Every
+    sector tiles its azimuth span with rows of beams, one row per elevation
+    steer, beam row * n_az + k steered spacing * (k + 0.5) past the span's
+    left edge, so the steers leave half a spacing of slack at either edge.
+    One beam per sector points along the boresight at the mechanical
+    downtilt. Array gain is 10*log10(beams_per_sector) on top of the
+    element gain.
     """
     width, height = config.area
-    xs = [config.margin_m + c * config.col_spacing_m for c in range(config.site_cols)]
-    ys = [config.margin_m + r * config.row_spacing_m for r in range(config.site_rows)]
+    xs = config.margin_m + np.arange(config.site_cols) * config.col_spacing_m
+    ys = config.margin_m + np.arange(config.site_rows) * config.row_spacing_m
+    gx, gy = np.meshgrid(xs, ys)
+    n_sites = gx.size
+    site_xyz = np.column_stack((gx.ravel(), gy.ravel(), np.full(n_sites, config.site_height_m)))
 
-    buildings: list[Building] = []
+    lo = hi = np.empty((0, 2))
     if config.with_buildings:
         half = config.street_width_m / 2.0
-        for x_lo, x_hi in _street_block_intervals(xs, half, width):
-            for y_lo, y_hi in _street_block_intervals(ys, half, height):
-                buildings.append(Building((x_lo, y_lo), (x_hi, y_hi), config.building_height_m))
+        (x_lo, x_hi), (y_lo, y_hi) = _street_blocks(xs, half, width), _street_blocks(ys, half, height)
+        # x intervals outer, y intervals inner
+        lo, hi = (np.column_stack([a.ravel() for a in np.meshgrid(x, y, indexing="ij")])
+                  for x, y in ((x_lo, y_lo), (x_hi, y_hi)))
+    buildings = BuildingArrays(lo, hi, np.full(len(lo), config.building_height_m))
 
-    sites: list[Site] = []
-    for r, y in enumerate(ys):
-        for c, x in enumerate(xs):
-            site_id = r * config.site_cols + c
-            sectors = []
-            for s in range(config.sectors_per_site):
-                cell_id = site_id * config.sectors_per_site + s
-                boresight = wrap_deg(s * 360.0 / config.sectors_per_site)
-                sector = Sector(
-                    cell_id=cell_id,
-                    boresight_azimuth=boresight,
-                    mechanical_downtilt=config.mechanical_downtilt_deg,
-                    tx_power=config.tx_power_dbm,
-                )
-                beams = synthesize_beam_grid(
-                    sector,
-                    config.beams_per_sector,
-                    elevation_steers=config.elevation_steers_deg,
-                    azimuth_beamwidth_deg=config.azimuth_beamwidth_deg,
-                    elevation_beamwidth_deg=config.elevation_beamwidth_deg,
-                    element_gain_dbi=config.element_gain_dbi,
-                    front_to_back_db=config.front_to_back_db,
-                )
-                sectors.append(dataclasses.replace(sector, beams=tuple(beams)))
-            sites.append(Site(id=site_id, position=(x, y), height=config.site_height_m, sectors=tuple(sectors)))
-
-    scenario = Scenario(
-        buildings=tuple(buildings),
-        sites=tuple(sites),
+    count, n_sectors = config.beams_per_sector, config.sectors_per_site
+    rows = (-config.mechanical_downtilt_deg,) if count == 1 else config.elevation_steers_deg
+    n_az = count // len(rows)
+    spacing = SECTOR_AZIMUTH_SPAN_DEG / n_az
+    azimuths = -SECTOR_AZIMUTH_SPAN_DEG / 2.0 + spacing * (np.arange(n_az) + 0.5)
+    boresight = wrap_deg(np.arange(n_sectors) * 360.0 / n_sectors)
+    array_gain = 10.0 * math.log10(count)
+    # one key per (sector, azimuth column), then one per elevation row
+    n_keys = n_sectors * n_az
+    in_row = np.arange(count) % n_az
+    beams = BeamArrays(
+        steer=np.concatenate((wrap_deg(boresight[:, None] + azimuths).ravel(), rows)),
+        width=np.repeat([config.azimuth_beamwidth_deg, config.elevation_beamwidth_deg], (n_keys, len(rows))),
+        is_elevation=np.arange(n_keys + len(rows)) >= n_keys,
+        az_of_beam=(np.arange(n_sectors)[:, None] * n_az + in_row).ravel(),
+        el_of_beam=np.tile(n_keys + np.arange(count) // n_az, n_sectors),
+        front_to_back=np.full(n_sectors * count, config.front_to_back_db),
+        peak_gain=np.full(n_sectors * count, config.element_gain_dbi + array_gain),
+        tx_power=np.full(n_sectors * count, config.tx_power_dbm),
+    )
+    arrays = ScenarioArrays(
+        site_xyz=site_xyz,
+        site_id=np.arange(n_sites, dtype=np.uint64),
+        # every site carries the same beams
+        site_beams=(_read_only(beams),) * n_sites,
+        buildings=_read_only(buildings),
+        site_col=np.repeat(np.arange(n_sites, dtype=np.int64), n_sectors * count),
+        cell_ids=np.repeat(np.arange(n_sites * n_sectors, dtype=np.int64), count),
+        beam_ids=np.tile(np.arange(count, dtype=np.int64), n_sites * n_sectors),
+    )
+    sectors = SectorFormula(
+        boresight=boresight,
+        steer=np.column_stack((azimuths[in_row], np.repeat(rows, n_az))),
+        mechanical_downtilt=config.mechanical_downtilt_deg,
+        tx_power=config.tx_power_dbm,
+        azimuth_beamwidth=config.azimuth_beamwidth_deg,
+        elevation_beamwidth=config.elevation_beamwidth_deg,
+        element_gain=config.element_gain_dbi,
+        front_to_back=config.front_to_back_db,
+        array_gain=array_gain,
+    )
+    return Scenario(
+        arrays=_read_only(arrays),
         carrier_frequency=config.carrier_frequency_ghz,
         area=(width, height),
         grid_resolution=config.grid_resolution_m,
         rng_seed=config.seed,
+        sectors=_read_only(sectors),
     )
-    validate_scenario(scenario)
-    return scenario
-
-
-def validate_scenario(scenario: Scenario) -> None:
-    """Reject geometrically inconsistent scenarios."""
-    if not scenario.sites:
-        raise ValueError("scenario has zero sites")
-    width, height = scenario.area
-    for site in scenario.sites:
-        x, y = site.position
-        if not (0 <= x <= width and 0 <= y <= height):
-            raise ValueError(f"site {site.id} at {site.position} lies outside the area")
-        for b in scenario.buildings:
-            if b.min_corner[0] < x < b.max_corner[0] and b.min_corner[1] < y < b.max_corner[1]:
-                raise ValueError(f"site {site.id} at {site.position} is inside a building")
-    for i, a in enumerate(scenario.buildings):
-        for b in scenario.buildings[i + 1 :]:
-            overlap_x = min(a.max_corner[0], b.max_corner[0]) > max(a.min_corner[0], b.min_corner[0])
-            overlap_y = min(a.max_corner[1], b.max_corner[1]) > max(a.min_corner[1], b.min_corner[1])
-            if overlap_x and overlap_y:
-                raise ValueError(f"buildings {a} and {b} overlap")
-    cell_ids = [sector.cell_id for site in scenario.sites for sector in site.sectors]
-    if len(cell_ids) != len(set(cell_ids)):
-        raise ValueError("cell ids are not globally unique")
 
 
 def enumerate_locations(scenario: Scenario) -> np.ndarray:
@@ -442,25 +295,62 @@ def enumerate_locations(scenario: Scenario) -> np.ndarray:
     gx, gy = np.meshgrid(xs, ys)
     points = np.column_stack([gx.ravel(), gy.ravel()])
     keep = np.ones(len(points), dtype=bool)
-    for b in scenario.buildings:
-        keep &= ~points_in_rect(points, b.min_corner, b.max_corner)
+    buildings = scenario.arrays.buildings
+    for lo, hi in zip(buildings.min_corner.tolist(), buildings.max_corner.tolist()):
+        keep &= ~points_in_rect(points, lo, hi)
     return points[keep]
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """JSON-ready export of the full scenario for inspection or plotting."""
-    doc = dataclasses.asdict(scenario)
-    doc["carrier_frequency_ghz"] = doc.pop("carrier_frequency")
-    doc["grid_resolution_m"] = doc.pop("grid_resolution")
-    return doc
+    """JSON-ready export of the full scenario for inspection or plotting:
+    buildings, and sites with their sectors with their beams. Every sector
+    shares one list of beam records."""
+    arrays, formula = scenario.arrays, scenario.sectors
+    beam = {
+        "azimuth_beamwidth": formula.azimuth_beamwidth,
+        "elevation_beamwidth": formula.elevation_beamwidth,
+        "element_gain": formula.element_gain,
+        "front_to_back": formula.front_to_back,
+        "array_gain": formula.array_gain,
+    }
+    beams = [
+        {"beam_id": k, "steer_azimuth": azimuth, "steer_elevation": elevation, **beam}
+        for k, (azimuth, elevation) in enumerate(formula.steer.tolist())
+    ]
+    boresight = formula.boresight.tolist()
+    cells = arrays.cell_ids[:: len(beams)].reshape(-1, len(boresight)).tolist()
+    sector = {"mechanical_downtilt": formula.mechanical_downtilt, "tx_power": formula.tx_power, "beams": beams}
+    sites = [
+        {
+            "id": site_id,
+            "position": [x, y],
+            "height": z,
+            "sectors": [{"cell_id": cell, "boresight_azimuth": azimuth, **sector}
+                        for cell, azimuth in zip(site_cells, boresight)],
+        }
+        for site_id, (x, y, z), site_cells in zip(arrays.site_id.tolist(), arrays.site_xyz.tolist(), cells)
+    ]
+    b = arrays.buildings
+    return {
+        "buildings": [
+            {"min_corner": lo, "max_corner": hi, "height": h}
+            for lo, hi, h in zip(b.min_corner.tolist(), b.max_corner.tolist(), b.height.tolist())
+        ],
+        "sites": sites,
+        "carrier_frequency_ghz": scenario.carrier_frequency,
+        "area": list(scenario.area),
+        "grid_resolution_m": scenario.grid_resolution,
+        "rng_seed": scenario.rng_seed,
+    }
 
 
 def scenario_summary(scenario: Scenario) -> dict:
+    arrays = scenario.arrays
     return {
-        "sites": len(scenario.sites),
-        "cells": len(scenario.cells),
-        "beams": sum(len(cell.beams) for cell in scenario.cells),
-        "buildings": len(scenario.buildings),
+        "sites": len(arrays.site_id),
+        "cells": len(np.unique(arrays.cell_ids, return_counts=True)[0]),
+        "beams": len(arrays.cell_ids),
+        "buildings": len(arrays.buildings.height),
         "area_m": list(scenario.area),
         "grid_resolution_m": scenario.grid_resolution,
     }

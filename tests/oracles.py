@@ -8,9 +8,17 @@ around the library's own code (`line_of_sight`, `_best_split`,
 `tree_to_dict`, `load_dataset`), which the pipeline never needs and the
 tests hold against the references. `flatten` lays the MLP's parameter
 groups out as one vector for bit-for-bit comparison.
+
+A deployment is written out here as scenario.json lays it out: a dict of
+building records and of sites, each with its sectors, each with its beams.
+`reference_scenario_dict` writes one from a `ScenarioConfig` beam by beam,
+`scenario_from_dict` turns one into the arrays the library reads, and
+`reference_rsrp_grid`, `dense_los_oracle` and `line_of_sight` read its
+records.
 """
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -24,9 +32,15 @@ from beamloc.fingerprint import (
     _sidecar_path,
     rank_rows,
 )
+from beamloc.geom import wrap_deg
 from beamloc.propagation import RsrpGrid, _blocked_mask, _link_arrays, path_loss, shadow_fading
-from beamloc.scenario import BuildingArrays
+from beamloc.scenario import BeamArrays, BuildingArrays, Scenario, ScenarioArrays
 from beamloc.seeds import derive_seed
+
+
+def building(min_corner, max_corner, height) -> dict:
+    """One building record: an axis-aligned footprint and a flat roof height in meters."""
+    return {"min_corner": list(min_corner), "max_corner": list(max_corner), "height": height}
 
 
 def dense_los_oracle(p, q, buildings, samples: int = 10_000) -> bool:
@@ -41,13 +55,8 @@ def dense_los_oracle(p, q, buildings, samples: int = 10_000) -> bool:
     ys = p[1] + t * (q[1] - p[1])
     zs = p[2] + t * (q[2] - p[2])
     for b in buildings:
-        inside = (
-            (xs > b.min_corner[0])
-            & (xs < b.max_corner[0])
-            & (ys > b.min_corner[1])
-            & (ys < b.max_corner[1])
-            & (zs < b.height)
-        )
+        (x0, y0), (x1, y1) = b["min_corner"], b["max_corner"]
+        inside = (xs > x0) & (xs < x1) & (ys > y0) & (ys < y1) & (zs < b["height"])
         if bool(np.any(inside)):
             return False
     return True
@@ -263,35 +272,183 @@ def _reference_wrap(angle):
     return np.where(wrapped > 180.0, wrapped - 360.0, wrapped)
 
 
-def reference_rsrp_grid(scenario, locations, config):
-    """RSRP grid evaluated beam by beam: both angle offsets wrapped and the
-    parabolic pattern evaluated once per beam, one column per beam, stacked
-    at the end. Link geometry, LoS, path loss and shadow fading are the
-    library's; the pattern and the RSRP composition are written out here.
-    Every value is clamped at `config.noise_floor`, which `rsrp_grid` does
-    not do: a beam at the floor and a beam below it must give the same
-    fingerprint table.
+def _reference_blocks(centers, half_width, limit):
+    """1-D block intervals left between street bands centered on `centers`."""
+    edges = [0.0]
+    for c in centers:
+        edges.extend((c - half_width, c + half_width))
+    edges.append(limit)
+    clipped = [(max(lo, 0.0), min(hi, limit)) for lo, hi in zip(edges[::2], edges[1::2])]
+    return [(lo, hi) for lo, hi in clipped if hi - lo > 0]
+
+
+def reference_beam_grid(count, elevation_steers, downtilt, **fields) -> list[dict]:
+    """One sector's beam records, beam by beam: `count` beams in rows of
+    azimuth steers, one row per elevation steer, evenly spaced over the
+    sector's 120-degree span with half a spacing of slack at either edge;
+    one beam points along the boresight at -`downtilt`. `fields` gives the
+    azimuth_beamwidth, elevation_beamwidth, element_gain and front_to_back
+    of every beam; array_gain is 10*log10(count)."""
+    if count == 1:
+        steers = [(0.0, -downtilt)]
+    else:
+        n_az = count // len(elevation_steers)
+        spacing = 120.0 / n_az
+        steers = [(-120.0 / 2.0 + spacing * (k + 0.5), el) for el in elevation_steers for k in range(n_az)]
+    array_gain = 10.0 * math.log10(count)
+    return [
+        {"beam_id": i, "steer_azimuth": az, "steer_elevation": el, **fields, "array_gain": array_gain}
+        for i, (az, el) in enumerate(steers)
+    ]
+
+
+def reference_scenario_dict(config) -> dict:
+    """scenario.json's dict for a `beamloc.scenario.ScenarioConfig`, built
+    site by site, sector by sector and beam by beam in Python floats: every
+    number the config spells as a float key is a float here, however the
+    config spells it."""
+    margin, height = float(config.margin_m), float(config.site_height_m)
+    col_spacing, row_spacing = float(config.col_spacing_m), float(config.row_spacing_m)
+    width = (config.site_cols - 1) * col_spacing + 2 * margin
+    depth = (config.site_rows - 1) * row_spacing + 2 * margin
+    xs = [margin + c * col_spacing for c in range(config.site_cols)]
+    ys = [margin + r * row_spacing for r in range(config.site_rows)]
+    buildings = []
+    if config.with_buildings:
+        half = float(config.street_width_m) / 2.0
+        for x_lo, x_hi in _reference_blocks(xs, half, width):
+            for y_lo, y_hi in _reference_blocks(ys, half, depth):
+                buildings.append(building((x_lo, y_lo), (x_hi, y_hi), float(config.building_height_m)))
+    downtilt = float(config.mechanical_downtilt_deg)
+    beams = reference_beam_grid(
+        config.beams_per_sector,
+        [float(el) for el in config.elevation_steers_deg],
+        downtilt,
+        azimuth_beamwidth=float(config.azimuth_beamwidth_deg),
+        elevation_beamwidth=float(config.elevation_beamwidth_deg),
+        element_gain=float(config.element_gain_dbi),
+        front_to_back=float(config.front_to_back_db),
+    )
+    n_sectors = config.sectors_per_site
+    sites = []
+    for r, y in enumerate(ys):
+        for c, x in enumerate(xs):
+            site_id = r * config.site_cols + c
+            sectors = [
+                {
+                    "cell_id": site_id * n_sectors + s,
+                    "boresight_azimuth": float(_reference_wrap(s * 360.0 / n_sectors)),
+                    "mechanical_downtilt": downtilt,
+                    "tx_power": float(config.tx_power_dbm),
+                    "beams": [dict(beam) for beam in beams],
+                }
+                for s in range(n_sectors)
+            ]
+            sites.append({"id": site_id, "position": [x, y], "height": height, "sectors": sectors})
+    return {
+        "buildings": buildings,
+        "sites": sites,
+        "carrier_frequency_ghz": float(config.carrier_frequency_ghz),
+        "area": [width, depth],
+        "grid_resolution_m": float(config.grid_resolution_m),
+        "rng_seed": config.seed,
+    }
+
+
+def _distinct(keys: list) -> tuple[list, list[int]]:
+    """Distinct keys in first-seen order, and each key's index into them."""
+    index: dict = {}
+    inverse = [index.setdefault(key, len(index)) for key in keys]
+    return list(index), inverse
+
+
+def _beam_arrays(site) -> BeamArrays:
+    """A site record's beams as arrays, keyed by their distinct (wrapped
+    steer, beamwidth) values in first-seen order."""
+    pairs = [(sector, beam) for sector in site["sectors"] for beam in sector["beams"]]
+    boresight = np.array([sector["boresight_azimuth"] for sector, _ in pairs], dtype=float)
+    steer = wrap_deg(boresight + np.array([beam["steer_azimuth"] for _, beam in pairs], dtype=float))
+    az_keys, az_of_beam = _distinct(list(zip(steer.tolist(), [beam["azimuth_beamwidth"] for _, beam in pairs])))
+    el_keys, el_of_beam = _distinct([(beam["steer_elevation"], beam["elevation_beamwidth"]) for _, beam in pairs])
+    keys = np.array(az_keys + el_keys, dtype=float).reshape(-1, 2)
+    return BeamArrays(
+        steer=np.ascontiguousarray(keys[:, 0]),
+        width=np.ascontiguousarray(keys[:, 1]),
+        is_elevation=np.arange(len(keys)) >= len(az_keys),
+        az_of_beam=np.array(az_of_beam, dtype=np.intp),
+        el_of_beam=len(az_keys) + np.array(el_of_beam, dtype=np.intp),
+        front_to_back=np.array([beam["front_to_back"] for _, beam in pairs], dtype=float),
+        peak_gain=np.array([beam["element_gain"] + beam["array_gain"] for _, beam in pairs], dtype=float),
+        tx_power=np.array([sector["tx_power"] for sector, _ in pairs], dtype=float),
+    )
+
+
+def _building_arrays(buildings) -> BuildingArrays:
+    return BuildingArrays(
+        min_corner=np.array([b["min_corner"] for b in buildings], dtype=float).reshape(-1, 2),
+        max_corner=np.array([b["max_corner"] for b in buildings], dtype=float).reshape(-1, 2),
+        height=np.array([b["height"] for b in buildings], dtype=float),
+    )
+
+
+def scenario_from_dict(doc) -> Scenario:
+    """The scenario that `doc`, a dict laid out like scenario.json, describes:
+    any sites, sectors and beams, each site's beams keyed by value. Its
+    `sectors` formula is None, so `scenario_to_dict` cannot print it."""
+    columns = [
+        (si, sector["cell_id"], beam["beam_id"])
+        for si, site in enumerate(doc["sites"])
+        for sector in site["sectors"]
+        for beam in sector["beams"]
+    ]
+    site_col, cell_ids, beam_ids = np.array(columns, dtype=np.int64).reshape(-1, 3).T
+    arrays = ScenarioArrays(
+        site_xyz=np.array([(*site["position"], site["height"]) for site in doc["sites"]], dtype=float).reshape(-1, 3),
+        site_id=np.array([site["id"] for site in doc["sites"]], dtype=np.uint64),
+        site_beams=tuple(_beam_arrays(site) for site in doc["sites"]),
+        buildings=_building_arrays(doc["buildings"]),
+        site_col=site_col,
+        cell_ids=cell_ids,
+        beam_ids=beam_ids,
+    )
+    return Scenario(
+        arrays=arrays,
+        carrier_frequency=doc["carrier_frequency_ghz"],
+        area=tuple(doc["area"]),
+        grid_resolution=doc["grid_resolution_m"],
+        rng_seed=doc["rng_seed"],
+    )
+
+
+def reference_rsrp_grid(doc, locations, config):
+    """RSRP grid of the deployment dict `doc` evaluated beam by beam: both
+    angle offsets wrapped and the parabolic pattern evaluated once per beam,
+    one column per beam, stacked at the end. Link geometry, LoS, path loss
+    and shadow fading are the library's; the pattern and the RSRP
+    composition are written out here. Every value is clamped at
+    `config.noise_floor`, which `rsrp_grid` does not do: a beam at the floor
+    and a beam below it must give the same fingerprint table.
     """
     locations = np.asarray(locations, dtype=float)
-    shadow_seed = derive_seed(scenario.rng_seed, "shadow")
+    shadow_seed = derive_seed(doc["rng_seed"], "shadow")
     columns, ids = [], []
-    site_los = np.zeros((len(locations), len(scenario.sites)), dtype=bool)
-    link_arrays = _link_arrays(locations, scenario, config)
-    for si, site in enumerate(scenario.sites):
+    site_los = np.zeros((len(locations), len(doc["sites"])), dtype=bool)
+    link_arrays = _link_arrays(locations, scenario_from_dict(doc), config)
+    for si, site in enumerate(doc["sites"]):
         d3d, azimuth, elevation, los = (links[si] for links in link_arrays)
         site_los[:, si] = los
-        loss = path_loss(d3d, los, scenario.carrier_frequency, config)
-        shadow = shadow_fading(shadow_seed, site.id, locations, config.shadow_fading_sigma)
-        for sector in site.sectors:
-            for beam in sector.beams:
-                beam_azimuth = _reference_wrap(sector.boresight_azimuth + beam.steer_azimuth)
+        loss = path_loss(d3d, los, doc["carrier_frequency_ghz"], config)
+        shadow = shadow_fading(shadow_seed, site["id"], locations, config.shadow_fading_sigma)
+        for sector in site["sectors"]:
+            for beam in sector["beams"]:
+                beam_azimuth = _reference_wrap(sector["boresight_azimuth"] + beam["steer_azimuth"])
                 az = np.abs(_reference_wrap(_reference_wrap(azimuth - beam_azimuth)))
-                el = np.abs(_reference_wrap(elevation - beam.steer_elevation))
-                rolloff = 12.0 * (az / beam.azimuth_beamwidth) ** 2 + 12.0 * (el / beam.elevation_beamwidth) ** 2
-                gain = beam.peak_gain - np.minimum(rolloff, beam.front_to_back)
-                rsrp = sector.tx_power + gain - loss + shadow
+                el = np.abs(_reference_wrap(elevation - beam["steer_elevation"]))
+                rolloff = 12.0 * (az / beam["azimuth_beamwidth"]) ** 2 + 12.0 * (el / beam["elevation_beamwidth"]) ** 2
+                gain = beam["element_gain"] + beam["array_gain"] - np.minimum(rolloff, beam["front_to_back"])
+                rsrp = sector["tx_power"] + gain - loss + shadow
                 columns.append(np.maximum(rsrp, config.noise_floor))
-                ids.append((sector.cell_id, beam.beam_id, si))
+                ids.append((sector["cell_id"], beam["beam_id"], si))
     cell_ids, beam_ids, site_col = np.array(ids, dtype=np.int64).T
     return RsrpGrid(rsrp=np.column_stack(columns), cell_ids=cell_ids, beam_ids=beam_ids, site_col=site_col,
                     site_los=site_los)
@@ -409,11 +566,11 @@ def reference_extract_features(sample, config) -> np.ndarray:
 
 
 def line_of_sight(p, q, buildings) -> bool:
-    """True iff no building blocks the direct segment between two 3-D points:
-    `rsrp_grid`'s blocking test for one segment."""
+    """True iff no building record blocks the direct segment between two 3-D
+    points: `rsrp_grid`'s blocking test for one segment."""
     if p[:2] == q[:2] and p[2] == q[2]:
         raise ValueError("line_of_sight requires distinct endpoints")
-    mask = _blocked_mask(p, np.array([q[:2]]), q[2], BuildingArrays.of(buildings))
+    mask = _blocked_mask(p, np.array([q[:2]]), q[2], _building_arrays(buildings))
     return not bool(mask[0])
 
 

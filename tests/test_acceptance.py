@@ -36,10 +36,10 @@ from beamloc.mlp import (
     train,
 )
 from beamloc.propagation import PropagationConfig
-from beamloc.scenario import Building, ScenarioConfig, build_scenario
+from beamloc.scenario import ScenarioConfig, build_scenario
 
 from conftest import record_criterion
-from oracles import _best_split, brute_force_best_split, dense_los_oracle, line_of_sight, table_from_samples
+from oracles import _best_split, brute_force_best_split, building, dense_los_oracle, line_of_sight, table_from_samples
 from test_mlp import finite_difference_grads
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -126,7 +126,7 @@ def test_criterion_4_greedy_split_matches_brute_force():
 def test_criterion_5_los_matches_dense_oracle():
     rng = np.random.default_rng(5)
     buildings = tuple(
-        Building((x, y), (x + w, y + h), height)
+        building((x, y), (x + w, y + h), height)
         for x, y, w, h, height in zip(
             rng.uniform(0, 90, 10),
             rng.uniform(0, 90, 10),
@@ -135,7 +135,7 @@ def test_criterion_5_los_matches_dense_oracle():
             rng.uniform(5, 30, 10),
         )
     )
-    box = Building((30.0, 40.0), (50.0, 60.0), 20.0)
+    box = building((30.0, 40.0), (50.0, 60.0), 20.0)
     grazing = [
         # along a vertical face, corner-to-corner diagonal, and roof-level
         ((30.0, 20.0, 5.0), (30.0, 80.0, 5.0), (box,)),

@@ -75,6 +75,8 @@ class Example:
         ({"corner": (0.0, float("-inf"))}, r"corner must be finite, got \(0.0, -inf\)"),
         # an int too large for a float is compared exactly, not overflowed
         ({"width": 10**400}, r"width must be in \(0, 300\], got 1000"),
+        # one with no upper bound is admitted, and then too large for a float
+        ({"positive": 10**400}, "positive must be finite, got 1000"),
     ],
 )
 def test_each_rule_names_the_field_and_the_value(values, message):
@@ -86,3 +88,10 @@ def test_a_list_becomes_a_tuple_and_unset_optionals_and_unbounded_ints_pass():
     example = Example(steers=[-90, 0.5, 90], depth=None, seed=-(10**30))
     assert example.steers == (-90, 0.5, 90) and isinstance(example.steers, tuple)
     assert hash(example) == hash(Example(steers=(-90, 0.5, 90), seed=-(10**30)))
+
+
+def test_an_int_for_a_float_field_or_float_tuple_entry_is_stored_as_a_float():
+    example = Example(positive=2, width=300, steers=[-90, 1, 0.5], count=3)
+    assert [type(v) for v in (example.positive, example.width, *example.steers)] == [float] * 5
+    assert (example.positive, example.steers) == (2.0, (-90.0, 1.0, 0.5))
+    assert type(example.count) is int and type(example.seed) is int

@@ -120,7 +120,7 @@ def test_a_lattice_with_no_street_location_is_a_config_error(capsys, tmp_path, c
     path = write_config(tmp_path, doc)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "config error: scenario: grid_resolution_m 30 puts no lattice point on a street" in err
+    assert "config error: scenario: grid_resolution_m 30.0 puts no lattice point on a street" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -147,7 +147,7 @@ def test_a_lattice_too_large_for_memory_is_a_config_error(capsys, tmp_path, comm
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert re.search(r"^config error: scenario: grid_resolution_m 2.0 puts 1e\+08 lattice points on the "
-                     r"20000 x 20000 m area from margin_m 10000, more than 10000000$", err, re.M)
+                     r"20000 x 20000 m area from margin_m 10000.0, more than 10000000$", err, re.M)
     assert not (tmp_path / "out").exists()
 
 
@@ -246,6 +246,23 @@ def test_cmd_scenario_dry_run_writes_nothing(capsys, tmp_path):
     assert main(["scenario", "--config", path, "--dry-run"]) == 0
     assert "would write" in capsys.readouterr().out
     assert not (tmp_path / "out").exists()
+
+
+def test_int_and_float_spellings_of_float_keys_write_the_same_scenario(capsys, tmp_path):
+    # every float key is stored as a float, so `10` and `10.0` write the same bytes
+    written = []
+    for spell in (int, float):
+        doc = base_doc(str(tmp_path / "out"))
+        doc["scenario"].update(site_height_m=spell(10), tx_power_dbm=spell(23), elevation_steers_deg=[spell(-6)],
+                               mechanical_downtilt_deg=spell(0), grid_resolution_m=spell(2), margin_m=spell(40))
+        assert main(["scenario", "--config", write_config(tmp_path, doc)]) == 0
+        written.append((capsys.readouterr().out, (tmp_path / "out" / "scenario.json").read_bytes()))
+    assert written[0] == written[1]
+    stdout, text = written[0]
+    assert "grid_resolution_m: 2.0" in stdout
+    site = json.loads(text)["sites"][0]
+    assert (site["height"], site["sectors"][0]["tx_power"]) == (10.0, 23.0)
+    assert b'"steer_elevation": -6.0' in text and b'"height": 10.0' in text and b'"tx_power": 23.0' in text
 
 
 def test_cmd_dataset_prints_los_fraction_and_writes_csv(capsys, tmp_path):
@@ -447,7 +464,7 @@ def test_row_blocks_leave_dataset_and_run_outputs_byte_identical(capsys, monkeyp
     path = write_config(tmp_path, doc)
     for command in ("dataset", "run"):
         assert main([command, "--config", path, "--out", str(tmp_path / f"{command}-one-block")]) == 0
-    beams = sum(len(cell.beams) for cell in build_scenario(load_run_config(path).scenario).cells)
+    beams = len(build_scenario(load_run_config(path).scenario).arrays.cell_ids)
     monkeypatch.setattr(beamloc.fingerprint, "GRID_BLOCK_BYTES", 7 * beams * 8)  # seven rows per block
     for command in ("dataset", "run"):
         assert main([command, "--config", path, "--out", str(tmp_path / f"{command}-blocks")]) == 0
@@ -579,7 +596,7 @@ def test_zero_margin_puts_sites_on_the_area_edge(tmp_path):
     doc = base_doc(str(tmp_path / "out"))
     doc["scenario"].update(margin_m=0)
     scenario = build_scenario(load_run_config(write_config(tmp_path, doc)).scenario)
-    assert scenario.sites[0].position == (0.0, 0.0)
+    assert scenario.arrays.site_xyz[0, :2].tolist() == [0.0, 0.0]
 
 
 def test_single_beam_sector_needs_no_elevation_rows(tmp_path):

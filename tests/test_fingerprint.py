@@ -30,7 +30,6 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import beamloc.fingerprint
-import beamloc.scenario
 from beamloc.fingerprint import (
     CSV_BLOCK_ROWS,
     MAX_NEIGHBOR_CELLS,
@@ -50,7 +49,7 @@ from beamloc.fingerprint import (
     save_dataset,
 )
 from beamloc.propagation import PropagationConfig, RsrpGrid, rsrp_grid
-from beamloc.scenario import ScenarioConfig, build_scenario, enumerate_locations, scenario_arrays
+from beamloc.scenario import ScenarioConfig, build_scenario, enumerate_locations
 from beamloc.seeds import derive_seed
 from oracles import (
     FeatureExtractionError,
@@ -722,7 +721,7 @@ def test_from_grid_rejects_columns_out_of_order():
 def test_ranking_keeps_only_the_ranks_a_layout_reads():
     # 6 cells of 32 beams: 32 serving ranks and 5 neighbor ranks exist
     scenario = build_scenario(ScenarioConfig(site_rows=1, site_cols=2, grid_resolution_m=10.0))
-    assert [len(cell.beams) for cell in scenario.cells] == [32] * 6
+    assert np.unique(scenario.arrays.cell_ids, return_counts=True)[1].tolist() == [32] * 6
     table = generate_samples(scenario)
     widths = {name: getattr(table, name).shape[1:] for name in (
         "serving_cell", "serving_beam", "serving_rsrp", "neighbor_cell", "neighbor_beam", "neighbor_rsrp")}
@@ -750,7 +749,7 @@ def test_ranking_keeps_only_the_ranks_a_layout_reads():
 
 def _block_bytes(scenario, rows):
     """GRID_BLOCK_BYTES that holds `rows` rows of `scenario`'s grid."""
-    return rows * sum(len(cell.beams) for cell in scenario.cells) * np.dtype(float).itemsize
+    return rows * len(scenario.arrays.cell_ids) * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -788,27 +787,31 @@ def test_each_grid_call_holds_one_block_and_the_calls_cover_every_location_in_or
 
 @pytest.mark.parametrize("rows", [None, 7])
 def test_one_generation_builds_the_scenario_arrays_once(monkeypatch, rows):
-    # every block's grid reads the scenario's beam, building and column
-    # arrays: they are built for the first block and kept for the others
+    # build_scenario builds the site, beam, building and column arrays once;
+    # every block's grid reads those same arrays, which no block can write
     scenario = _scenario()
-    builds, blocks = [], []
-
-    def counting_builder(built):
-        builds.append(built)
-        return scenario_arrays(built)
+    read, blocks = [], []
 
     def recorder(*args):
         blocks.append(len(args[1]))
+        read.append(args[0].arrays)
         return rsrp_grid(*args)
 
-    monkeypatch.setattr(beamloc.scenario, "scenario_arrays", counting_builder)
     monkeypatch.setattr(beamloc.fingerprint, "rsrp_grid", recorder)
     if rows is not None:
         monkeypatch.setattr(beamloc.fingerprint, "GRID_BLOCK_BYTES", _block_bytes(scenario, rows))
     generate_samples(scenario, SHADOWED)
     locations = len(enumerate_locations(scenario))
     assert len(blocks) == (1 if rows is None else -(-locations // rows)) and sum(blocks) == locations
-    assert len(builds) == 1 and builds[0] is scenario
+    arrays = scenario.arrays
+    assert all(seen is arrays for seen in read)
+    # every site carries the same beams, so the sites share one set of beam arrays
+    assert len(arrays.site_beams) == 2 and arrays.site_beams[0] is arrays.site_beams[1]
+    fields = [*arrays, *arrays.buildings, *arrays.site_beams[0]]
+    locked = [value for value in fields if isinstance(value, np.ndarray)]
+    assert len(locked) == 5 + 3 + 8 and not any(value.flags.writeable for value in locked)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays.site_beams[0].peak_gain[0] = 0.0
 
 
 def test_generation_never_holds_half_the_whole_grid(monkeypatch):

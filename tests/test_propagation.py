@@ -3,12 +3,15 @@ beam-by-beam RSRP reference in oracles.py.
 
 Path loss is held to Friis' formula and the antenna pattern to its 3 dB
 and back-lobe points. `rsrp_grid` computes each pattern term once per
-distinct (steer, beamwidth) pair of a sector and writes the sector's block
-straight into the result; `reference_rsrp_grid` evaluates the pattern beam
-by beam. Both apply the same element-wise operations in the same order, so
-the grids must be identical, bit for bit, wherever the reference's clamp at
-the noise floor leaves a value alone; `rsrp_grid` writes raw RSRP, so the
+(steer, beamwidth) key of a site and writes the site's block straight into
+the result; `reference_rsrp_grid` evaluates the pattern beam by beam. Both
+apply the same element-wise operations in the same order, so the grids
+must be identical, bit for bit, wherever the reference's clamp at the noise
+floor leaves a value alone; `rsrp_grid` writes raw RSRP, so the
 fingerprint tables built from the two grids must be identical everywhere.
+The properties draw deployments by hand, as dicts laid out like
+scenario.json, with mixed beams per sector; `scenario_from_dict` keys each
+site's beams by value, so duplicate steers share a key.
 """
 import dataclasses
 import math
@@ -27,19 +30,15 @@ from beamloc.propagation import (
     rsrp_grid,
     shadow_fading,
 )
-from beamloc.scenario import (
-    Beam,
-    Building,
-    Scenario,
-    ScenarioConfig,
-    Sector,
-    Site,
-    beam_arrays,
-    build_scenario,
-    enumerate_locations,
-    synthesize_beam_grid,
+from beamloc.scenario import ScenarioConfig, build_scenario, enumerate_locations
+from oracles import (
+    building,
+    dense_los_oracle,
+    line_of_sight,
+    reference_beam_grid,
+    reference_rsrp_grid,
+    scenario_from_dict,
 )
-from oracles import dense_los_oracle, line_of_sight, reference_rsrp_grid
 
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -88,10 +87,25 @@ def test_propagation_config_validation():
         PropagationConfig(shadow_fading_sigma=-1.0)
 
 
-def _beam(**kwargs):
-    defaults = dict(beam_id=0, steer_azimuth=0.0, steer_elevation=0.0, array_gain=10.0)
-    defaults.update(kwargs)
-    return Beam(**defaults)
+def _beam(**fields):
+    """A beam record with the deployment's default pattern and 10 dB of array gain."""
+    beam = dict(beam_id=0, steer_azimuth=0.0, steer_elevation=0.0, azimuth_beamwidth=65.0, elevation_beamwidth=65.0,
+                element_gain=8.0, front_to_back=30.0, array_gain=10.0)
+    beam.update(fields)
+    return beam
+
+
+def _peak(beam):
+    return beam["element_gain"] + beam["array_gain"]
+
+
+def _one_site_doc(tx_power=30.0, height=10.0, beams=(_beam(),)):
+    """One sector of `beams` pointing at 0 degrees, on one site at the origin; no buildings."""
+    sector = {"cell_id": 0, "boresight_azimuth": 0.0, "mechanical_downtilt": 5.0, "tx_power": tx_power,
+              "beams": list(beams)}
+    site = {"id": 0, "position": [0.0, 0.0], "height": height, "sectors": [sector]}
+    return {"buildings": [], "sites": [site], "carrier_frequency_ghz": 28.0, "area": [2000.0, 200.0],
+            "grid_resolution_m": 1.0, "rng_seed": 0}
 
 
 def antenna_gain(beam, azimuth_off, elevation_off):
@@ -99,29 +113,29 @@ def antenna_gain(beam, azimuth_off, elevation_off):
     `_beam_block` writes it. The beam and its sector point at 0 degrees,
     the sector has no transmit power, and the links have no loss and no
     shadowing, so the block it writes is the gain, bit for bit."""
-    assert beam.steer_azimuth == beam.steer_elevation == 0.0
-    sector = Sector(cell_id=0, boresight_azimuth=0.0, tx_power=0.0, beams=(beam,))
+    assert beam["steer_azimuth"] == beam["steer_elevation"] == 0.0
+    beams = scenario_from_dict(_one_site_doc(tx_power=0.0, beams=(beam,))).arrays.site_beams[0]
     az, el = (np.ravel(np.asarray(v, dtype=float)) for v in np.broadcast_arrays(azimuth_off, elevation_off))
     zeros = np.zeros(len(az))
     out = np.empty((len(az), 1))
-    _beam_block(beam_arrays((sector,)), az, el, zeros, zeros, out)
+    _beam_block(beams, az, el, zeros, zeros, out)
     return float(out[0, 0]) if np.isscalar(azimuth_off) and np.isscalar(elevation_off) else out[:, 0]
 
 
 def test_antenna_gain_boresight_is_peak():
     beam = _beam()
-    assert antenna_gain(beam, 0.0, 0.0) == beam.peak_gain == 18.0
+    assert antenna_gain(beam, 0.0, 0.0) == _peak(beam) == 18.0
 
 
 def test_antenna_gain_half_beamwidth_is_3db_down():
     beam = _beam()
-    assert antenna_gain(beam, beam.azimuth_beamwidth / 2, 0.0) == pytest.approx(beam.peak_gain - 3.0)
-    assert antenna_gain(beam, 0.0, beam.elevation_beamwidth / 2) == pytest.approx(beam.peak_gain - 3.0)
+    assert antenna_gain(beam, beam["azimuth_beamwidth"] / 2, 0.0) == pytest.approx(_peak(beam) - 3.0)
+    assert antenna_gain(beam, 0.0, beam["elevation_beamwidth"] / 2) == pytest.approx(_peak(beam) - 3.0)
 
 
 def test_antenna_gain_back_lobe_floor():
     beam = _beam()
-    assert antenna_gain(beam, 180.0, 0.0) == pytest.approx(beam.peak_gain - beam.front_to_back)
+    assert antenna_gain(beam, 180.0, 0.0) == pytest.approx(_peak(beam) - beam["front_to_back"])
 
 
 def test_antenna_gain_bounded():
@@ -130,8 +144,8 @@ def test_antenna_gain_bounded():
     az = rng.uniform(-400, 400, size=1000)
     el = rng.uniform(-400, 400, size=1000)
     g = antenna_gain(beam, az, el)
-    assert np.all(g <= beam.peak_gain + 1e-12)
-    assert np.all(g >= beam.peak_gain - beam.front_to_back - 1e-12)
+    assert np.all(g <= _peak(beam) + 1e-12)
+    assert np.all(g >= _peak(beam) - beam["front_to_back"] - 1e-12)
 
 
 def test_los_empty_scene():
@@ -139,7 +153,7 @@ def test_los_empty_scene():
 
 
 def test_los_blocked_by_interior_crossing():
-    b = Building((10.0, -5.0), (20.0, 5.0), 25.0)
+    b = building((10.0, -5.0), (20.0, 5.0), 25.0)
     assert not line_of_sight((0.0, 0.0, 10.0), (50.0, 0.0, 1.5), (b,))
 
 
@@ -147,8 +161,8 @@ def test_los_height_interpolation():
     # segment z runs 10 -> 1.5 over x in [0, 20]; over the crossing x in [1, 3]
     # it stays above 8.7, so only buildings taller than that block
     p, q = (0.0, 0.0, 10.0), (20.0, 0.0, 1.5)
-    tall = Building((1.0, -1.0), (3.0, 1.0), 9.0)
-    short = Building((1.0, -1.0), (3.0, 1.0), 8.0)
+    tall = building((1.0, -1.0), (3.0, 1.0), 9.0)
+    short = building((1.0, -1.0), (3.0, 1.0), 8.0)
     assert not line_of_sight(p, q, (tall,))
     assert line_of_sight(p, q, (short,))
 
@@ -156,7 +170,7 @@ def test_los_height_interpolation():
 def test_los_is_symmetric():
     rng = np.random.default_rng(3)
     buildings = tuple(
-        Building((x, y), (x + w, y + h), height)
+        building((x, y), (x + w, y + h), height)
         for x, y, w, h, height in zip(
             rng.uniform(0, 80, 8),
             rng.uniform(0, 80, 8),
@@ -174,7 +188,7 @@ def test_los_is_symmetric():
 def test_los_matches_dense_sampling_oracle():
     rng = np.random.default_rng(4)
     buildings = tuple(
-        Building((x, y), (x + w, y + h), height)
+        building((x, y), (x + w, y + h), height)
         for x, y, w, h, height in zip(
             rng.uniform(0, 90, 10),
             rng.uniform(0, 90, 10),
@@ -189,54 +203,46 @@ def test_los_matches_dense_sampling_oracle():
         assert line_of_sight(p, q, buildings) == dense_los_oracle(p, q, buildings)
 
 
-def _one_site_scenario(tx_power=30.0, height=10.0, beams=(_beam(),)):
-    """One sector of `beams` pointing at 0 degrees, on one site at the origin; no buildings."""
-    sector = Sector(cell_id=0, boresight_azimuth=0.0, tx_power=tx_power, beams=beams)
-    site = Site(id=0, position=(0.0, 0.0), height=height, sectors=(sector,))
-    return Scenario(buildings=(), sites=(site,), carrier_frequency=28.0, area=(2000.0, 200.0),
-                    grid_resolution=1.0, rng_seed=0)
-
-
 def test_beam_rsrp_composition():
     # tx power + beam gain - free-space loss, with the link angles taken
     # from numpy hypot/arctan2 rather than the module's geometry
-    scenario = _one_site_scenario()
+    doc = _one_site_doc()
     cfg = PropagationConfig()
-    site = scenario.sites[0]
-    sector = site.sectors[0]
-    beam = sector.beams[0]
+    site = doc["sites"][0]
+    sector = site["sectors"][0]
+    beam = sector["beams"][0]
     location = (80.0, 15.0)
-    dx, dy = location[0] - site.position[0], location[1] - site.position[1]
-    dz = cfg.ue_height - site.height
+    dx, dy = location[0] - site["position"][0], location[1] - site["position"][1]
+    dz = cfg.ue_height - site["height"]
     d2d = np.hypot(dx, dy)
     azimuth = np.degrees(np.arctan2(dy, dx))
     elevation = np.degrees(np.arctan2(dz, d2d))
     distance = math.sqrt(d2d**2 + dz**2)
-    free_space = 20.0 * math.log10(4.0 * math.pi * distance * scenario.carrier_frequency * 1e9 / SPEED_OF_LIGHT)
+    free_space = 20.0 * math.log10(4.0 * math.pi * distance * doc["carrier_frequency_ghz"] * 1e9 / SPEED_OF_LIGHT)
     # parabolic pattern: both offsets lie well inside (-180, 180], so no wrap
-    azimuth_off = azimuth - sector.boresight_azimuth - beam.steer_azimuth
-    elevation_off = elevation - beam.steer_elevation
-    rolloff = 12.0 * (azimuth_off / beam.azimuth_beamwidth) ** 2
-    rolloff += 12.0 * (elevation_off / beam.elevation_beamwidth) ** 2
-    gain = beam.peak_gain - min(rolloff, beam.front_to_back)
-    expected = sector.tx_power + gain - free_space
-    grid = rsrp_grid(scenario, np.array([location]), cfg)
-    assert grid.beam_ids[0] == beam.beam_id
+    azimuth_off = azimuth - sector["boresight_azimuth"] - beam["steer_azimuth"]
+    elevation_off = elevation - beam["steer_elevation"]
+    rolloff = 12.0 * (azimuth_off / beam["azimuth_beamwidth"]) ** 2
+    rolloff += 12.0 * (elevation_off / beam["elevation_beamwidth"]) ** 2
+    gain = _peak(beam) - min(rolloff, beam["front_to_back"])
+    expected = sector["tx_power"] + gain - free_space
+    grid = rsrp_grid(scenario_from_dict(doc), np.array([location]), cfg)
+    assert grid.beam_ids[0] == beam["beam_id"]
     # the module's free-space constant is rounded to 0.01 dB
     assert grid.rsrp[0, 0] == pytest.approx(expected, abs=0.01)
 
 
 def test_rsrp_decreases_along_boresight():
     # site and UE at equal height so the link stays exactly on boresight
-    scenario = _one_site_scenario(height=1.5)
+    scenario = scenario_from_dict(_one_site_doc(height=1.5))
     locations = np.array([[d, 0.0] for d in (2, 5, 20, 100, 700)])
     values = rsrp_grid(scenario, locations, PropagationConfig()).rsrp[:, 0]
     assert np.all(values[:-1] > values[1:])
 
 
 def test_tx_power_shift_is_exact():
-    base = _one_site_scenario(tx_power=30.0)
-    boosted = _one_site_scenario(tx_power=33.0)
+    base = scenario_from_dict(_one_site_doc(tx_power=30.0))
+    boosted = scenario_from_dict(_one_site_doc(tx_power=33.0))
     cfg = PropagationConfig(noise_floor=-500.0)
     locations = np.array([[50.0, 10.0], [120.0, -40.0], [15.0, 90.0]])
     a = rsrp_grid(base, locations, cfg).rsrp
@@ -336,10 +342,10 @@ BEAMWIDTHS = (10.0, 65.0, 65, 120.0, 179.9)
 FRONT_TO_BACK = (0.0, 20.0, 30, 45.5)
 BORESIGHTS = (0.0, 120.0, -120.0, 170.0, -170.0, 180.0, -180.0, 240.0, 359.0)
 
-BUILDINGS = (
-    Building((40.0, 40.0), (80.0, 70.0), 25.0),
-    Building((120.0, 10.0), (150.0, 90.0), 8.0),
-)
+BUILDINGS = [
+    building((40.0, 40.0), (80.0, 70.0), 25.0),
+    building((120.0, 10.0), (150.0, 90.0), 8.0),
+]
 
 
 def _angle(pool, low, high):
@@ -349,8 +355,8 @@ def _angle(pool, low, high):
 @st.composite
 def _hand_beams(draw):
     count = draw(st.integers(1, 6))
-    return tuple(
-        Beam(
+    return [
+        _beam(
             beam_id=i,
             steer_azimuth=draw(_angle(AZIMUTHS, -400.0, 400.0)),
             steer_elevation=draw(_angle(ELEVATIONS, -90.0, 90.0)),
@@ -361,71 +367,72 @@ def _hand_beams(draw):
             array_gain=draw(st.floats(0.0, 15.0)),
         )
         for i in range(count)
-    )
+    ]
 
 
 @st.composite
 def _sector(draw, cell_id):
-    sector = Sector(
-        cell_id=cell_id,
-        boresight_azimuth=draw(_angle(BORESIGHTS, -400.0, 400.0)),
-        mechanical_downtilt=draw(st.floats(0.0, 15.0)),
-        tx_power=draw(st.sampled_from((30.0, 46.0, 23))),
-    )
+    sector = {
+        "cell_id": cell_id,
+        "boresight_azimuth": draw(_angle(BORESIGHTS, -400.0, 400.0)),
+        "mechanical_downtilt": draw(st.floats(0.0, 15.0)),
+        "tx_power": draw(st.sampled_from((30.0, 46.0, 23))),
+    }
     if draw(st.booleans()):
         beams = draw(_hand_beams())
     else:
         rows = draw(st.lists(st.sampled_from(ELEVATIONS), min_size=1, max_size=4))
         count = draw(st.sampled_from((1, len(rows), 2 * len(rows), 4 * len(rows))))
-        beams = tuple(
-            synthesize_beam_grid(
-                sector,
-                count,
-                elevation_steers=tuple(rows),
-                azimuth_beamwidth_deg=draw(st.sampled_from(BEAMWIDTHS)),
-                front_to_back_db=draw(st.sampled_from(FRONT_TO_BACK)),
-            )
+        beams = reference_beam_grid(
+            count,
+            rows,
+            sector["mechanical_downtilt"],
+            azimuth_beamwidth=draw(st.sampled_from(BEAMWIDTHS)),
+            elevation_beamwidth=65.0,
+            element_gain=8.0,
+            front_to_back=draw(st.sampled_from(FRONT_TO_BACK)),
         )
-    return dataclasses.replace(sector, beams=beams)
+    return {**sector, "beams": beams}
 
 
 @st.composite
 def _case(draw):
+    """(a deployment dict of hand-drawn sites, sectors and beams, locations, propagation config)."""
     n_sites = draw(st.integers(1, 3))
     sites = []
     for site_id in range(n_sites):
         n_sectors = draw(st.integers(1, 3))
-        sectors = tuple(draw(_sector(site_id * 3 + s)) for s in range(n_sectors))
-        position = (draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 100.0)))
-        sites.append(Site(id=site_id, position=position, height=draw(st.floats(3.0, 30.0)), sectors=sectors))
-    scenario = Scenario(
-        buildings=BUILDINGS if draw(st.booleans()) else (),
-        sites=tuple(sites),
-        carrier_frequency=draw(st.sampled_from((3.5, 28.0, 60.0))),
-        area=(200.0, 100.0),
-        grid_resolution=1.0,
-        rng_seed=draw(st.integers(0, 2**16)),
-    )
+        sectors = [draw(_sector(site_id * 3 + s)) for s in range(n_sectors)]
+        position = [draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 100.0))]
+        sites.append({"id": site_id, "position": position, "height": draw(st.floats(3.0, 30.0)), "sectors": sectors})
+    doc = {
+        "buildings": BUILDINGS if draw(st.booleans()) else [],
+        "sites": sites,
+        "carrier_frequency_ghz": draw(st.sampled_from((3.5, 28.0, 60.0))),
+        "area": [200.0, 100.0],
+        "grid_resolution_m": 1.0,
+        "rng_seed": draw(st.integers(0, 2**16)),
+    }
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     locations = rng.uniform((-20.0, -20.0), (220.0, 120.0), size=(draw(st.integers(1, 25)), 2))
     if draw(st.booleans()):
         # a location right under a site: zero horizontal distance
-        locations = np.vstack([locations, [sites[0].position]])
+        locations = np.vstack([locations, [sites[0]["position"]]])
     config = PropagationConfig(
         model=draw(st.sampled_from(PROPAGATION_MODELS)),
         shadow_fading_sigma=draw(st.sampled_from((0.0, 4.0, 9.5))),
         # -50 dBm clamps most links, -200 dBm none
         noise_floor=draw(st.sampled_from((-200.0, -105.0, -80.0, -50.0))),
     )
-    return scenario, locations, config
+    return doc, locations, config
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_case())
 def test_rsrp_grid_matches_beam_by_beam_reference(case):
-    scenario, locations, config = case
-    got = rsrp_grid(scenario, locations, config)
-    want = reference_rsrp_grid(scenario, locations, config)
+    doc, locations, config = case
+    got = rsrp_grid(scenario_from_dict(doc), locations, config)
+    want = reference_rsrp_grid(doc, locations, config)
     assert got.rsrp.shape == want.rsrp.shape
     assert np.array_equal(np.maximum(got.rsrp, config.noise_floor), want.rsrp)
     assert np.array_equal(got.site_los, want.site_los)
@@ -438,10 +445,10 @@ def test_rsrp_grid_matches_beam_by_beam_reference(case):
 def test_table_from_raw_grid_matches_table_from_floored_reference(case):
     # the table alone decides audibility: the raw grid and the reference's
     # clamped grid must give the same table, bit for bit
-    scenario, locations, config = case
-    got = FingerprintTable.from_grid(locations, rsrp_grid(scenario, locations, config), config.noise_floor)
-    want = FingerprintTable.from_grid(locations, reference_rsrp_grid(scenario, locations, config),
-                                      config.noise_floor)
+    doc, locations, config = case
+    got = FingerprintTable.from_grid(locations, rsrp_grid(scenario_from_dict(doc), locations, config),
+                                     config.noise_floor)
+    want = FingerprintTable.from_grid(locations, reference_rsrp_grid(doc, locations, config), config.noise_floor)
     for name in (f.name for f in dataclasses.fields(got)):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -452,14 +459,14 @@ def test_table_from_raw_grid_matches_table_from_floored_reference(case):
 def test_grid_los_of_every_site_is_the_one_segment_line_of_sight(case):
     # rsrp_grid clips every site's links in one call; each entry must be the
     # blocking test of that one segment
-    scenario, locations, config = case
-    site_los = rsrp_grid(scenario, locations, config).site_los
-    for si, site in enumerate(scenario.sites):
-        start = (*site.position, site.height)
-        want = [line_of_sight(start, (x, y, config.ue_height), scenario.buildings) for x, y in locations.tolist()]
+    doc, locations, config = case
+    site_los = rsrp_grid(scenario_from_dict(doc), locations, config).site_los
+    for si, site in enumerate(doc["sites"]):
+        start = (*site["position"], site["height"])
+        want = [line_of_sight(start, (x, y, config.ue_height), doc["buildings"]) for x, y in locations.tolist()]
         assert site_los[:, si].tolist() == want
 
 
 def test_rsrp_grid_rejects_a_scenario_without_beams():
     with pytest.raises(ValueError, match="no beams"):
-        rsrp_grid(_one_site_scenario(beams=()), np.array([[1.0, 2.0]]))
+        rsrp_grid(scenario_from_dict(_one_site_doc(beams=())), np.array([[1.0, 2.0]]))
