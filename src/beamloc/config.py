@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .bounds import bound, check_fields
+from .bounds import bound, check_fields, check_value
 from .dtree import TreeConfig
 from .evaluation import ExperimentDescriptor
 from .fingerprint import FeatureConfig
@@ -48,6 +48,14 @@ class RunConfig:
     dataset: DatasetConfig
     experiments: tuple[ExperimentDescriptor, ...]
 
+    def __post_init__(self):
+        check_fields(self)
+
+
+# the file's key for each descriptor field it spells differently
+EXPERIMENT_KEYS = {"experiment_id": "id", "model_kind": "model", "feature_config": "features",
+                   "train_config": "train", "tree_config": "tree"}
+
 
 def _require_map(doc, section: str):
     if doc is None:
@@ -57,42 +65,25 @@ def _require_map(doc, section: str):
     return doc
 
 
-def _is_int(value) -> bool:
-    """True for an int that is not a bool (YAML `true` is an int to isinstance)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """True for an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _build_dataclass(cls, values: dict, section: str, *, defaults=None):
-    """Construct a config dataclass, rejecting by name unknown keys and any
-    value of the wrong type: bools, ints, optional ints (int or null), floats
-    (int or float) and float tuples (a list of those)."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key, value in values.items():
+def _build_dataclass(cls, values, section: str, *, defaults=None, spelled=None):
+    """Construct a config dataclass from a file section, rejecting by name a
+    section that is not a mapping, an unknown key and, by the class's own
+    `check_fields`, a value of the wrong type or out of range. `spelled`
+    gives the file's key for each field where the two differ."""
+    spelled = spelled or {}
+    fields = {spelled.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    values = _require_map(values, section)
+    for key in values:
         if key not in fields:
             raise ConfigError(f"{section}: unknown key '{key}'")
-        if fields[key].type == "bool" and not isinstance(value, bool):
-            raise ConfigError(f"{section}: {key} must be a bool, got {type(value).__name__}")
-        if fields[key].type == "int" and not _is_int(value):
-            raise ConfigError(f"{section}: {key} must be an int, got {type(value).__name__}")
-        if fields[key].type == "int | None" and not (value is None or _is_int(value)):
-            raise ConfigError(f"{section}: {key} must be an int or null, got {type(value).__name__}")
-        if fields[key].type == "float" and not _is_number(value):
-            raise ConfigError(f"{section}: {key} must be a number, got {type(value).__name__}")
-        if fields[key].type == "tuple[float, ...]" and not (
-            isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
-        ):
-            raise ConfigError(f"{section}: {key} must be a list of numbers, got {value!r}")
     merged = dict(defaults or {})
-    merged.update(values)
+    merged.update((fields[key], value) for key, value in values.items())
     try:
         return cls(**merged)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{section}: {err}") from err
+    except ValueError as err:
+        # a message opens with the field's name, given here as the file spells it
+        name, _, rest = str(err).partition(" ")
+        raise ConfigError(f"{section}: {spelled.get(name, name)} {rest}") from err
 
 
 def _parse_experiment(entry, index: int, global_seed: int) -> ExperimentDescriptor:
@@ -106,43 +97,19 @@ def _parse_experiment(entry, index: int, global_seed: int) -> ExperimentDescript
         raise ConfigError(f"{section}: id {exp_id!r} must not contain a path separator or NUL")
     section = f"experiments[{exp_id}]"
 
-    known = {"id", "model", "topology", "features", "hidden_layers", "train", "tree", "seed"}
-    for key in entry:
-        if key not in known:
-            raise ConfigError(f"{section}: unknown key '{key}'")
-
-    features = _build_dataclass(
-        FeatureConfig, _require_map(entry.get("features"), f"{section}.features"), f"{section}.features"
-    )
     train_map = _require_map(entry.get("train"), f"{section}.train")
     if "seed" in train_map:
         raise ConfigError(f"{section}.train: key 'seed' is derived from the run seed, set 'seed' on the experiment instead")
-    train = _build_dataclass(TrainConfig, train_map, f"{section}.train")
-    tree = _build_dataclass(TreeConfig, _require_map(entry.get("tree"), f"{section}.tree"), f"{section}.tree")
-
-    hidden = entry.get("hidden_layers", [64])
-    if not isinstance(hidden, (list, tuple)) or not all(_is_int(w) for w in hidden):
-        raise ConfigError(f"{section}: hidden_layers must be a list of ints")
-
-    seed = entry.get("seed")
-    if seed is None:
-        seed = derive_seed(global_seed, "experiment", exp_id)
-    elif not _is_int(seed):
-        raise ConfigError(f"{section}: seed must be an int")
-    try:
-        return ExperimentDescriptor(
-            experiment_id=exp_id,
-            feature_config=features,
-            topology=entry.get("topology", "network_level"),
-            model_kind=entry.get("model", "mlp"),
-            hidden_layers=hidden,
-            train_config=train,
-            tree_config=tree,
-            seed=seed,
-        )
-    except (TypeError, ValueError) as err:
-        # the descriptor's model_kind is the file's key `model`
-        raise ConfigError(f"{section}: {err}".replace("model_kind", "model", 1)) from err
+    values = {
+        **entry,
+        "id": exp_id,
+        "features": _build_dataclass(FeatureConfig, entry.get("features"), f"{section}.features"),
+        "train": _build_dataclass(TrainConfig, train_map, f"{section}.train"),
+        "tree": _build_dataclass(TreeConfig, entry.get("tree"), f"{section}.tree"),
+    }
+    if values.get("seed") is None:
+        values["seed"] = derive_seed(global_seed, "experiment", exp_id)
+    return _build_dataclass(ExperimentDescriptor, values, section, spelled=EXPERIMENT_KEYS)
 
 
 def load_run_config(path: str, seed_override: int | None = None, out_override: str | None = None) -> RunConfig:
@@ -160,26 +127,17 @@ def load_run_config(path: str, seed_override: int | None = None, out_override: s
         raise ConfigError(f"config file {path} is not valid YAML: {err}") from err
     doc = _require_map(doc, "top level")
 
-    known = {"seed", "output_dir", "scenario", "propagation", "dataset", "experiments"}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"top level: unknown key '{key}'")
-
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError("top level: seed must be an int")
-    output_dir = out_override if out_override is not None else doc.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("top level: output_dir must be a string")
-
-    scenario_map = _require_map(doc.get("scenario"), "scenario")
-    scenario_defaults = {"seed": derive_seed(seed, "scenario")}
-    scenario = _build_dataclass(ScenarioConfig, scenario_map, "scenario", defaults=scenario_defaults)
-    propagation = _build_dataclass(
-        PropagationConfig, _require_map(doc.get("propagation"), "propagation"), "propagation"
+    try:
+        # every derived seed hashes it, so it is checked before the first one
+        seed = check_value(RunConfig, "seed", seed)
+    except ValueError as err:
+        raise ConfigError(f"top level: {err}") from err
+    scenario = _build_dataclass(
+        ScenarioConfig, doc.get("scenario"), "scenario", defaults={"seed": derive_seed(seed, "scenario")}
     )
-
-    dataset = _build_dataclass(DatasetConfig, _require_map(doc.get("dataset"), "dataset"), "dataset")
+    propagation = _build_dataclass(PropagationConfig, doc.get("propagation"), "propagation")
+    dataset = _build_dataclass(DatasetConfig, doc.get("dataset"), "dataset")
 
     entries = doc.get("experiments", [])
     if entries is None:
@@ -192,11 +150,8 @@ def load_run_config(path: str, seed_override: int | None = None, out_override: s
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise ConfigError(f"experiments: duplicate id '{dupes[0]}'")
 
-    return RunConfig(
-        seed=seed,
-        output_dir=output_dir,
-        scenario=scenario,
-        propagation=propagation,
-        dataset=dataset,
-        experiments=experiments,
-    )
+    values = {**doc, "seed": seed, "scenario": scenario, "propagation": propagation, "dataset": dataset,
+              "experiments": experiments}
+    if out_override is not None:
+        values["output_dir"] = out_override
+    return _build_dataclass(RunConfig, values, "top level", defaults={"output_dir": "out"})

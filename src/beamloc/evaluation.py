@@ -30,7 +30,7 @@ from .fingerprint import (
     normalize,
     partition_by_cell,
 )
-from .mlp import MAX_HIDDEN_WIDTH, MlpArchitecture, TrainConfig, init_model, predict, train
+from .mlp import MAX_HIDDEN_LAYERS, MAX_HIDDEN_WIDTH, MlpArchitecture, TrainConfig, init_model, predict, train
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -95,7 +95,7 @@ class ExperimentDescriptor:
     feature_config: FeatureConfig
     topology: str = bound("network_level", choices=TOPOLOGIES)
     model_kind: str = bound("mlp", choices=MODEL_KINDS)
-    hidden_layers: tuple[int, ...] = bound((64,), ge=1, le=MAX_HIDDEN_WIDTH)
+    hidden_layers: tuple[int, ...] = bound((64,), ge=1, le=MAX_HIDDEN_WIDTH, max_len=MAX_HIDDEN_LAYERS)
     train_config: TrainConfig = field(default_factory=TrainConfig)
     tree_config: TreeConfig = field(default_factory=TreeConfig)
     seed: int = 0

@@ -15,14 +15,17 @@ import numpy as np
 from .bounds import bound, check_fields
 
 OUTPUT_DIM = 2  # the (x, y) position
-# the widest hidden layer: 1024 x 1024 weights and their Adam state take 32 MiB
+# the widest hidden layer: `train` holds seven float64 copies of the parameters
+# (params, grad, Adam m and v, step, denom, best), so 1024 x 1024 weights take 56 MiB
 MAX_HIDDEN_WIDTH = 1024
+# the most hidden layers: the seven layers between eight of the widest take 392 MiB in `train`
+MAX_HIDDEN_LAYERS = 8
 
 
 @dataclass(frozen=True)
 class MlpArchitecture:
     input_dim: int = bound(ge=1)
-    hidden_layers: tuple[int, ...] = bound((64,), ge=1, le=MAX_HIDDEN_WIDTH)
+    hidden_layers: tuple[int, ...] = bound((64,), ge=1, le=MAX_HIDDEN_WIDTH, max_len=MAX_HIDDEN_LAYERS)
 
     def __post_init__(self):
         check_fields(self)

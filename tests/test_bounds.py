@@ -1,5 +1,5 @@
-"""Declared field bounds: the message of each kind of rule, and a guard that
-every number of a config section declares its range.
+"""Declared field types and bounds: the message of each kind of rule, and a
+guard that every number of a config section declares its range.
 
 A config dataclass field holding an int, a float or a tuple of them must
 declare a bound with `bound(...)`, or be listed in UNBOUNDED with the reason
@@ -13,21 +13,22 @@ from dataclasses import dataclass
 import pytest
 
 from beamloc.bounds import bound, check_fields
-from beamloc.config import DatasetConfig
+from beamloc.config import DatasetConfig, RunConfig
 from beamloc.dtree import TreeConfig
 from beamloc.evaluation import ExperimentDescriptor
 from beamloc.fingerprint import FeatureConfig
-from beamloc.mlp import TrainConfig
+from beamloc.mlp import MlpArchitecture, TrainConfig
 from beamloc.propagation import PropagationConfig
 from beamloc.scenario import ScenarioConfig
 
 CONFIG_SECTIONS = (ScenarioConfig, PropagationConfig, DatasetConfig, FeatureConfig, TrainConfig, TreeConfig,
-                   ExperimentDescriptor)
+                   ExperimentDescriptor, RunConfig)
 NUMBER_TYPES = ("int", "float", "int | None", "tuple[int, ...]", "tuple[float, ...]")
 UNBOUNDED = {
     "ScenarioConfig.seed": "any int seeds the scenario; seeds are hashed, never used as a size",
     "TrainConfig.seed": "derived from the arm's seed; the file may not set it",
     "ExperimentDescriptor.seed": "any int seeds the arm; seeds are hashed, never used as a size",
+    "RunConfig.seed": "any int seeds the run; seeds are hashed, never used as a size",
 }
 
 
@@ -54,6 +55,8 @@ class Example:
     steers: tuple[float, ...] = bound((0.0,), ge=-90, le=90)
     corner: tuple[float, float] = (0.0, 0.0)
     seed: int = 0
+    flag: bool = True
+    widths: tuple[int, ...] = bound((1,), ge=1, max_len=2)
 
     def __post_init__(self):
         check_fields(self)
@@ -77,11 +80,36 @@ class Example:
         ({"width": 10**400}, r"width must be in \(0, 300\], got 1000"),
         # one with no upper bound is admitted, and then too large for a float
         ({"positive": 10**400}, "positive must be finite, got 1000"),
+        # the type is checked before the range, so a wrong one never reaches a comparison
+        ({"positive": True}, "positive must be a number, got bool"),
+        ({"count": 2.0}, "count must be an int, got float"),
+        ({"flag": "no"}, "flag must be a bool, got str"),
+        ({"steers": [0.0, "a"]}, r"steers must be a list of numbers, got \[0.0, 'a'\]"),
+        ({"widths": [1, True]}, r"widths must be a list of ints, got \[1, True\]"),
+        ({"widths": [1, 1, 1]}, "widths must have at most 2 entries, got 3"),
     ],
 )
 def test_each_rule_names_the_field_and_the_value(values, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         Example(**values)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ScenarioConfig(site_height_m=True), "site_height_m must be a number, got bool"),
+        (lambda: ScenarioConfig(elevation_steers_deg=("a",)),
+         r"elevation_steers_deg must be a list of numbers, got \('a',\)"),
+        (lambda: TrainConfig(batch_size=32.5), "batch_size must be an int, got float"),
+        (lambda: FeatureConfig(include_serving_cell_id="no"), "include_serving_cell_id must be a bool, got str"),
+        (lambda: MlpArchitecture(input_dim=2.5), "input_dim must be an int, got float"),
+        (lambda: ExperimentDescriptor("arm", FeatureConfig(), seed="7"), "seed must be an int, got str"),
+    ],
+    ids=["bool-for-float", "str-in-float-tuple", "float-for-int", "str-for-bool", "float-input-dim", "str-seed"],
+)
+def test_a_config_built_in_code_is_held_to_its_declared_types(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_a_list_becomes_a_tuple_and_unset_optionals_and_unbounded_ints_pass():

@@ -351,6 +351,17 @@ def test_cmd_run_dry_run_lists_experiments(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_more_hidden_layers_than_the_cap_is_a_config_error(capsys, tmp_path):
+    # 2000 layers of 1024 would be 2.1e9 parameters, 15.6 GiB per buffer of `train`
+    doc = yaml.safe_load(Path(TINY).read_text())
+    doc["experiments"][0]["hidden_layers"] = [1024] * 2000
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path, "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^config error: experiments\[mlp-tiny\]: hidden_layers must have at most 8 entries, "
+                     r"got 2000$", err, re.M), err
+
+
 def test_cmd_run_dry_run_names_each_layout_by_its_feature_tag(capsys, tmp_path):
     # the three layouts differ only in the cell ID field and one-hot widths
     doc = base_doc(str(tmp_path / "out"))
