@@ -16,7 +16,9 @@
 # sites on the area edge, and an array gain of 10*log10(40)) and
 # scenario-bare (tiny.yaml on two sites of one beam per sector without
 # buildings, both arms reading one serving beam and one neighbor cell: the
-# single downtilt beam). The script passes
+# single downtilt beam). scenario-edge-nlos runs `dataset` on scenario-edge
+# under `umi_los_nlos` with 8 dB shadow fading, so the LoS-dependent path
+# loss feeds the beam pattern pass. The script passes
 # when `diff -r` finds no difference. Otherwise it prints the differing files,
 # and passes only when HEAD_TREE's CHANGES.md has a line starting
 # "Output bytes change:" that BASE_TREE's lacks.
@@ -69,6 +71,8 @@ save("paper-matrix-short.yaml", matrix)
 edge = load("paper-matrix.yaml")
 edge["scenario"].update(sectors_per_site=6, beams_per_sector=40, margin_m=0.0, grid_resolution_m=10.0)
 save("scenario-edge.yaml", edge)
+edge["propagation"].update(model="umi_los_nlos", shadow_fading_sigma=8.0)
+save("scenario-edge-nlos.yaml", edge)
 bare = load("tiny.yaml")
 bare["scenario"].update(site_cols=2, beams_per_sector=1, with_buildings=False)
 for experiment in bare["experiments"]:
@@ -83,7 +87,7 @@ EOF
     esac
     local command config
     for command_config in run:tiny run:tiny-cells run:tiny-nlos dataset:tiny-nlos dataset:paper-matrix run:paper-matrix-short \
-            scenario:tiny scenario:paper-matrix scenario:scenario-edge dataset:scenario-edge \
+            scenario:tiny scenario:paper-matrix scenario:scenario-edge dataset:scenario-edge dataset:scenario-edge-nlos \
             scenario:scenario-bare dataset:scenario-bare; do
         command=${command_config%%:*}
         config=${command_config#*:}

@@ -27,6 +27,7 @@ from .fingerprint import (
     FeatureConfig,
     atomic_write_text,
     build_dataset,
+    extract_features_layout,
     normalize,
     partition_by_cell,
 )
@@ -104,6 +105,16 @@ class ExperimentDescriptor:
         if not self.experiment_id:
             raise ValueError("experiment_id must be non-empty")
         check_fields(self)
+        # the layer caps bound the hidden layers; the input layer is held to
+        # the widest layer they admit, MAX_HIDDEN_WIDTH x MAX_HIDDEN_WIDTH weights
+        if self.model_kind == "mlp" and self.hidden_layers:
+            inputs = len(extract_features_layout(self.feature_config))
+            weights = inputs * self.hidden_layers[0]
+            if weights > MAX_HIDDEN_WIDTH**2:
+                raise ValueError(
+                    f"hidden_layers {list(self.hidden_layers)} put {weights} weights in the first layer from the "
+                    f"feature layout's {inputs} inputs, more than {MAX_HIDDEN_WIDTH}**2 = {MAX_HIDDEN_WIDTH**2}"
+                )
 
     def summary(self) -> dict:
         return {

@@ -225,8 +225,7 @@ def generate_samples(scenario: Scenario, prop_config: PropagationConfig | None =
     locations = enumerate_locations(scenario)
     if len(locations) == 0:
         raise NoLocationsError("scenario has no street locations to sample")
-    n_beams = len(scenario.arrays.cell_ids)
-    step = max(1, GRID_BLOCK_BYTES // (max(1, n_beams) * np.dtype(float).itemsize))
+    step = max(1, GRID_BLOCK_BYTES // (max(1, scenario.n_beams) * np.dtype(float).itemsize))
     blocks = [
         FingerprintTable.from_grid(block, rsrp_grid(scenario, block, prop_config), prop_config.noise_floor)
         for block in (locations[start:start + step] for start in range(0, len(locations), step))

@@ -6,7 +6,7 @@ footprints, log-distance path loss at the carrier frequency, and a parabolic
 from a stateless per-(location, site) hash so results never depend on
 evaluation order or parallelism. Link geometry, LoS and shadow fading are
 evaluated for every site at once and beam gain one site's beams at a time,
-from the arrays `build_scenario` lays out (`Scenario.arrays`).
+from the scenario's one sector formula (`Scenario.sectors`).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .geom import segment_rect_crossing, wrap_deg
 from .bounds import bound, check_fields
-from .scenario import MAX_DB, MAX_LENGTH_M, BeamArrays, BuildingArrays, Scenario
+from .scenario import MAX_DB, MAX_LENGTH_M, BuildingArrays, Scenario, SectorFormula
 from .seeds import derive_seed
 
 DEFAULT_UE_HEIGHT = 1.5
@@ -72,8 +72,7 @@ def _link_arrays(locations: np.ndarray, scenario: Scenario, config: PropagationC
     """Direct-path geometry and LoS from every site of `scenario` to every
     location, as (sites, N) arrays with rows in scenario order."""
     locations = np.asarray(locations, dtype=float)
-    arrays = scenario.arrays
-    p = arrays.site_xyz[:, None]
+    p = scenario.site_xyz[:, None]
     dx = locations[:, 0] - p[..., 0]
     dy = locations[:, 1] - p[..., 1]
     dz = config.ue_height - p[..., 2]
@@ -81,7 +80,7 @@ def _link_arrays(locations: np.ndarray, scenario: Scenario, config: PropagationC
     d3d = np.sqrt(d2d * d2d + dz * dz)
     azimuth = np.degrees(np.arctan2(dy, dx))
     elevation = np.degrees(np.arctan2(dz, d2d))
-    los = ~_blocked_mask(p, locations, config.ue_height, arrays.buildings)
+    los = ~_blocked_mask(p, locations, config.ue_height, scenario.buildings)
     return d3d, azimuth, elevation, los
 
 
@@ -168,28 +167,31 @@ class RsrpGrid:
     site_los: np.ndarray
 
 
-def _beam_block(beams: BeamArrays, azimuth, elevation, loss, shadow, out: np.ndarray) -> None:
-    """Write the (locations, beams) RSRP block of `beams` into `out`.
+def _beam_block(sectors: SectorFormula, azimuth, elevation, loss, shadow, out: np.ndarray) -> None:
+    """Write the (locations, beams) RSRP block of one site's beams into `out`.
 
-    `beams` belong to one site, whose links give the per-location azimuth,
-    elevation, loss and shadow. A beam's gain is its peak gain minus the
-    summed azimuth and elevation rolloff, floored at front_to_back below the
-    peak. Each rolloff term is computed once per distinct (steer, beamwidth)
-    key, the azimuth and elevation keys in one pass, and gathered per beam,
-    in the per-element order of a beam-by-beam evaluation on wrapped
-    offsets. The azimuth offset is wrapped once: wrap_deg returns its own
-    outputs unchanged, bit for bit, so a second wrap would change nothing.
+    The site's links give the per-location azimuth, elevation, loss and
+    shadow. A beam's gain is the peak gain minus the summed azimuth and
+    elevation rolloff, floored at front_to_back below the peak. The azimuth
+    rolloff is computed once per (sector, column), its steer the sector's
+    boresight plus the column's steer wrapped to (-180, 180], and the
+    elevation rolloff once per row; broadcasting adds them over
+    (locations, sectors, rows, columns), in the per-element order of a
+    beam-by-beam evaluation on wrapped offsets. The azimuth offset is
+    wrapped once: wrap_deg returns its own outputs unchanged, bit for bit,
+    so a second wrap would change nothing.
     """
-    offset = np.where(beams.is_elevation, elevation[:, None], azimuth[:, None])
-    offset -= beams.steer
-    term = _pattern_term(offset, beams.width)
-    rolloff = term[:, beams.az_of_beam]
-    rolloff += term[:, beams.el_of_beam]
-    np.minimum(rolloff, beams.front_to_back, out=rolloff)
-    gain = np.subtract(beams.peak_gain, rolloff, out=rolloff)
+    n_sectors, n_az = len(sectors.boresight), len(sectors.azimuth_steers)
+    steer = wrap_deg(sectors.boresight[:, None] + sectors.azimuth_steers).ravel()
+    azimuth_term = _pattern_term(azimuth[:, None] - steer, sectors.azimuth_beamwidth)
+    elevation_term = _pattern_term(elevation[:, None] - sectors.elevation_steers, sectors.elevation_beamwidth)
+    rolloff = azimuth_term.reshape(len(azimuth), n_sectors, 1, n_az) + elevation_term[:, None, :, None]
+    rolloff = rolloff.reshape(len(azimuth), -1)
+    np.minimum(rolloff, sectors.front_to_back, out=rolloff)
+    gain = np.subtract(sectors.element_gain + sectors.array_gain, rolloff, out=rolloff)
     # composed in the contiguous buffer: only the last pass writes the
     # strided column slice `out`, which is slower to update in place
-    rsrp = np.add(beams.tx_power, gain, out=gain)
+    rsrp = np.add(sectors.tx_power, gain, out=gain)
     rsrp -= loss[:, None]
     np.add(rsrp, shadow[:, None], out=out)
 
@@ -205,23 +207,24 @@ def rsrp_grid(scenario: Scenario, locations: np.ndarray, config: PropagationConf
     """
     config = config or PropagationConfig()
     locations = np.asarray(locations, dtype=float)
-    arrays = scenario.arrays
-    if not len(arrays.cell_ids):
+    formula = scenario.sectors
+    n_sites, n_sectors = len(scenario.site_xyz), len(formula.boresight)
+    count = len(formula.azimuth_steers) * len(formula.elevation_steers)
+    if not n_sites * n_sectors * count:
         raise ValueError("scenario has no beams")
     d3d, azimuth, elevation, los = _link_arrays(locations, scenario, config)
     loss = path_loss(d3d, los, scenario.carrier_frequency, config)
     shadow_seed = derive_seed(scenario.rng_seed, "shadow")
-    shadow = shadow_fading(shadow_seed, arrays.site_id[:, None], locations, config.shadow_fading_sigma)
-    rsrp = np.empty((len(locations), len(arrays.cell_ids)))
-    column = 0
-    for si, beams in enumerate(arrays.site_beams):
-        end = column + len(beams.peak_gain)
-        _beam_block(beams, azimuth[si], elevation[si], loss[si], shadow[si], rsrp[:, column:end])
-        column = end
+    shadow = shadow_fading(shadow_seed, np.arange(n_sites, dtype=np.uint64)[:, None], locations,
+                           config.shadow_fading_sigma)
+    width = n_sectors * count
+    rsrp = np.empty((len(locations), n_sites * width))
+    for si in range(n_sites):
+        _beam_block(formula, azimuth[si], elevation[si], loss[si], shadow[si], rsrp[:, si * width:(si + 1) * width])
     return RsrpGrid(
         rsrp=rsrp,
-        cell_ids=arrays.cell_ids,
-        beam_ids=arrays.beam_ids,
-        site_col=arrays.site_col,
+        cell_ids=np.repeat(np.arange(n_sites * n_sectors, dtype=np.int64), count),
+        beam_ids=np.tile(np.arange(count, dtype=np.int64), n_sites * n_sectors),
+        site_col=np.repeat(np.arange(n_sites, dtype=np.int64), width),
         site_los=np.ascontiguousarray(los.T),
     )

@@ -4,8 +4,9 @@ The world is a rectangular area covered by a street grid. Sites sit at street
 intersections, each with three 120-degree sectors, and every sector carries a
 fixed grid-of-beams tiling its azimuth span. Buildings fill the blocks between
 streets, so line of sight exists along street corridors only. The deployment
-is held only as arrays, which `build_scenario` lays out from a
-`ScenarioConfig` with array operations.
+is held as the arrays of its sites and buildings and one `SectorFormula` of
+the sectors and beams every site carries, which `build_scenario` lays out
+from a `ScenarioConfig` with array operations.
 """
 from __future__ import annotations
 
@@ -34,37 +35,6 @@ MAX_LATTICE_POINTS = 10_000_000  # the most `enumerate_locations` builds: a 3 km
 MAX_GRID_ENTRIES = 1_000_000_000
 
 
-def _read_only(arrays):
-    """`arrays` with every array field locked: one scenario's arrays are
-    shared by every grid evaluated on it, so a write would reach all later
-    blocks."""
-    for value in arrays:
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    return arrays
-
-
-class BeamArrays(NamedTuple):
-    """The beams of one or more sectors as arrays, one entry per beam, sectors
-    in order and beams in sector order.
-
-    The pattern is evaluated once per (steer, width) key: first the azimuth
-    keys, each steer the sector boresight plus the beam's steer wrapped to
-    (-180, 180], then the elevation keys, flagged in is_elevation. Beam j
-    reads azimuth key az_of_beam[j] and elevation key el_of_beam[j];
-    front_to_back, peak_gain and tx_power are per beam.
-    """
-
-    steer: np.ndarray
-    width: np.ndarray
-    is_elevation: np.ndarray
-    az_of_beam: np.ndarray
-    el_of_beam: np.ndarray
-    front_to_back: np.ndarray
-    peak_gain: np.ndarray
-    tx_power: np.ndarray
-
-
 class BuildingArrays(NamedTuple):
     """Building footprints and roof heights: (B, 2) corners and (B,) heights."""
 
@@ -73,38 +43,19 @@ class BuildingArrays(NamedTuple):
     height: np.ndarray
 
 
-class ScenarioArrays(NamedTuple):
-    """A scenario's fixed data as arrays.
-
-    Sites are rows of site_xyz (x, y, height) and of site_id, and entries
-    of site_beams, in scenario order; sites with the same beams may share
-    one BeamArrays. The RSRP grid has one column per beam:
-    sites in scenario order, sectors in site order, beams in sector order;
-    column j is beam beam_ids[j] of cell cell_ids[j] on site row site_col[j].
-    """
-
-    site_xyz: np.ndarray  # (n_sites, 3)
-    site_id: np.ndarray  # (n_sites,)
-    site_beams: tuple[BeamArrays, ...]
-    buildings: BuildingArrays
-    site_col: np.ndarray  # (n_beams,)
-    cell_ids: np.ndarray  # (n_beams,)
-    beam_ids: np.ndarray  # (n_beams,)
-
-
 class SectorFormula(NamedTuple):
-    """The sectors every site carries and the beams every sector carries, as
-    scenario.json prints them.
+    """The sectors every site carries and the beams every sector carries.
 
-    boresight has one azimuth per sector of a site, and steer one row per
-    beam of a sector, beam k having id k: its azimuth relative to the
-    sector's boresight and its elevation. The other fields hold for every
-    sector or beam. The RSRP grid reads `BeamArrays` instead, which keeps
-    the absolute steers and the summed peak gain.
+    boresight has one azimuth per sector of a site. A sector's beams are
+    rows of columns: beam k sits in row k // n_az, steered to
+    elevation_steers[k // n_az], and in column k % n_az, steered
+    azimuth_steers[k % n_az] from the sector's boresight, with n_az the
+    number of azimuth_steers. The other fields hold for every sector or beam.
     """
 
     boresight: np.ndarray  # (sectors_per_site,)
-    steer: np.ndarray  # (beams_per_sector, 2)
+    azimuth_steers: np.ndarray  # (n_az,)
+    elevation_steers: np.ndarray  # (rows,)
     mechanical_downtilt: float
     tx_power: float
     azimuth_beamwidth: float
@@ -118,17 +69,30 @@ class SectorFormula(NamedTuple):
 class Scenario:
     """Immutable world description. `area` is (width, height) with origin (0, 0).
 
-    The RSRP grid and the location lattice read `arrays`; `sectors` is what
-    only scenario.json prints, and is None for a scenario assembled from
-    arrays that no `ScenarioConfig` describes.
+    Sites are rows of site_xyz (x, y, height), site i having id i, and every
+    site carries the sectors of `sectors`. Construction locks every array:
+    one scenario is shared by every grid block evaluated on it, so a write
+    would reach all later blocks.
     """
 
-    arrays: ScenarioArrays
+    site_xyz: np.ndarray  # (n_sites, 3)
+    buildings: BuildingArrays
+    sectors: SectorFormula
     carrier_frequency: float
     area: tuple[float, float]
     grid_resolution: float
     rng_seed: int
-    sectors: SectorFormula | None = None
+
+    def __post_init__(self):
+        for value in (self.site_xyz, *self.buildings, *self.sectors):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    @property
+    def n_beams(self) -> int:
+        """Every beam of every sector of every site: the RSRP grid's columns."""
+        formula = self.sectors
+        return len(self.site_xyz) * len(formula.boresight) * len(formula.azimuth_steers) * len(formula.elevation_steers)
 
 
 @dataclass(frozen=True)
@@ -227,56 +191,31 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         # x intervals outer, y intervals inner
         lo, hi = (np.column_stack([a.ravel() for a in np.meshgrid(x, y, indexing="ij")])
                   for x, y in ((x_lo, y_lo), (x_hi, y_hi)))
-    buildings = BuildingArrays(lo, hi, np.full(len(lo), config.building_height_m))
 
-    count, n_sectors = config.beams_per_sector, config.sectors_per_site
+    count = config.beams_per_sector
     rows = (-config.mechanical_downtilt_deg,) if count == 1 else config.elevation_steers_deg
     n_az = count // len(rows)
     spacing = SECTOR_AZIMUTH_SPAN_DEG / n_az
-    azimuths = -SECTOR_AZIMUTH_SPAN_DEG / 2.0 + spacing * (np.arange(n_az) + 0.5)
-    boresight = wrap_deg(np.arange(n_sectors) * 360.0 / n_sectors)
-    array_gain = 10.0 * math.log10(count)
-    # one key per (sector, azimuth column), then one per elevation row
-    n_keys = n_sectors * n_az
-    in_row = np.arange(count) % n_az
-    beams = BeamArrays(
-        steer=np.concatenate((wrap_deg(boresight[:, None] + azimuths).ravel(), rows)),
-        width=np.repeat([config.azimuth_beamwidth_deg, config.elevation_beamwidth_deg], (n_keys, len(rows))),
-        is_elevation=np.arange(n_keys + len(rows)) >= n_keys,
-        az_of_beam=(np.arange(n_sectors)[:, None] * n_az + in_row).ravel(),
-        el_of_beam=np.tile(n_keys + np.arange(count) // n_az, n_sectors),
-        front_to_back=np.full(n_sectors * count, config.front_to_back_db),
-        peak_gain=np.full(n_sectors * count, config.element_gain_dbi + array_gain),
-        tx_power=np.full(n_sectors * count, config.tx_power_dbm),
-    )
-    arrays = ScenarioArrays(
-        site_xyz=site_xyz,
-        site_id=np.arange(n_sites, dtype=np.uint64),
-        # every site carries the same beams
-        site_beams=(_read_only(beams),) * n_sites,
-        buildings=_read_only(buildings),
-        site_col=np.repeat(np.arange(n_sites, dtype=np.int64), n_sectors * count),
-        cell_ids=np.repeat(np.arange(n_sites * n_sectors, dtype=np.int64), count),
-        beam_ids=np.tile(np.arange(count, dtype=np.int64), n_sites * n_sectors),
-    )
     sectors = SectorFormula(
-        boresight=boresight,
-        steer=np.column_stack((azimuths[in_row], np.repeat(rows, n_az))),
+        boresight=wrap_deg(np.arange(config.sectors_per_site) * 360.0 / config.sectors_per_site),
+        azimuth_steers=-SECTOR_AZIMUTH_SPAN_DEG / 2.0 + spacing * (np.arange(n_az) + 0.5),
+        elevation_steers=np.array(rows, dtype=float),
         mechanical_downtilt=config.mechanical_downtilt_deg,
         tx_power=config.tx_power_dbm,
         azimuth_beamwidth=config.azimuth_beamwidth_deg,
         elevation_beamwidth=config.elevation_beamwidth_deg,
         element_gain=config.element_gain_dbi,
         front_to_back=config.front_to_back_db,
-        array_gain=array_gain,
+        array_gain=10.0 * math.log10(count),
     )
     return Scenario(
-        arrays=_read_only(arrays),
+        site_xyz=site_xyz,
+        buildings=BuildingArrays(lo, hi, np.full(len(lo), config.building_height_m)),
+        sectors=sectors,
         carrier_frequency=config.carrier_frequency_ghz,
         area=(width, height),
         grid_resolution=config.grid_resolution_m,
         rng_seed=config.seed,
-        sectors=_read_only(sectors),
     )
 
 
@@ -295,7 +234,7 @@ def enumerate_locations(scenario: Scenario) -> np.ndarray:
     gx, gy = np.meshgrid(xs, ys)
     points = np.column_stack([gx.ravel(), gy.ravel()])
     keep = np.ones(len(points), dtype=bool)
-    buildings = scenario.arrays.buildings
+    buildings = scenario.buildings
     for lo, hi in zip(buildings.min_corner.tolist(), buildings.max_corner.tolist()):
         keep &= ~points_in_rect(points, lo, hi)
     return points[keep]
@@ -305,7 +244,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     """JSON-ready export of the full scenario for inspection or plotting:
     buildings, and sites with their sectors with their beams. Every sector
     shares one list of beam records."""
-    arrays, formula = scenario.arrays, scenario.sectors
+    formula = scenario.sectors
     beam = {
         "azimuth_beamwidth": formula.azimuth_beamwidth,
         "elevation_beamwidth": formula.elevation_beamwidth,
@@ -313,24 +252,25 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "front_to_back": formula.front_to_back,
         "array_gain": formula.array_gain,
     }
+    azimuths, elevations = formula.azimuth_steers.tolist(), formula.elevation_steers.tolist()
     beams = [
-        {"beam_id": k, "steer_azimuth": azimuth, "steer_elevation": elevation, **beam}
-        for k, (azimuth, elevation) in enumerate(formula.steer.tolist())
+        {"beam_id": k, "steer_azimuth": azimuths[k % len(azimuths)], "steer_elevation": elevations[k // len(azimuths)],
+         **beam}
+        for k in range(len(azimuths) * len(elevations))
     ]
     boresight = formula.boresight.tolist()
-    cells = arrays.cell_ids[:: len(beams)].reshape(-1, len(boresight)).tolist()
     sector = {"mechanical_downtilt": formula.mechanical_downtilt, "tx_power": formula.tx_power, "beams": beams}
     sites = [
         {
             "id": site_id,
             "position": [x, y],
             "height": z,
-            "sectors": [{"cell_id": cell, "boresight_azimuth": azimuth, **sector}
-                        for cell, azimuth in zip(site_cells, boresight)],
+            "sectors": [{"cell_id": site_id * len(boresight) + s, "boresight_azimuth": azimuth, **sector}
+                        for s, azimuth in enumerate(boresight)],
         }
-        for site_id, (x, y, z), site_cells in zip(arrays.site_id.tolist(), arrays.site_xyz.tolist(), cells)
+        for site_id, (x, y, z) in enumerate(scenario.site_xyz.tolist())
     ]
-    b = arrays.buildings
+    b = scenario.buildings
     return {
         "buildings": [
             {"min_corner": lo, "max_corner": hi, "height": h}
@@ -345,12 +285,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_summary(scenario: Scenario) -> dict:
-    arrays = scenario.arrays
     return {
-        "sites": len(arrays.site_id),
-        "cells": len(np.unique(arrays.cell_ids, return_counts=True)[0]),
-        "beams": len(arrays.cell_ids),
-        "buildings": len(arrays.buildings.height),
+        "sites": len(scenario.site_xyz),
+        "cells": len(scenario.site_xyz) * len(scenario.sectors.boresight),
+        "beams": scenario.n_beams,
+        "buildings": len(scenario.buildings.height),
         "area_m": list(scenario.area),
         "grid_resolution_m": scenario.grid_resolution,
     }

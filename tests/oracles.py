@@ -12,9 +12,9 @@ groups out as one vector for bit-for-bit comparison.
 A deployment is written out here as scenario.json lays it out: a dict of
 building records and of sites, each with its sectors, each with its beams.
 `reference_scenario_dict` writes one from a `ScenarioConfig` beam by beam,
-`scenario_from_dict` turns one into the arrays the library reads, and
-`reference_rsrp_grid`, `dense_los_oracle` and `line_of_sight` read its
-records.
+and `reference_rsrp_grid`, `dense_los_oracle` and `line_of_sight` read such
+records. `hand_scenario` builds a scenario from hand-drawn sites, building
+records and a `SectorFormula`, which `sector_formula` fills in.
 """
 import csv
 import json
@@ -32,9 +32,8 @@ from beamloc.fingerprint import (
     _sidecar_path,
     rank_rows,
 )
-from beamloc.geom import wrap_deg
 from beamloc.propagation import RsrpGrid, _blocked_mask, _link_arrays, path_loss, shadow_fading
-from beamloc.scenario import BeamArrays, BuildingArrays, Scenario, ScenarioArrays
+from beamloc.scenario import BuildingArrays, Scenario, SectorFormula, scenario_to_dict
 from beamloc.seeds import derive_seed
 
 
@@ -355,34 +354,6 @@ def reference_scenario_dict(config) -> dict:
     }
 
 
-def _distinct(keys: list) -> tuple[list, list[int]]:
-    """Distinct keys in first-seen order, and each key's index into them."""
-    index: dict = {}
-    inverse = [index.setdefault(key, len(index)) for key in keys]
-    return list(index), inverse
-
-
-def _beam_arrays(site) -> BeamArrays:
-    """A site record's beams as arrays, keyed by their distinct (wrapped
-    steer, beamwidth) values in first-seen order."""
-    pairs = [(sector, beam) for sector in site["sectors"] for beam in sector["beams"]]
-    boresight = np.array([sector["boresight_azimuth"] for sector, _ in pairs], dtype=float)
-    steer = wrap_deg(boresight + np.array([beam["steer_azimuth"] for _, beam in pairs], dtype=float))
-    az_keys, az_of_beam = _distinct(list(zip(steer.tolist(), [beam["azimuth_beamwidth"] for _, beam in pairs])))
-    el_keys, el_of_beam = _distinct([(beam["steer_elevation"], beam["elevation_beamwidth"]) for _, beam in pairs])
-    keys = np.array(az_keys + el_keys, dtype=float).reshape(-1, 2)
-    return BeamArrays(
-        steer=np.ascontiguousarray(keys[:, 0]),
-        width=np.ascontiguousarray(keys[:, 1]),
-        is_elevation=np.arange(len(keys)) >= len(az_keys),
-        az_of_beam=np.array(az_of_beam, dtype=np.intp),
-        el_of_beam=len(az_keys) + np.array(el_of_beam, dtype=np.intp),
-        front_to_back=np.array([beam["front_to_back"] for _, beam in pairs], dtype=float),
-        peak_gain=np.array([beam["element_gain"] + beam["array_gain"] for _, beam in pairs], dtype=float),
-        tx_power=np.array([sector["tx_power"] for sector, _ in pairs], dtype=float),
-    )
-
-
 def _building_arrays(buildings) -> BuildingArrays:
     return BuildingArrays(
         min_corner=np.array([b["min_corner"] for b in buildings], dtype=float).reshape(-1, 2),
@@ -391,49 +362,50 @@ def _building_arrays(buildings) -> BuildingArrays:
     )
 
 
-def scenario_from_dict(doc) -> Scenario:
-    """The scenario that `doc`, a dict laid out like scenario.json, describes:
-    any sites, sectors and beams, each site's beams keyed by value. Its
-    `sectors` formula is None, so `scenario_to_dict` cannot print it."""
-    columns = [
-        (si, sector["cell_id"], beam["beam_id"])
-        for si, site in enumerate(doc["sites"])
-        for sector in site["sectors"]
-        for beam in sector["beams"]
-    ]
-    site_col, cell_ids, beam_ids = np.array(columns, dtype=np.int64).reshape(-1, 3).T
-    arrays = ScenarioArrays(
-        site_xyz=np.array([(*site["position"], site["height"]) for site in doc["sites"]], dtype=float).reshape(-1, 3),
-        site_id=np.array([site["id"] for site in doc["sites"]], dtype=np.uint64),
-        site_beams=tuple(_beam_arrays(site) for site in doc["sites"]),
-        buildings=_building_arrays(doc["buildings"]),
-        site_col=site_col,
-        cell_ids=cell_ids,
-        beam_ids=beam_ids,
+def sector_formula(boresight=(0.0,), azimuth_steers=(0.0,), elevation_steers=(0.0,), **fields) -> SectorFormula:
+    """A `SectorFormula` of the given steers, by default one sector of one
+    beam at 0 degrees; `fields` overrides the deployment's default pattern,
+    30 dBm and 10 dB of array gain."""
+    scalars = dict(mechanical_downtilt=5.0, tx_power=30.0, azimuth_beamwidth=65.0, elevation_beamwidth=65.0,
+                   element_gain=8.0, front_to_back=30.0, array_gain=10.0)
+    return SectorFormula(
+        boresight=np.array(boresight, dtype=float),
+        azimuth_steers=np.array(azimuth_steers, dtype=float),
+        elevation_steers=np.array(elevation_steers, dtype=float),
+        **{**scalars, **fields},
     )
+
+
+def hand_scenario(sites, buildings, sectors: SectorFormula, *, carrier_frequency=28.0, area=(200.0, 100.0),
+                  grid_resolution=1.0, rng_seed=0) -> Scenario:
+    """The scenario of hand-drawn `sites`, each (x, y, height), building
+    records and one formula that every site carries."""
     return Scenario(
-        arrays=arrays,
-        carrier_frequency=doc["carrier_frequency_ghz"],
-        area=tuple(doc["area"]),
-        grid_resolution=doc["grid_resolution_m"],
-        rng_seed=doc["rng_seed"],
+        site_xyz=np.array(sites, dtype=float).reshape(-1, 3),
+        buildings=_building_arrays(buildings),
+        sectors=sectors,
+        carrier_frequency=carrier_frequency,
+        area=tuple(area),
+        grid_resolution=grid_resolution,
+        rng_seed=rng_seed,
     )
 
 
-def reference_rsrp_grid(doc, locations, config):
-    """RSRP grid of the deployment dict `doc` evaluated beam by beam: both
-    angle offsets wrapped and the parabolic pattern evaluated once per beam,
-    one column per beam, stacked at the end. Link geometry, LoS, path loss
-    and shadow fading are the library's; the pattern and the RSRP
-    composition are written out here. Every value is clamped at
+def reference_rsrp_grid(scenario, locations, config):
+    """RSRP grid of `scenario` evaluated beam by beam over its scenario.json
+    records: both angle offsets wrapped and the parabolic pattern evaluated
+    once per beam, one column per beam, stacked at the end. Link geometry,
+    LoS, path loss and shadow fading are the library's; the pattern and the
+    RSRP composition are written out here. Every value is clamped at
     `config.noise_floor`, which `rsrp_grid` does not do: a beam at the floor
     and a beam below it must give the same fingerprint table.
     """
+    doc = scenario_to_dict(scenario)
     locations = np.asarray(locations, dtype=float)
     shadow_seed = derive_seed(doc["rng_seed"], "shadow")
     columns, ids = [], []
     site_los = np.zeros((len(locations), len(doc["sites"])), dtype=bool)
-    link_arrays = _link_arrays(locations, scenario_from_dict(doc), config)
+    link_arrays = _link_arrays(locations, scenario, config)
     for si, site in enumerate(doc["sites"]):
         d3d, azimuth, elevation, los = (links[si] for links in link_arrays)
         site_los[:, si] = los

@@ -362,6 +362,19 @@ def test_more_hidden_layers_than_the_cap_is_a_config_error(capsys, tmp_path):
                      r"got 2000$", err, re.M), err
 
 
+def test_a_first_layer_wider_than_the_caps_admit_is_a_config_error(capsys, tmp_path):
+    # 31,500 one-hot inputs into 1024 units would be 32.3M weights, 1.7 GiB across `train`'s seven copies
+    doc = yaml.safe_load(Path(TINY).read_text())
+    doc["experiments"][0].update(hidden_layers=[1024], features={
+        "n_serving_beams": 8, "n_neighbor_cells": 4, "id_encoding": "one_hot", "one_hot_cells": 6144,
+        "one_hot_beams": 64})
+    assert main(["run", "--config", write_config(tmp_path, doc), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^config error: experiments\[mlp-tiny\]: hidden_layers \[1024\] put 32256000 weights in the "
+                     r"first layer from the feature layout's 31500 inputs, more than 1024\*\*2 = 1048576$", err, re.M), err
+    assert "Traceback" not in err
+
+
 def test_cmd_run_dry_run_names_each_layout_by_its_feature_tag(capsys, tmp_path):
     # the three layouts differ only in the cell ID field and one-hot widths
     doc = base_doc(str(tmp_path / "out"))
@@ -475,7 +488,7 @@ def test_row_blocks_leave_dataset_and_run_outputs_byte_identical(capsys, monkeyp
     path = write_config(tmp_path, doc)
     for command in ("dataset", "run"):
         assert main([command, "--config", path, "--out", str(tmp_path / f"{command}-one-block")]) == 0
-    beams = len(build_scenario(load_run_config(path).scenario).arrays.cell_ids)
+    beams = build_scenario(load_run_config(path).scenario).n_beams
     monkeypatch.setattr(beamloc.fingerprint, "GRID_BLOCK_BYTES", 7 * beams * 8)  # seven rows per block
     for command in ("dataset", "run"):
         assert main([command, "--config", path, "--out", str(tmp_path / f"{command}-blocks")]) == 0
@@ -607,7 +620,7 @@ def test_zero_margin_puts_sites_on_the_area_edge(tmp_path):
     doc = base_doc(str(tmp_path / "out"))
     doc["scenario"].update(margin_m=0)
     scenario = build_scenario(load_run_config(write_config(tmp_path, doc)).scenario)
-    assert scenario.arrays.site_xyz[0, :2].tolist() == [0.0, 0.0]
+    assert scenario.site_xyz[0, :2].tolist() == [0.0, 0.0]
 
 
 def test_single_beam_sector_needs_no_elevation_rows(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import signal
@@ -24,7 +25,7 @@ from beamloc.evaluation import (
     save_comparison_csv,
     save_report,
 )
-from beamloc.fingerprint import FeatureConfig
+from beamloc.fingerprint import FeatureConfig, extract_features_layout
 from beamloc.mlp import TrainConfig
 from beamloc.dtree import TreeConfig
 from beamloc.propagation import PropagationConfig
@@ -131,6 +132,16 @@ def test_descriptor_validation():
         ExperimentDescriptor(experiment_id="x", feature_config=fc, model_kind="svm")
     desc = ExperimentDescriptor(experiment_id="x", feature_config=fc, hidden_layers=[32, 16])
     assert desc.hidden_layers == (32, 16)
+    # an mlp's first layer may hold as many weights as the widest hidden layer, 1024 x 1024
+    wide = FeatureConfig(n_serving_beams=1, n_neighbor_cells=0, id_encoding="one_hot", one_hot_cells=959,
+                         one_hot_beams=64)
+    assert len(extract_features_layout(wide)) == 1024
+    ExperimentDescriptor(experiment_id="x", feature_config=wide, hidden_layers=(1024, 8))
+    wider = dataclasses.replace(wide, one_hot_cells=960)
+    with pytest.raises(ValueError, match=r"^hidden_layers \[1024\] put 1049600 weights .* 1025 inputs"):
+        ExperimentDescriptor(experiment_id="x", feature_config=wider, hidden_layers=(1024,))
+    ExperimentDescriptor(experiment_id="x", feature_config=wider, hidden_layers=(1024,), model_kind="dtree")
+    ExperimentDescriptor(experiment_id="x", feature_config=wider, hidden_layers=())
 
 
 def test_prepare_data_shapes(samples):

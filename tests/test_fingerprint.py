@@ -721,7 +721,7 @@ def test_from_grid_rejects_columns_out_of_order():
 def test_ranking_keeps_only_the_ranks_a_layout_reads():
     # 6 cells of 32 beams: 32 serving ranks and 5 neighbor ranks exist
     scenario = build_scenario(ScenarioConfig(site_rows=1, site_cols=2, grid_resolution_m=10.0))
-    assert np.unique(scenario.arrays.cell_ids, return_counts=True)[1].tolist() == [32] * 6
+    assert (len(scenario.site_xyz), len(scenario.sectors.boresight), scenario.n_beams) == (2, 3, 6 * 32)
     table = generate_samples(scenario)
     widths = {name: getattr(table, name).shape[1:] for name in (
         "serving_cell", "serving_beam", "serving_rsrp", "neighbor_cell", "neighbor_beam", "neighbor_rsrp")}
@@ -749,7 +749,7 @@ def test_ranking_keeps_only_the_ranks_a_layout_reads():
 
 def _block_bytes(scenario, rows):
     """GRID_BLOCK_BYTES that holds `rows` rows of `scenario`'s grid."""
-    return rows * len(scenario.arrays.cell_ids) * np.dtype(float).itemsize
+    return rows * scenario.n_beams * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -787,14 +787,14 @@ def test_each_grid_call_holds_one_block_and_the_calls_cover_every_location_in_or
 
 @pytest.mark.parametrize("rows", [None, 7])
 def test_one_generation_builds_the_scenario_arrays_once(monkeypatch, rows):
-    # build_scenario builds the site, beam, building and column arrays once;
-    # every block's grid reads those same arrays, which no block can write
+    # build_scenario builds the site, building and sector formula arrays
+    # once; every block's grid reads that one scenario, which no block can write
     scenario = _scenario()
     read, blocks = [], []
 
     def recorder(*args):
         blocks.append(len(args[1]))
-        read.append(args[0].arrays)
+        read.append(args[0])
         return rsrp_grid(*args)
 
     monkeypatch.setattr(beamloc.fingerprint, "rsrp_grid", recorder)
@@ -803,15 +803,16 @@ def test_one_generation_builds_the_scenario_arrays_once(monkeypatch, rows):
     generate_samples(scenario, SHADOWED)
     locations = len(enumerate_locations(scenario))
     assert len(blocks) == (1 if rows is None else -(-locations // rows)) and sum(blocks) == locations
-    arrays = scenario.arrays
-    assert all(seen is arrays for seen in read)
-    # every site carries the same beams, so the sites share one set of beam arrays
-    assert len(arrays.site_beams) == 2 and arrays.site_beams[0] is arrays.site_beams[1]
-    fields = [*arrays, *arrays.buildings, *arrays.site_beams[0]]
-    locked = [value for value in fields if isinstance(value, np.ndarray)]
-    assert len(locked) == 5 + 3 + 8 and not any(value.flags.writeable for value in locked)
+    assert all(seen is scenario for seen in read)
+    fields = [getattr(scenario, f.name) for f in dataclasses.fields(scenario)]
+    held = [value for field in fields for value in (field if isinstance(field, tuple) else (field,))]
+    formula = scenario.sectors
+    locked = [scenario.site_xyz, *scenario.buildings, formula.boresight, formula.azimuth_steers,
+              formula.elevation_steers]
+    assert [id(value) for value in held if isinstance(value, np.ndarray)] == list(map(id, locked))
+    assert not any(value.flags.writeable for value in locked)
     with pytest.raises(ValueError, match="read-only"):
-        arrays.site_beams[0].peak_gain[0] = 0.0
+        formula.azimuth_steers[0] = 0.0
 
 
 def test_generation_never_holds_half_the_whole_grid(monkeypatch):

@@ -2,16 +2,16 @@
 beam-by-beam RSRP reference in oracles.py.
 
 Path loss is held to Friis' formula and the antenna pattern to its 3 dB
-and back-lobe points. `rsrp_grid` computes each pattern term once per
-(steer, beamwidth) key of a site and writes the site's block straight into
-the result; `reference_rsrp_grid` evaluates the pattern beam by beam. Both
-apply the same element-wise operations in the same order, so the grids
-must be identical, bit for bit, wherever the reference's clamp at the noise
-floor leaves a value alone; `rsrp_grid` writes raw RSRP, so the
-fingerprint tables built from the two grids must be identical everywhere.
-The properties draw deployments by hand, as dicts laid out like
-scenario.json, with mixed beams per sector; `scenario_from_dict` keys each
-site's beams by value, so duplicate steers share a key.
+and back-lobe points. `rsrp_grid` computes the azimuth rolloff once per
+(sector, column) and the elevation rolloff once per row of a site, adds
+them by broadcasting and writes the site's block straight into the result;
+`reference_rsrp_grid` evaluates the pattern beam by beam over the
+scenario.json records. Both apply the same element-wise operations in the
+same order, so the grids must be identical, bit for bit, wherever the
+reference's clamp at the noise floor leaves a value alone; `rsrp_grid`
+writes raw RSRP, so the fingerprint tables built from the two grids must be
+identical everywhere. The properties draw deployments by hand: free sites
+and one sector formula of any boresights, steers and pattern.
 """
 import dataclasses
 import math
@@ -30,14 +30,14 @@ from beamloc.propagation import (
     rsrp_grid,
     shadow_fading,
 )
-from beamloc.scenario import ScenarioConfig, build_scenario, enumerate_locations
+from beamloc.scenario import ScenarioConfig, build_scenario, enumerate_locations, scenario_to_dict
 from oracles import (
     building,
     dense_los_oracle,
+    hand_scenario,
     line_of_sight,
-    reference_beam_grid,
     reference_rsrp_grid,
-    scenario_from_dict,
+    sector_formula,
 )
 
 
@@ -87,65 +87,53 @@ def test_propagation_config_validation():
         PropagationConfig(shadow_fading_sigma=-1.0)
 
 
-def _beam(**fields):
-    """A beam record with the deployment's default pattern and 10 dB of array gain."""
-    beam = dict(beam_id=0, steer_azimuth=0.0, steer_elevation=0.0, azimuth_beamwidth=65.0, elevation_beamwidth=65.0,
-                element_gain=8.0, front_to_back=30.0, array_gain=10.0)
-    beam.update(fields)
-    return beam
+def _peak(formula):
+    return formula.element_gain + formula.array_gain
 
 
-def _peak(beam):
-    return beam["element_gain"] + beam["array_gain"]
+def _one_site(height=10.0, **fields):
+    """One sector of one beam pointing at 0 degrees, on one site at the origin; no buildings."""
+    return hand_scenario([(0.0, 0.0, height)], [], sector_formula(**fields), area=(2000.0, 200.0))
 
 
-def _one_site_doc(tx_power=30.0, height=10.0, beams=(_beam(),)):
-    """One sector of `beams` pointing at 0 degrees, on one site at the origin; no buildings."""
-    sector = {"cell_id": 0, "boresight_azimuth": 0.0, "mechanical_downtilt": 5.0, "tx_power": tx_power,
-              "beams": list(beams)}
-    site = {"id": 0, "position": [0.0, 0.0], "height": height, "sectors": [sector]}
-    return {"buildings": [], "sites": [site], "carrier_frequency_ghz": 28.0, "area": [2000.0, 200.0],
-            "grid_resolution_m": 1.0, "rng_seed": 0}
-
-
-def antenna_gain(beam, azimuth_off, elevation_off):
-    """A beam's pattern at offsets in degrees (scalars or arrays), as
-    `_beam_block` writes it. The beam and its sector point at 0 degrees,
-    the sector has no transmit power, and the links have no loss and no
-    shadowing, so the block it writes is the gain, bit for bit."""
-    assert beam["steer_azimuth"] == beam["steer_elevation"] == 0.0
-    beams = scenario_from_dict(_one_site_doc(tx_power=0.0, beams=(beam,))).arrays.site_beams[0]
+def antenna_gain(formula, azimuth_off, elevation_off):
+    """A one-beam formula's pattern at offsets in degrees (scalars or
+    arrays), as `_beam_block` writes it. The beam and its sector point at
+    0 degrees, the sector has no transmit power, and the links have no loss
+    and no shadowing, so the block it writes is the gain, bit for bit."""
+    formula = formula._replace(tx_power=0.0)
+    assert formula.boresight.tolist() == formula.azimuth_steers.tolist() == formula.elevation_steers.tolist() == [0.0]
     az, el = (np.ravel(np.asarray(v, dtype=float)) for v in np.broadcast_arrays(azimuth_off, elevation_off))
     zeros = np.zeros(len(az))
     out = np.empty((len(az), 1))
-    _beam_block(beams, az, el, zeros, zeros, out)
+    _beam_block(formula, az, el, zeros, zeros, out)
     return float(out[0, 0]) if np.isscalar(azimuth_off) and np.isscalar(elevation_off) else out[:, 0]
 
 
 def test_antenna_gain_boresight_is_peak():
-    beam = _beam()
-    assert antenna_gain(beam, 0.0, 0.0) == _peak(beam) == 18.0
+    formula = sector_formula()
+    assert antenna_gain(formula, 0.0, 0.0) == _peak(formula) == 18.0
 
 
 def test_antenna_gain_half_beamwidth_is_3db_down():
-    beam = _beam()
-    assert antenna_gain(beam, beam["azimuth_beamwidth"] / 2, 0.0) == pytest.approx(_peak(beam) - 3.0)
-    assert antenna_gain(beam, 0.0, beam["elevation_beamwidth"] / 2) == pytest.approx(_peak(beam) - 3.0)
+    formula = sector_formula()
+    assert antenna_gain(formula, formula.azimuth_beamwidth / 2, 0.0) == pytest.approx(_peak(formula) - 3.0)
+    assert antenna_gain(formula, 0.0, formula.elevation_beamwidth / 2) == pytest.approx(_peak(formula) - 3.0)
 
 
 def test_antenna_gain_back_lobe_floor():
-    beam = _beam()
-    assert antenna_gain(beam, 180.0, 0.0) == pytest.approx(_peak(beam) - beam["front_to_back"])
+    formula = sector_formula()
+    assert antenna_gain(formula, 180.0, 0.0) == pytest.approx(_peak(formula) - formula.front_to_back)
 
 
 def test_antenna_gain_bounded():
-    beam = _beam()
+    formula = sector_formula()
     rng = np.random.default_rng(2)
     az = rng.uniform(-400, 400, size=1000)
     el = rng.uniform(-400, 400, size=1000)
-    g = antenna_gain(beam, az, el)
-    assert np.all(g <= _peak(beam) + 1e-12)
-    assert np.all(g >= _peak(beam) - beam["front_to_back"] - 1e-12)
+    g = antenna_gain(formula, az, el)
+    assert np.all(g <= _peak(formula) + 1e-12)
+    assert np.all(g >= _peak(formula) - formula.front_to_back - 1e-12)
 
 
 def test_los_empty_scene():
@@ -206,43 +194,42 @@ def test_los_matches_dense_sampling_oracle():
 def test_beam_rsrp_composition():
     # tx power + beam gain - free-space loss, with the link angles taken
     # from numpy hypot/arctan2 rather than the module's geometry
-    doc = _one_site_doc()
+    scenario = _one_site()
+    formula = scenario.sectors
     cfg = PropagationConfig()
-    site = doc["sites"][0]
-    sector = site["sectors"][0]
-    beam = sector["beams"][0]
+    (x, y, height), = scenario.site_xyz.tolist()
     location = (80.0, 15.0)
-    dx, dy = location[0] - site["position"][0], location[1] - site["position"][1]
-    dz = cfg.ue_height - site["height"]
+    dx, dy = location[0] - x, location[1] - y
+    dz = cfg.ue_height - height
     d2d = np.hypot(dx, dy)
     azimuth = np.degrees(np.arctan2(dy, dx))
     elevation = np.degrees(np.arctan2(dz, d2d))
     distance = math.sqrt(d2d**2 + dz**2)
-    free_space = 20.0 * math.log10(4.0 * math.pi * distance * doc["carrier_frequency_ghz"] * 1e9 / SPEED_OF_LIGHT)
+    free_space = 20.0 * math.log10(4.0 * math.pi * distance * scenario.carrier_frequency * 1e9 / SPEED_OF_LIGHT)
     # parabolic pattern: both offsets lie well inside (-180, 180], so no wrap
-    azimuth_off = azimuth - sector["boresight_azimuth"] - beam["steer_azimuth"]
-    elevation_off = elevation - beam["steer_elevation"]
-    rolloff = 12.0 * (azimuth_off / beam["azimuth_beamwidth"]) ** 2
-    rolloff += 12.0 * (elevation_off / beam["elevation_beamwidth"]) ** 2
-    gain = _peak(beam) - min(rolloff, beam["front_to_back"])
-    expected = sector["tx_power"] + gain - free_space
-    grid = rsrp_grid(scenario_from_dict(doc), np.array([location]), cfg)
-    assert grid.beam_ids[0] == beam["beam_id"]
+    azimuth_off = azimuth - formula.boresight[0] - formula.azimuth_steers[0]
+    elevation_off = elevation - formula.elevation_steers[0]
+    rolloff = 12.0 * (azimuth_off / formula.azimuth_beamwidth) ** 2
+    rolloff += 12.0 * (elevation_off / formula.elevation_beamwidth) ** 2
+    gain = _peak(formula) - min(rolloff, formula.front_to_back)
+    expected = formula.tx_power + gain - free_space
+    grid = rsrp_grid(scenario, np.array([location]), cfg)
+    assert (grid.cell_ids[0], grid.beam_ids[0]) == (0, 0)
     # the module's free-space constant is rounded to 0.01 dB
     assert grid.rsrp[0, 0] == pytest.approx(expected, abs=0.01)
 
 
 def test_rsrp_decreases_along_boresight():
     # site and UE at equal height so the link stays exactly on boresight
-    scenario = scenario_from_dict(_one_site_doc(height=1.5))
+    scenario = _one_site(height=1.5)
     locations = np.array([[d, 0.0] for d in (2, 5, 20, 100, 700)])
     values = rsrp_grid(scenario, locations, PropagationConfig()).rsrp[:, 0]
     assert np.all(values[:-1] > values[1:])
 
 
 def test_tx_power_shift_is_exact():
-    base = scenario_from_dict(_one_site_doc(tx_power=30.0))
-    boosted = scenario_from_dict(_one_site_doc(tx_power=33.0))
+    base = _one_site(tx_power=30.0)
+    boosted = _one_site(tx_power=33.0)
     cfg = PropagationConfig(noise_floor=-500.0)
     locations = np.array([[50.0, 10.0], [120.0, -40.0], [15.0, 90.0]])
     a = rsrp_grid(base, locations, cfg).rsrp
@@ -334,8 +321,8 @@ def test_shadow_moments():
     assert float(np.std(draws)) == pytest.approx(4.0, abs=0.15)
 
 
-# Small pools so that duplicate steers are common; boresight + steer crosses
-# +-180 degrees for many pairs, and -0.0 meets 0.0 as a dictionary key.
+# Small pools so that duplicate steers are common and boresight + steer
+# crosses +-180 degrees for many pairs; -0.0 meets 0.0.
 AZIMUTHS = (-0.0, 0.0, 45.0, -60.0, 90.0, 170.0, -170.0, 179.5, 180.0, -180.0, 200.0)
 ELEVATIONS = (-0.0, 0.0, -3.0, -12.0, 7.5)
 BEAMWIDTHS = (10.0, 65.0, 65, 120.0, 179.9)
@@ -353,86 +340,54 @@ def _angle(pool, low, high):
 
 
 @st.composite
-def _hand_beams(draw):
-    count = draw(st.integers(1, 6))
-    return [
-        _beam(
-            beam_id=i,
-            steer_azimuth=draw(_angle(AZIMUTHS, -400.0, 400.0)),
-            steer_elevation=draw(_angle(ELEVATIONS, -90.0, 90.0)),
-            azimuth_beamwidth=draw(st.sampled_from(BEAMWIDTHS)),
-            elevation_beamwidth=draw(st.sampled_from(BEAMWIDTHS)),
-            element_gain=draw(st.sampled_from((0.0, 8.0, 5))),
-            front_to_back=draw(st.sampled_from(FRONT_TO_BACK)),
-            array_gain=draw(st.floats(0.0, 15.0)),
-        )
-        for i in range(count)
-    ]
-
-
-@st.composite
-def _sector(draw, cell_id):
-    sector = {
-        "cell_id": cell_id,
-        "boresight_azimuth": draw(_angle(BORESIGHTS, -400.0, 400.0)),
-        "mechanical_downtilt": draw(st.floats(0.0, 15.0)),
-        "tx_power": draw(st.sampled_from((30.0, 46.0, 23))),
-    }
-    if draw(st.booleans()):
-        beams = draw(_hand_beams())
-    else:
-        rows = draw(st.lists(st.sampled_from(ELEVATIONS), min_size=1, max_size=4))
-        count = draw(st.sampled_from((1, len(rows), 2 * len(rows), 4 * len(rows))))
-        beams = reference_beam_grid(
-            count,
-            rows,
-            sector["mechanical_downtilt"],
-            azimuth_beamwidth=draw(st.sampled_from(BEAMWIDTHS)),
-            elevation_beamwidth=65.0,
-            element_gain=8.0,
-            front_to_back=draw(st.sampled_from(FRONT_TO_BACK)),
-        )
-    return {**sector, "beams": beams}
+def _formula(draw):
+    """1-3 sectors of 1-6 azimuth columns by 1-4 elevation rows, and any pattern."""
+    return sector_formula(
+        boresight=draw(st.lists(_angle(BORESIGHTS, -400.0, 400.0), min_size=1, max_size=3)),
+        azimuth_steers=draw(st.lists(_angle(AZIMUTHS, -400.0, 400.0), min_size=1, max_size=6)),
+        elevation_steers=draw(st.lists(_angle(ELEVATIONS, -90.0, 90.0), min_size=1, max_size=4)),
+        mechanical_downtilt=draw(st.floats(0.0, 15.0)),
+        tx_power=draw(st.sampled_from((30.0, 46.0, 23))),
+        azimuth_beamwidth=draw(st.sampled_from(BEAMWIDTHS)),
+        elevation_beamwidth=draw(st.sampled_from(BEAMWIDTHS)),
+        element_gain=draw(st.sampled_from((0.0, 8.0, 5))),
+        front_to_back=draw(st.sampled_from(FRONT_TO_BACK)),
+        array_gain=draw(st.floats(0.0, 15.0)),
+    )
 
 
 @st.composite
 def _case(draw):
-    """(a deployment dict of hand-drawn sites, sectors and beams, locations, propagation config)."""
-    n_sites = draw(st.integers(1, 3))
-    sites = []
-    for site_id in range(n_sites):
-        n_sectors = draw(st.integers(1, 3))
-        sectors = [draw(_sector(site_id * 3 + s)) for s in range(n_sectors)]
-        position = [draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 100.0))]
-        sites.append({"id": site_id, "position": position, "height": draw(st.floats(3.0, 30.0)), "sectors": sectors})
-    doc = {
-        "buildings": BUILDINGS if draw(st.booleans()) else [],
-        "sites": sites,
-        "carrier_frequency_ghz": draw(st.sampled_from((3.5, 28.0, 60.0))),
-        "area": [200.0, 100.0],
-        "grid_resolution_m": 1.0,
-        "rng_seed": draw(st.integers(0, 2**16)),
-    }
+    """(a scenario of hand-drawn sites and sector formula, locations, propagation config)."""
+    sites = [(draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 100.0)), draw(st.floats(3.0, 30.0)))
+             for _ in range(draw(st.integers(1, 3)))]
+    scenario = hand_scenario(
+        sites,
+        BUILDINGS if draw(st.booleans()) else [],
+        draw(_formula()),
+        carrier_frequency=draw(st.sampled_from((3.5, 28.0, 60.0))),
+        rng_seed=draw(st.integers(0, 2**16)),
+    )
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     locations = rng.uniform((-20.0, -20.0), (220.0, 120.0), size=(draw(st.integers(1, 25)), 2))
     if draw(st.booleans()):
         # a location right under a site: zero horizontal distance
-        locations = np.vstack([locations, [sites[0]["position"]]])
+        locations = np.vstack([locations, [sites[0][:2]]])
     config = PropagationConfig(
         model=draw(st.sampled_from(PROPAGATION_MODELS)),
         shadow_fading_sigma=draw(st.sampled_from((0.0, 4.0, 9.5))),
         # -50 dBm clamps most links, -200 dBm none
         noise_floor=draw(st.sampled_from((-200.0, -105.0, -80.0, -50.0))),
     )
-    return doc, locations, config
+    return scenario, locations, config
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_case())
 def test_rsrp_grid_matches_beam_by_beam_reference(case):
-    doc, locations, config = case
-    got = rsrp_grid(scenario_from_dict(doc), locations, config)
-    want = reference_rsrp_grid(doc, locations, config)
+    scenario, locations, config = case
+    got = rsrp_grid(scenario, locations, config)
+    want = reference_rsrp_grid(scenario, locations, config)
     assert got.rsrp.shape == want.rsrp.shape
     assert np.array_equal(np.maximum(got.rsrp, config.noise_floor), want.rsrp)
     assert np.array_equal(got.site_los, want.site_los)
@@ -445,10 +400,9 @@ def test_rsrp_grid_matches_beam_by_beam_reference(case):
 def test_table_from_raw_grid_matches_table_from_floored_reference(case):
     # the table alone decides audibility: the raw grid and the reference's
     # clamped grid must give the same table, bit for bit
-    doc, locations, config = case
-    got = FingerprintTable.from_grid(locations, rsrp_grid(scenario_from_dict(doc), locations, config),
-                                     config.noise_floor)
-    want = FingerprintTable.from_grid(locations, reference_rsrp_grid(doc, locations, config), config.noise_floor)
+    scenario, locations, config = case
+    got = FingerprintTable.from_grid(locations, rsrp_grid(scenario, locations, config), config.noise_floor)
+    want = FingerprintTable.from_grid(locations, reference_rsrp_grid(scenario, locations, config), config.noise_floor)
     for name in (f.name for f in dataclasses.fields(got)):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -459,8 +413,9 @@ def test_table_from_raw_grid_matches_table_from_floored_reference(case):
 def test_grid_los_of_every_site_is_the_one_segment_line_of_sight(case):
     # rsrp_grid clips every site's links in one call; each entry must be the
     # blocking test of that one segment
-    doc, locations, config = case
-    site_los = rsrp_grid(scenario_from_dict(doc), locations, config).site_los
+    scenario, locations, config = case
+    site_los = rsrp_grid(scenario, locations, config).site_los
+    doc = scenario_to_dict(scenario)
     for si, site in enumerate(doc["sites"]):
         start = (*site["position"], site["height"])
         want = [line_of_sight(start, (x, y, config.ue_height), doc["buildings"]) for x, y in locations.tolist()]
@@ -469,4 +424,4 @@ def test_grid_los_of_every_site_is_the_one_segment_line_of_sight(case):
 
 def test_rsrp_grid_rejects_a_scenario_without_beams():
     with pytest.raises(ValueError, match="no beams"):
-        rsrp_grid(scenario_from_dict(_one_site_doc(beams=())), np.array([[1.0, 2.0]]))
+        rsrp_grid(_one_site(azimuth_steers=()), np.array([[1.0, 2.0]]))

@@ -7,7 +7,8 @@ same deployment out in nested loops. A property over configs holds the two
 to the same scenario.json text and the same RSRP grid, bit for bit, and
 holds the geometric invariants of every built deployment: each site inside
 the area and outside every building's open interior, no two buildings
-overlapping, and unique cell ids.
+overlapping, and `scenario_summary` counting the config's sites, cells,
+beams and buildings.
 """
 import json
 import math
@@ -25,7 +26,7 @@ from beamloc.scenario import (
     scenario_summary,
     scenario_to_dict,
 )
-from oracles import building, reference_rsrp_grid, reference_scenario_dict, scenario_from_dict
+from oracles import building, hand_scenario, reference_rsrp_grid, reference_scenario_dict, sector_formula
 
 
 def test_default_config_counts():
@@ -105,15 +106,16 @@ def test_beam_grid_single_beam_points_at_downtilt():
 
 
 def test_beam_grid_identical_across_sectors():
-    # the grid's absolute azimuth steers are each sector's boresight plus one
-    # shared set of relative steers, and its elevation steers are shared
-    scenario = build_scenario(ScenarioConfig(site_rows=1, site_cols=2))
-    beams = scenario.arrays.site_beams[0]
-    assert all(other is beams for other in scenario.arrays.site_beams)
-    per_sector = beams.steer[beams.az_of_beam].reshape(3, 32)
-    relative = (per_sector - scenario.sectors.boresight[:, None] + 180.0) % 360.0 - 180.0
-    assert np.allclose(relative, scenario.sectors.steer[:, 0], rtol=0, atol=1e-9)
-    assert (beams.steer[beams.el_of_beam].reshape(3, 32) == scenario.sectors.steer[:, 1]).all()
+    # every sector carries one grid of beams turned to its boresight: a
+    # location turned 120 degrees about the site hears the next sector's
+    # beams as it heard this sector's
+    scenario = build_scenario(ScenarioConfig(site_rows=1, site_cols=1, with_buildings=False))
+    angles = np.radians([10.0, 130.0, 250.0])
+    locations = scenario.site_xyz[0, :2] + 50.0 * np.column_stack((np.cos(angles), np.sin(angles)))
+    rsrp = rsrp_grid(scenario, locations, PropagationConfig()).rsrp.reshape(3, 3, 32)
+    for turn in range(3):
+        assert np.allclose(np.roll(rsrp[turn], -turn, axis=0), rsrp[0], rtol=0, atol=1e-9)
+    assert not np.allclose(rsrp[0, 0], rsrp[0, 1])
 
 
 def test_beam_grid_uniqueness_invariants():
@@ -134,15 +136,13 @@ def test_beam_grid_rejects_zero():
         ScenarioConfig(beams_per_sector=0)
 
 
-def _lattice_doc(buildings):
+def _lattice(buildings):
     """A 10 x 10 m area at 1 m resolution around one site."""
-    site = {"id": 0, "position": [5.0, 5.0], "height": 10.0, "sectors": []}
-    return {"buildings": buildings, "sites": [site], "carrier_frequency_ghz": 28.0, "area": [10.0, 10.0],
-            "grid_resolution_m": 1.0, "rng_seed": 0}
+    return hand_scenario([(5.0, 5.0, 10.0)], buildings, sector_formula(), area=(10.0, 10.0))
 
 
 def test_enumerate_locations_empty_area_lattice():
-    points = enumerate_locations(scenario_from_dict(_lattice_doc([])))
+    points = enumerate_locations(_lattice([]))
     assert len(points) == 121
     # row-major: y varies slowest
     order = np.lexsort((points[:, 0], points[:, 1]))
@@ -150,7 +150,7 @@ def test_enumerate_locations_empty_area_lattice():
 
 
 def test_enumerate_locations_fully_blocked():
-    scenario = scenario_from_dict(_lattice_doc([building((-1.0, -1.0), (11.0, 11.0), 20.0)]))
+    scenario = _lattice([building((-1.0, -1.0), (11.0, 11.0), 20.0)])
     assert len(enumerate_locations(scenario)) == 0
 
 
@@ -186,9 +186,9 @@ def test_validate_rejects_zero_sites():
 
 
 def test_buildings_leave_street_corridors():
-    arrays = build_scenario(ScenarioConfig()).arrays
-    x, y = arrays.site_xyz[:, 0], arrays.site_xyz[:, 1]
-    b = arrays.buildings
+    scenario = build_scenario(ScenarioConfig())
+    x, y = scenario.site_xyz[:, 0], scenario.site_xyz[:, 1]
+    b = scenario.buildings
     inside = ((b.min_corner[:, None, 0] < x) & (x < b.max_corner[:, None, 0])
               & (b.min_corner[:, None, 1] < y) & (y < b.max_corner[:, None, 1]))
     assert len(b.height) == 15 and not inside.any()
@@ -200,7 +200,7 @@ def test_building_validation():
     with pytest.raises(ValueError, match=r"building_height_m must be in \(0, 10000\], got 0"):
         ScenarioConfig(building_height_m=0.0)
     for street, count in ((20.0, 15), (100.0, 3), (250.0, 0)):
-        b = build_scenario(ScenarioConfig(street_width_m=street)).arrays.buildings
+        b = build_scenario(ScenarioConfig(street_width_m=street)).buildings
         assert len(b.height) == count
         assert (b.min_corner < b.max_corner).all() and (b.height == 25.0).all()
 
@@ -259,21 +259,23 @@ def test_built_scenario_is_the_beam_by_beam_reference(config, data):
                              shadow_fading_sigma=data.draw(st.sampled_from((0.0, 4.0)), label="sigma"),
                              noise_floor=-500.0)
     got = rsrp_grid(scenario, locations, prop)
-    want = reference_rsrp_grid(doc, locations, prop)
+    want = reference_rsrp_grid(scenario, locations, prop)
     assert np.maximum(got.rsrp, prop.noise_floor).tobytes() == want.rsrp.tobytes()
     for name in ("cell_ids", "beam_ids", "site_col", "site_los"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
-    arrays = scenario.arrays
-    x, y = arrays.site_xyz[:, 0], arrays.site_xyz[:, 1]
+    x, y = scenario.site_xyz[:, 0], scenario.site_xyz[:, 1]
     assert ((0 <= x) & (x <= width) & (0 <= y) & (y <= height)).all()
-    lo, hi = arrays.buildings.min_corner, arrays.buildings.max_corner
+    lo, hi = scenario.buildings.min_corner, scenario.buildings.max_corner
     assert (lo < hi).all()
     inside = (lo[:, None, 0] < x) & (x < hi[:, None, 0]) & (lo[:, None, 1] < y) & (y < hi[:, None, 1])
     assert not inside.any()
     overlap = ((np.minimum(hi[:, None, 0], hi[:, 0]) > np.maximum(lo[:, None, 0], lo[:, 0]))
                & (np.minimum(hi[:, None, 1], hi[:, 1]) > np.maximum(lo[:, None, 1], lo[:, 1])))
     assert np.array_equal(overlap, np.eye(len(lo), dtype=bool))
-    cells = arrays.cell_ids[:: config.beams_per_sector]
-    assert len(cells) == len(x) * config.sectors_per_site == len(set(cells.tolist()))
+    sites = config.site_rows * config.site_cols
+    cells = sites * config.sectors_per_site
+    summary = scenario_summary(scenario)
+    assert (summary["sites"], summary["cells"], summary["beams"], summary["buildings"]) == (
+        sites, cells, cells * config.beams_per_sector, len(doc["buildings"]))
